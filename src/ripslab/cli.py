@@ -268,6 +268,8 @@ def _cmd_k33(args, out):
 
 
 def _cmd_tt(args, out):
+    if args.action == "swg" and args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     m = _load_map(args.file)
     for w in m.warnings:
         out.write(f"warning: {w}\n")

@@ -52,7 +52,6 @@ class ValenceStratification:
         def val(p: Point) -> int:
             return sum(1 for d in domains if d.contains(p))
 
-        marks: list[Point] = []
         for eid, ivs in system.support.intervals.items():
             spans = [(canon(lo), canon(hi)) for d in domains
                      for lo, hi in d.intervals.get(eid, ())]
@@ -70,14 +69,11 @@ class ValenceStratification:
                         point_valences[p] = val(p)
                     else:
                         point_valences[p] = pt_cov[k]
-                    marks.append(p)
         for p in system.support.points:
             point_valences[p] = val(p)
-            marks.append(p)
 
         self.segments = tuple(segments)
         self.point_valences = point_valences
-        self.refined, self.relabeling = host.refine(marks)
 
     def value(self, p: Point) -> int:
         return sum(1 for e in self.system.elements() if e.domain.contains(p))
@@ -89,15 +85,6 @@ class ValenceStratification:
             if v >= i:
                 intervals.setdefault(eid, []).append((lo, hi))
         pts = frozenset(p for p, v in self.point_valences.items() if v >= i)
-        return Subforest(self.system.forest, intervals, pts)
-
-    def stratum_eq(self, i: int) -> Subforest:
-        """Closure of K^{=i}: equal-valence segments plus isolated points."""
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for eid, lo, hi, v in self.segments:
-            if v == i:
-                intervals.setdefault(eid, []).append((lo, hi))
-        pts = frozenset(p for p, v in self.point_valences.items() if v == i)
         return Subforest(self.system.forest, intervals, pts)
 
     def vol_ge(self, i: int) -> Scalar:

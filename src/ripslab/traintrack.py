@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-import sympy
-
 from .scalar import NumberField, Scalar, field_define
 
 
@@ -89,12 +87,6 @@ class RoseMap:
 
     def apply(self, word: str) -> str:
         return free_reduce("".join(self.image_of_letter(c) for c in word))
-
-    def apply_inverse(self, word: str) -> str:
-        if self.inverse_images is None:
-            raise MissingInverse("no inverse images supplied")
-        inv = RoseMap(self.generators, self.inverse_images)
-        return inv.apply(word)
 
     def iterate(self, power: int) -> "RoseMap":
         if power < 1:
@@ -282,6 +274,8 @@ def _pf_field(mat) -> NumberField:
     that factor (the classical trace bound can be slack, so intervals
     are computed, not guessed).
     """
+    import sympy
+
     x = sympy.symbols("x")
     charpoly = sympy.Matrix(mat).charpoly(x)
     best = None
@@ -427,17 +421,57 @@ def rotationless_power(m: RoseMap) -> tuple[int, RoseMap]:
 
 # --- train-track check -----------------------------------------------------
 
+def _turns_of(word: str) -> set[frozenset]:
+    """The turns {x^-1, y} at the junctions xy of a reduced word."""
+    return {frozenset((inv_letter(x), y)) for x, y in zip(word, word[1:])}
+
+
 def taken_turns(m: RoseMap, power_budget: int) -> set[frozenset]:
-    """Unordered direction pairs occurring in some f^k(e), k <= budget."""
+    """Unordered direction pairs occurring in some f^k(e), k <= budget.
+
+    When f^k(e) is reduced and no turn in it is collapsed by Df, f^{k+1}(e)
+    is the plain concatenation of the images f(x) of its letters, so
+
+        letters(f^{k+1}(e)) = union of letters(f(x)), x in letters(f^k(e)),
+        turns(f^{k+1}(e)) = Df(turns(f^k(e))) | union of turns(f(x)).
+
+    Only these two sets are carried from level to level; a repeated pair
+    of sets repeats all later levels, which ends the closure early.  A
+    collapsed turn means the next iterate cancels (as for maps that are
+    not train tracks), and then the iterates are expanded as words.
+    """
+    images = {d: free_reduce(m.image_of_letter(d))
+              for d in m.directions()}
+    if not all(images.values()):
+        return _word_turns(m, power_budget)
+    first = {d: w[0] for d, w in images.items()}
+    inner = {d: _turns_of(w) for d, w in images.items()}
+    turns: set[frozenset] = set()
+    for g in m.generators:
+        letters, level = frozenset(g), frozenset()
+        seen = set()
+        for _ in range(power_budget):
+            if (letters, level) in seen:
+                break
+            seen.add((letters, level))
+            nxt = {frozenset(first[d] for d in t) for t in level}
+            if any(len(t) < 2 for t in nxt):
+                return _word_turns(m, power_budget)
+            nxt.update(*(inner[x] for x in letters))
+            letters = frozenset(c for x in letters for c in images[x])
+            level = frozenset(nxt)
+            turns |= level
+    return turns
+
+
+def _word_turns(m: RoseMap, power_budget: int) -> set[frozenset]:
+    """taken_turns by expanding each f^k(e) as a freely reduced word."""
     turns: set[frozenset] = set()
     for g in m.generators:
         path = g
         for _ in range(power_budget):
             path = m.apply(path)
-            for x, y in zip(path, path[1:]):
-                pair = frozenset((inv_letter(x), y))
-                if len(pair) == 2:
-                    turns.add(pair)
+            turns |= _turns_of(path)
     return turns
 
 

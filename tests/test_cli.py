@@ -1,5 +1,8 @@
 import importlib.resources as resources
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,8 @@ def test_missing_file_is_input_error():
 def test_usage_error():
     assert main(["bogus"], out=io.StringIO()) == 1
     assert main(["corpus", "show"], out=io.StringIO()) == 1
+    assert main(["tt", "swg", corpus("tribonacci.map"), "--budget", "0"],
+                out=io.StringIO()) == 1
 
 
 def test_classify_e_surf():
@@ -178,6 +183,17 @@ def test_tt_swg_matches_oracle():
     _, edges = brute_stable_whitehead(m3.images, 6)
     for u, v in edges:
         assert f"edge: {u} {v}" in text
+
+
+def test_cli_import_does_not_load_sympy():
+    import ripslab
+    src = os.path.dirname(os.path.dirname(ripslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, ripslab.cli; print('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_corpus_list_and_show():

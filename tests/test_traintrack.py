@@ -1,6 +1,7 @@
 import importlib.resources as resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ripslab.traintrack import (
     approx_float,
@@ -19,6 +20,7 @@ from ripslab.traintrack import (
     parse_map,
     rotationless_power,
     stable_whitehead_graph,
+    taken_turns,
     transition,
     transition_matrix,
     verify_automorphism,
@@ -28,6 +30,7 @@ from oracles import (
     brute_fixed_directions,
     brute_periodic_directions,
     brute_stable_whitehead,
+    brute_taken_turns,
 )
 
 
@@ -225,6 +228,39 @@ def test_check_train_track_failure_witness():
     for _ in range(j):
         d1, d2 = df(BAD_TT, d1), df(BAD_TT, d2)
     assert d1 == d2
+
+
+def test_taken_turns_matches_oracle_on_rotationless_powers(trib, fib):
+    for m in (trib, fib):
+        _, mp = rotationless_power(m)
+        for budget in range(1, 9):
+            want = brute_taken_turns(mp.images, budget)
+            assert taken_turns(mp, budget) == want, budget
+        # The levels repeat by then, so a huge budget costs no more.
+        assert taken_turns(mp, 10 ** 9) == want
+
+
+def test_taken_turns_matches_oracle_before_rotationless_power(trib, fib):
+    for m in (trib, fib, BAD_TT):
+        for budget in range(1, 7):
+            assert taken_turns(m, budget) == \
+                brute_taken_turns(m.images, budget), budget
+
+
+@st.composite
+def small_maps(draw):
+    gens = "abc"[:draw(st.integers(2, 3))]
+    words = st.lists(st.sampled_from(gens + gens.upper()),
+                     min_size=1, max_size=3).map("".join)
+    return RoseMap(tuple(gens), {g: draw(words) for g in gens})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps(), st.integers(1, 4))
+def test_taken_turns_matches_oracle_on_random_maps(m, budget):
+    """Many of these maps cancel and take the word-expansion fallback;
+    their images need not be reduced, and may reduce to nothing."""
+    assert taken_turns(m, budget) == brute_taken_turns(m.images, budget)
 
 
 def test_swg_requires_rotationless(trib):
