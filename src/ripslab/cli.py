@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import fileformat, lamination, rips, traintrack, whitehead
-from .fileformat import BandsSyntaxError, parse_system, scalar_str
+from .fileformat import BandsSyntaxError, parse_system, point_str, scalar_str
 from .forest import Direction, ForestError
 from .isometry import ValidationError
 from .scalar import FieldMismatch
@@ -35,6 +35,25 @@ class InputError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _ratio(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a fraction: {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly between 0 and 1, got {text}")
+    return value
 
 
 def emit_dot(graph) -> str:
@@ -84,10 +103,9 @@ def _parse_point(system, text: str):
     if not f.has_edge(eid):
         raise InputError(f"unknown edge {eid!r}")
     try:
-        off = fileformat.parse_scalar(expr, system.field)
-    except BandsSyntaxError as exc:
+        return f.point(eid, fileformat.parse_scalar(expr, system.field))
+    except (BandsSyntaxError, ForestError) as exc:
         raise InputError(str(exc)) from exc
-    return f.point(eid, off)
 
 
 def _parse_direction(point, text: str) -> Direction:
@@ -97,17 +115,11 @@ def _parse_direction(point, text: str) -> Direction:
     return Direction(point, m.group(1), 1 if m.group(2) == "+" else -1)
 
 
-def _point_str(system, p) -> str:
-    if p.is_vertex:
-        return p.vertex
-    return f"{p.edge}:{scalar_str(p.offset)}"
-
-
 def _print_system(out, system):
     out.write(fileformat.serialize_system(system))
 
 
-def _subforest_str(system, s) -> str:
+def _subforest_str(s) -> str:
     if s.is_empty:
         return "(empty)"
     parts = []
@@ -115,7 +127,7 @@ def _subforest_str(system, s) -> str:
         for lo, hi in s.intervals[eid]:
             parts.append(f"{eid}[{scalar_str(lo)},{scalar_str(hi)}]")
     for p in sorted(s.points, key=lambda q: repr(q)):
-        parts.append(f"point {_point_str(system, p)}")
+        parts.append(f"point {point_str(p)}")
     return " ".join(parts)
 
 
@@ -157,8 +169,8 @@ def _cmd_rips(args, out):
             out.write(f"halt-step: {trace.halt_step + start}\n")
         return 0
     result = rips.classify(system, args.max_iter,
-                           diam_ratio_threshold=Fraction(args.diam_ratio),
-                           checkpoint=args.checkpoint)
+                           diam_ratio_threshold=args.diam_ratio,
+                           checkpoint=args.checkpoint, start=start)
     v = result.verdict
     out.write(f"verdict: {type(v).__name__}\n")
     if isinstance(v, rips.SurfaceType):
@@ -195,14 +207,14 @@ def _cmd_strata(args, out):
     for i in (1, 2, 3):
         s = strat.stratum_ge(i)
         out.write(f"K>={i}: vol {scalar_str(s.volume())}"
-                  f" set {_subforest_str(system, s)}\n")
+                  f" set {_subforest_str(s)}\n")
     return 0
 
 
 def _cmd_words(args, out):
     system = _load_system(args.file)
     for w, dom in lamination.admissible_words(system, args.depth):
-        out.write(f"{' '.join(w)}\t{_subforest_str(system, dom)}\n")
+        out.write(f"{' '.join(w)}\t{_subforest_str(dom)}\n")
     return 0
 
 
@@ -211,7 +223,7 @@ def _cmd_limitset(args, out):
     approx = lamination.limit_set(system, args.depth)
     out.write(f"depth: {approx.depth}\n")
     out.write(f"volume: {scalar_str(approx.subforest.volume())}\n")
-    out.write(f"set: {_subforest_str(system, approx.subforest)}\n")
+    out.write(f"set: {_subforest_str(approx.subforest)}\n")
     return 0
 
 
@@ -219,7 +231,7 @@ def _cmd_wh(args, out):
     system = _load_system(args.file)
     if args.action == "scan":
         for x, d, n in whitehead.wh_scan(system, args.depth):
-            out.write(f"{_point_str(system, x)}\t{d.edge}:"
+            out.write(f"{point_str(x)}\t{d.edge}:"
                       f"{'+' if d.toward == 1 else '-'}\t{n}\n")
         return 0
     if not args.point or not args.direction:
@@ -242,14 +254,14 @@ def _cmd_pattern(args, out):
         out.write(f"pattern: not found (depth {result.depth})\n")
         return 0
     out.write("pattern: found\n")
-    out.write(f"a: {_point_str(system, result.a)}\n")
+    out.write(f"a: {point_str(result.a)}\n")
     out.write(f"d: {result.d.edge}:"
               f"{'+' if result.d.toward == 1 else '-'}\n")
     out.write(f"l1: {result.l1}\n")
     out.write(f"l2: {result.l2}\n")
     out.write(f"end-classes: {result.end_class_count}\n")
-    out.write(f"b: {_point_str(system, result.b)}\n")
-    out.write(f"c: {_point_str(system, result.c)}\n")
+    out.write(f"b: {point_str(result.b)}\n")
+    out.write(f"c: {point_str(result.c)}\n")
     return 0
 
 
@@ -268,8 +280,6 @@ def _cmd_k33(args, out):
 
 
 def _cmd_tt(args, out):
-    if args.action == "swg" and args.budget < 1:
-        raise UsageError("--budget must be >= 1")
     m = _load_map(args.file)
     for w in m.warnings:
         out.write(f"warning: {w}\n")
@@ -344,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rips")
     r.add_argument("action", choices=["step", "run", "classify"])
     r.add_argument("file")
-    r.add_argument("--max-iter", type=int, default=30)
-    r.add_argument("--diam-ratio", default="1/2")
+    r.add_argument("--max-iter", type=_positive_int, default=30)
+    r.add_argument("--diam-ratio", type=_ratio, default="1/2")
     r.add_argument("--checkpoint")
     r.add_argument("--resume", action="store_true")
 
@@ -355,28 +365,28 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("words", "limitset"):
         w = sub.add_parser(name)
         w.add_argument("file")
-        w.add_argument("--depth", type=int, default=3)
+        w.add_argument("--depth", type=_positive_int, default=3)
 
     wh = sub.add_parser("wh")
     wh.add_argument("action", choices=["scan", "at"])
     wh.add_argument("file")
-    wh.add_argument("--depth", type=int, default=3)
+    wh.add_argument("--depth", type=_positive_int, default=3)
     wh.add_argument("--point")
     wh.add_argument("--direction")
 
     pat = sub.add_parser("pattern")
     pat.add_argument("file")
-    pat.add_argument("--depth", type=int, default=3)
+    pat.add_argument("--depth", type=_positive_int, default=3)
 
     k = sub.add_parser("k33")
     k.add_argument("file")
-    k.add_argument("--depth", type=int, default=3)
+    k.add_argument("--depth", type=_positive_int, default=3)
 
     t = sub.add_parser("tt")
     t.add_argument("action",
                    choices=["check", "matrix", "pf", "rotationless", "swg"])
     t.add_argument("file")
-    t.add_argument("--budget", type=int, default=6)
+    t.add_argument("--budget", type=_positive_int, default=6)
 
     c = sub.add_parser("corpus")
     c.add_argument("action", choices=["list", "show"])

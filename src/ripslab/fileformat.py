@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .forest import Edge, MetricForest, Point, Subforest
+from .forest import Edge, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import FieldMismatch, NumberField, Scalar, field_define, rational
 
@@ -350,12 +350,14 @@ def serialize_system(system: BandSystem) -> str:
             compact_lo = scalar_str(lo).replace(" ", "")
             compact_hi = scalar_str(hi).replace(" ", "")
             out.append(f"interval {eid} {compact_lo} {compact_hi}")
-    for p in sorted(system.support.points, key=_point_sort):
-        out.append(f"point {_point_str(p)}")
+    # edge points before vertices
+    for p in sorted(system.support.points,
+                    key=lambda p: (p.is_vertex, point_key(p))):
+        out.append(f"point {point_str(p)}")
     for b in sorted(system.bands, key=lambda b: b.name):
         out.append(f"band {b.name}")
         for m, img in b.correspondence:
-            out.append(f"map {_point_str(m)} -> {_point_str(img)}")
+            out.append(f"map {point_str(m)} -> {point_str(img)}")
     return "\n".join(out) + "\n"
 
 
@@ -378,16 +380,11 @@ def _poly_str(coeffs) -> str:
     return " ".join(terms) if terms else "0"
 
 
-def _point_str(p: Point) -> str:
+def point_str(p: Point) -> str:
+    """Exact textual form of a point, as `parse_system_text` reads it."""
     if p.is_vertex:
         return p.vertex
     return f"{p.edge}:{scalar_str(p.offset)}"
-
-
-def _point_sort(p: Point):
-    from .forest import _approx
-
-    return (p.vertex, "", 0.0) if p.is_vertex else ("", p.edge, _approx(p.offset))
 
 
 def save_system(system: BandSystem, path: str) -> None:

@@ -10,7 +10,6 @@ set equality -- the Rips halting test -- is representation equality.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -310,16 +309,13 @@ class MetricForest:
         """Subdivide edges so that every mark is a vertex of the result."""
         by_edge: dict[str, list[Scalar]] = {}
         for m in marks:
-            if m.is_vertex:
-                continue
-            offs = by_edge.setdefault(m.edge, [])
-            if all(o != m.offset for o in offs):
-                offs.append(m.offset)
+            if not m.is_vertex:
+                by_edge.setdefault(m.edge, []).append(m.offset)
         vertices = list(self.vertices)
         edges: list[Edge] = []
         edge_map: dict[str, list[tuple[Scalar, Scalar, str]]] = {}
         for e in self.edges:
-            cuts = sorted(by_edge.get(e.id, []), key=functools.cmp_to_key(_cmp))
+            cuts = sorted_unique(by_edge.get(e.id, []))
             if not cuts:
                 edges.append(e)
                 edge_map[e.id] = [(ZERO, e.length, e.id)]
@@ -351,10 +347,6 @@ class MetricForest:
 
     def __repr__(self) -> str:
         return f"MetricForest({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-
-def _cmp(a: Scalar, b: Scalar) -> int:
-    return (a - b).sign()
 
 
 class Relabeling:
@@ -566,16 +558,11 @@ class Subforest:
         return out
 
     def _sort_key(self):
-        keys = []
-        for eid, ivs in sorted(self.intervals.items()):
-            for lo, hi in ivs:
-                keys.append((1, eid, _approx(lo)))
-        for p in self.points:
-            if p.is_vertex:
-                keys.append((0, p.vertex, 0.0))
-            else:
-                keys.append((1, p.edge, _approx(p.offset)))
-        return min(keys) if keys else (2, "", 0.0)
+        """Exact key of the least interval start or isolated point; an
+        interval starting at offset 0 keys as an edge point, not a vertex."""
+        keys = [(1, eid, ivs[0][0]) for eid, ivs in self.intervals.items()]
+        keys.extend(point_key(p) for p in self.points)
+        return min(keys, default=(2,))
 
     @property
     def is_connected(self) -> bool:
@@ -590,18 +577,23 @@ class Subforest:
             raise ForestError("not a degenerate subtree")
         return next(iter(self.points))
 
-    def extremal_points(self) -> list[Point]:
-        """Points with at most one germ into the set (leaves of each
-        component, plus isolated points)."""
-        germs: dict[Point, int] = {}
+    def end_counts(self) -> dict[Point, int]:
+        """Number of interval ends at each point, that is the number of
+        germs into the set there (stored intervals are disjoint)."""
+        counts: dict[Point, int] = {}
         for eid, ivs in self.intervals.items():
             for lo, hi in ivs:
                 for off in (lo, hi):
                     p = self.host.point(eid, off)
-                    germs[p] = germs.get(p, 0) + 1
-        out = [p for p, n in germs.items() if n == 1]
+                    counts[p] = counts.get(p, 0) + 1
+        return counts
+
+    def extremal_points(self) -> list[Point]:
+        """Points with at most one germ into the set (leaves of each
+        component, plus isolated points), in point_key order."""
+        out = [p for p, n in self.end_counts().items() if n == 1]
         out.extend(self.points)
-        return sorted(out, key=_point_key)
+        return sorted(out, key=point_key)
 
     def germ_directions(self, p: Point) -> list[Direction]:
         """Directions at p pointing into the set with positive overlap."""
@@ -663,33 +655,37 @@ class Subforest:
         parts = []
         for eid, ivs in sorted(self.intervals.items()):
             for lo, hi in ivs:
-                parts.append(f"{eid}[{_approx(lo):.4g},{_approx(hi):.4g}]")
-        for p in sorted(self.points, key=_point_key):
+                parts.append(f"{eid}[{_display(lo)},{_display(hi)}]")
+        for p in sorted(self.points, key=point_key):
             parts.append(repr(p))
         return "Subforest(" + " ".join(parts) + ")" if parts else "Subforest(empty)"
 
 
-def _approx(s: Scalar) -> float:
-    # repr/ordering convenience only; all decisions use exact signs
-    return float(s.to_decimal(12))
+def _display(s: Scalar) -> str:
+    # repr only: never used to order or decide
+    return f"{float(s.to_decimal(12)):.4g}"
 
 
-def _point_key(p: Point):
+def point_key(p: Point):
+    """Exact sort key of a point: vertices by name, then edge points by
+    edge and exact offset."""
     if p.is_vertex:
-        return (0, p.vertex, 0.0)
-    return (1, p.edge, _approx(p.offset))
+        return (0, p.vertex)
+    return (1, p.edge, p.offset)
+
+
+def sorted_unique(xs: Iterable[Scalar]) -> list[Scalar]:
+    """The distinct values of xs in ascending exact order."""
+    out: list[Scalar] = []
+    for x in sorted(xs):
+        if not out or out[-1] != x:
+            out.append(x)
+    return out
 
 
 def _merge(ivs: list[tuple[Scalar, Scalar]]) -> list[tuple[Scalar, Scalar]]:
-    ivs = [iv for iv in ivs if (iv[1] - iv[0]).sign() > 0]
-    if any(ivs[k + 1][0] < ivs[k][0] for k in range(len(ivs) - 1)):
-        ivs.sort(key=lambda iv: _approx(iv[0]))
-        # float sort is a fast preorder; fix rare exact ties with a stable pass
-        for i in range(1, len(ivs)):
-            j = i
-            while j > 0 and ivs[j][0] < ivs[j - 1][0]:
-                ivs[j], ivs[j - 1] = ivs[j - 1], ivs[j]
-                j -= 1
+    ivs = sorted((iv for iv in ivs if (iv[1] - iv[0]).sign() > 0),
+                 key=lambda iv: iv[0])
     out: list[tuple[Scalar, Scalar]] = []
     for lo, hi in ivs:
         if out and lo <= out[-1][1]:

@@ -123,7 +123,8 @@ class PartialIsometry:
             bad.append(f"band {self.label}: surjectivity violation "
                        "(marker images do not span the range)")
         # consistency on branch points of the domain hull
-        for b in _branch_points(self.domain):
+        branch = [p for p, n in self.domain.end_counts().items() if n >= 3]
+        for b in branch:
             images = set()
             for i, (mi, ii) in enumerate(corr):
                 for mj, ij in corr[i + 1:]:
@@ -143,16 +144,6 @@ class PartialIsometry:
 
     def __repr__(self) -> str:
         return f"PartialIsometry({self.label}: {self.domain!r} -> {self.range!r})"
-
-
-def _branch_points(s: Subforest) -> list[Point]:
-    germs: dict[Point, int] = {}
-    for eid, ivs in s.intervals.items():
-        for lo, hi in ivs:
-            for off in (lo, hi):
-                p = s.host.point(eid, off)
-                germs[p] = germs.get(p, 0) + 1
-    return [p for p, n in germs.items() if n >= 3]
 
 
 @dataclass(frozen=True)

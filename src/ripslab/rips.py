@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .forest import MetricForest, Point, Subforest
+from .forest import MetricForest, Point, Subforest, sorted_unique
 from .isometry import BandSystem, PartialIsometry
 from .scalar import Scalar, rational
 
@@ -38,7 +38,7 @@ class ValenceStratification:
         self.system = system
         host = system.forest
         field = system.field
-        domains = [e.domain for e in system.elements()]
+        self._domains = domains = [e.domain for e in system.elements()]
         self.max_valence_bound = len(domains)
 
         def canon(x: Scalar) -> Scalar:
@@ -48,10 +48,6 @@ class ValenceStratification:
 
         segments: list[tuple[str, Scalar, Scalar, int]] = []
         point_valences: dict[Point, int] = {}
-
-        def val(p: Point) -> int:
-            return sum(1 for d in domains if d.contains(p))
-
         for eid, ivs in system.support.intervals.items():
             spans = [(canon(lo), canon(hi)) for d in domains
                      for lo, hi in d.intervals.get(eid, ())]
@@ -65,18 +61,16 @@ class ValenceStratification:
                     segments.append((eid, cuts[k], cuts[k + 1], seg_cov[k]))
                 for k in range(i, j + 1):
                     p = host.point(eid, cuts[k])
-                    if p.is_vertex:
-                        point_valences[p] = val(p)
-                    else:
-                        point_valences[p] = pt_cov[k]
+                    point_valences[p] = (self.value(p) if p.is_vertex
+                                         else pt_cov[k])
         for p in system.support.points:
-            point_valences[p] = val(p)
+            point_valences[p] = self.value(p)
 
         self.segments = tuple(segments)
         self.point_valences = point_valences
 
     def value(self, p: Point) -> int:
-        return sum(1 for e in self.system.elements() if e.domain.contains(p))
+        return sum(1 for d in self._domains if d.contains(p))
 
     def stratum_ge(self, i: int) -> Subforest:
         """K^{>=i} as an exact subforest of the host."""
@@ -101,8 +95,8 @@ def _edge_sweep(spans: list[tuple[Scalar, Scalar]], offsets: list[Scalar],
     covering the open piece (cuts[k], cuts[k+1]) and the number of spans
     and offsets containing cuts[k] itself.
     """
-    cuts = _sorted_unique(list(extra) + [x for iv in spans for x in iv]
-                          + list(offsets))
+    cuts = sorted_unique(list(extra) + [x for iv in spans for x in iv]
+                         + list(offsets))
     index = {c: k for k, c in enumerate(cuts)}
     n = len(cuts)
     seg_diff = [0] * (n + 1)
@@ -120,15 +114,6 @@ def _edge_sweep(spans: list[tuple[Scalar, Scalar]], offsets: list[Scalar],
     seg_cov = list(itertools.accumulate(seg_diff[:n]))
     pt_cov = list(itertools.accumulate(pt_diff[:n]))
     return cuts, index, seg_cov, pt_cov
-
-
-def _sorted_unique(xs: list[Scalar]) -> list[Scalar]:
-    xs = sorted(xs)
-    out: list[Scalar] = []
-    for x in xs:
-        if not out or out[-1] != x:
-            out.append(x)
-    return out
 
 
 def valence(system: BandSystem) -> ValenceStratification:
@@ -410,11 +395,13 @@ class Classification:
 
 def classify(system: BandSystem, max_iter: int,
              diam_ratio_threshold: Fraction = Fraction(1, 2),
-             checkpoint: Optional[str] = None) -> Classification:
+             checkpoint: Optional[str] = None, start: int = 0) -> Classification:
+    """Run the machine and read a verdict off its trace; `checkpoint`
+    and `start` are passed to `run`."""
     ratio = Fraction(diam_ratio_threshold)
     if not (0 < ratio < 1):
         raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
-    trace = run(system, max_iter, checkpoint=checkpoint)
+    trace = run(system, max_iter, checkpoint=checkpoint, start=start)
 
     def done(verdict):
         return Classification(verdict, max_iter, ratio, trace)

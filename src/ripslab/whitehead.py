@@ -19,7 +19,7 @@ from typing import Optional
 
 from .forest import Direction, Point
 from .isometry import BandSystem
-from .lamination import LeafWord, dotted_words
+from .lamination import LeafWord, leaves_at
 
 
 class WhiteheadError(Exception):
@@ -133,8 +133,8 @@ def directional_whitehead(system: BandSystem, x: Point, d: Direction,
         raise ValueError("depth must be >= 1")
     if d.base != x or all(d != e for e in system.forest.directions_at(x)):
         raise InvalidDirection(f"{d} is not a direction at {x!r}")
-    edges = tuple(leaf for leaf in dotted_words(system, depth, within=x)
-                  if leaf.domain.contains(x) and leaf.domain.extends_in(d))
+    edges = tuple(leaf for leaf in leaves_at(system, x, depth)
+                  if leaf.domain.extends_in(d))
     classes, tentative = _end_classes(edges)
     return DirectionalWhiteheadGraph(x, d, depth, edges, classes, tentative)
 
@@ -162,9 +162,11 @@ def wh_scan(system: BandSystem, depth: int
         raise ValueError("depth must be >= 1")
     rows = []
     for x in candidate_points(system):
-        for d in system.support.germ_directions(x):
-            g = directional_whitehead(system, x, d, depth)
-            rows.append((x, d, g.edge_count))
+        germs = system.support.germ_directions(x)
+        leaves = leaves_at(system, x, depth) if germs else []
+        for d in germs:
+            rows.append((x, d, sum(1 for leaf in leaves
+                                   if leaf.domain.extends_in(d))))
     rows.sort(key=lambda r: (-r[2], repr(r[0]), (r[1].edge, r[1].toward)))
     return rows
 

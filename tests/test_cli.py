@@ -44,6 +44,16 @@ def test_usage_error():
     assert main(["corpus", "show"], out=io.StringIO()) == 1
     assert main(["tt", "swg", corpus("tribonacci.map"), "--budget", "0"],
                 out=io.StringIO()) == 1
+    bands = corpus("e_trim.bands")
+    for argv in (["rips", "run", bands, "--max-iter", "0"],
+                 ["rips", "classify", bands, "--diam-ratio", "abc"],
+                 ["rips", "classify", bands, "--diam-ratio", "2"],
+                 ["words", bands, "--depth", "0"],
+                 ["limitset", bands, "--depth", "0"],
+                 ["wh", "scan", bands, "--depth", "0"],
+                 ["pattern", bands, "--depth", "0"],
+                 ["k33", bands, "--depth", "0"]):
+        assert main(argv, out=io.StringIO()) == 1, argv
 
 
 def test_classify_e_surf():
@@ -84,6 +94,25 @@ def test_checkpoint_and_resume(tmp_path):
     assert "resumed: step 2" in text
     assert "step 4:" in text
     assert (tmp_path / "ck" / "step-4.bands").exists()
+
+
+def test_classify_resume_keeps_checkpoints(tmp_path):
+    bands = corpus("bk_itm.bands")
+    fresh, ck = tmp_path / "fresh", tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "5",
+                   "--checkpoint", str(fresh), bands)[0] == 0
+    assert run_cli("rips", "run", "--max-iter", "3",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    before = {p.name: p.read_bytes() for p in ck.iterdir()}
+    code, text = run_cli("rips", "classify", "--max-iter", "2", "--resume",
+                         "--checkpoint", str(ck), bands)
+    assert code == 0 and "resumed: step 3" in text
+    after = {p.name: p.read_bytes() for p in ck.iterdir()}
+    assert sorted(after) == [f"step-{i}.bands" for i in range(6)]
+    for name, data in before.items():
+        assert after[name] == data, name
+    for name in ("step-4.bands", "step-5.bands"):
+        assert after[name] == (fresh / name).read_bytes(), name
 
 
 def test_resume_requires_checkpoint():
@@ -133,6 +162,9 @@ def test_wh_at_requires_point():
 def test_wh_at_bad_point():
     code, _ = run_cli("wh", "at", corpus("e_surf.bands"),
                       "--point", "e9:0", "--direction", "e0:+")
+    assert code == 2
+    code, _ = run_cli("wh", "at", corpus("e_surf.bands"),
+                      "--point", "e0:5", "--direction", "e0:+")
     assert code == 2
 
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ripslab.fileformat import parse_system_text, scalar_str, serialize_system
 from ripslab.forest import (
     DifferentComponents,
     Edge,
     MetricForest,
     Subforest,
 )
+from ripslab.isometry import BandSystem
 from ripslab.scalar import field_define, rational as Q
 
 
@@ -291,3 +293,35 @@ def test_intersect_isolated_points_match_oracle(tripod):
         assert got == b.intersect(a)
         if pts is not None:
             assert got.points == frozenset(pts) and not got.intervals
+
+
+# -- exact order of points closer than any decimal rounding --------------------
+
+@pytest.mark.parametrize("base", [Q(1, 2), L], ids=["Q", "bk"])
+def test_crowded_points_come_out_in_exact_order(base):
+    """Ten cells within 10^-14 of each other on e0: isolated points at odd
+    k and short intervals at even k, from x_k = base + k * 10^-15.  Every
+    ordering path must list them by exact offset."""
+    host = interval_forest(1)
+    eps = Q(1, 10**15)
+    xs = [base + eps * k for k in range(10)]
+    cells = [Subforest(host, {"e0": [(x, x + eps / 2)]}) if k % 2 == 0
+             else Subforest(host, {}, frozenset([host.point("e0", x)]))
+             for k, x in enumerate(xs)]
+    union = Subforest.empty(host)
+    for k in (3, 8, 0, 5, 9, 1, 6, 2, 7, 4):
+        union = union.union(cells[k])
+
+    assert union.components() == cells
+
+    ext = union.extremal_points()
+    ends = [p for k, x in enumerate(xs)
+            for p in ([host.point("e0", x), host.point("e0", x + eps / 2)]
+                      if k % 2 == 0 else [host.point("e0", x)])]
+    assert ext == ends
+
+    text = serialize_system(BandSystem(host, (), support=union,
+                                       field=base.field))
+    lines = [ln for ln in text.splitlines() if ln.startswith("point ")]
+    assert lines == [f"point e0:{scalar_str(x)}" for x in xs[1::2]]
+    assert parse_system_text(text).support == union

@@ -5,7 +5,9 @@ import pytest
 
 from ripslab.fileformat import parse_system, parse_system_text
 from ripslab.forest import Direction
-from ripslab.lamination import LeafWord
+from ripslab.lamination import LeafWord, limit_set
+from ripslab.rips import classify
+from ripslab.scalar import Scalar
 from ripslab.whitehead import (
     InvalidDirection,
     MalformedCertificate,
@@ -202,3 +204,17 @@ def test_k33_checker_rejects_non_k33():
         [("a", "b"), ("c", "d")])
     square = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
     assert not brute_check_complete_bipartite_33(square)
+
+
+def test_no_order_or_decision_reads_a_decimal(monkeypatch, e_trim, bk_itm):
+    """Every ordering and decision is exact: with Scalar.to_decimal made to
+    raise, the Rips machine and the lamination analyses still run."""
+    def refuse(self, digits):
+        raise AssertionError("to_decimal called outside reporting code")
+
+    monkeypatch.setattr(Scalar, "to_decimal", refuse)
+    classify(bk_itm, 5)
+    for system, depth in ((e_trim, 3), (bk_itm, 2)):
+        wh_scan(system, depth)
+        detect_pattern(system, depth)
+        limit_set(system, depth)
