@@ -5,7 +5,7 @@ decimals, except the explicitly approximate `lambda ~=` line) and are
 byte-identical across runs with the same inputs and flags.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal
-invariant violation.
+invariant violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -416,7 +416,14 @@ def main(argv=None, out=None) -> int:
         if args.command == "corpus" and args.action == "show" \
                 and not args.name:
             raise UsageError("corpus show requires a name")
-        return _DISPATCH[args.command](args, out)
+        code = _DISPATCH[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: point it at /dev/null so that the
+        # interpreter's final flush does not raise, and exit as if by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

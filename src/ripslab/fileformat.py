@@ -31,7 +31,8 @@ from typing import Optional
 
 from .forest import Edge, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, PartialIsometry, ValidationError
-from .scalar import FieldMismatch, NumberField, Scalar, field_define, rational
+from .scalar import (FieldMismatch, NumberField, Poly, Scalar, ScalarError,
+                     _padd, _pmul, _pneg, _poly, _psub, field_define, rational)
 
 
 class BandsSyntaxError(Exception):
@@ -60,8 +61,10 @@ def _tokenize(text: str, line: int) -> list[str]:
     return out
 
 
-def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scalar:
-    """Parse a sum of terms c, c*L^k, L^k into an exact Scalar."""
+def _parse_poly(text: str, line: int, gen: bool) -> Poly:
+    """Parse a sum of terms c, c*L^k, L^k into ascending coefficients.
+
+    The generator L is rejected unless `gen` is set."""
     toks = _tokenize(text, line)
     if not toks:
         raise BandsSyntaxError(line, "empty scalar expression")
@@ -76,7 +79,7 @@ def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scal
         pos += 1
         return t
 
-    def parse_factor() -> Scalar:
+    def parse_factor() -> Poly:
         t = take()
         if t == "(":
             v = parse_expr()
@@ -84,40 +87,41 @@ def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scal
                 raise BandsSyntaxError(line, "unbalanced parenthesis")
             return v
         if t == "L":
-            if field is None:
+            if not gen:
                 raise BandsSyntaxError(
                     line, "generator L used without a field declaration")
-            v = field.gen
+            k = 1
             if peek() == "^":
                 take()
                 k = take()
                 if k is None or not k.isdigit():
                     raise BandsSyntaxError(line, "bad exponent")
-                return _power(field, int(k))
-            return v
+            return (Fraction(0),) * int(k) + (Fraction(1),)
         if t is None or t in "+-*^)":
             raise BandsSyntaxError(line, f"unexpected token {t!r}")
-        frac = Fraction(t)
-        return field.rational(frac) if field is not None else rational(frac)
+        try:
+            return _poly((Fraction(t),))
+        except ZeroDivisionError:
+            raise BandsSyntaxError(line, f"zero denominator in {t!r}") from None
 
-    def parse_term() -> Scalar:
+    def parse_term() -> Poly:
         v = parse_factor()
         while peek() == "*":
             take()
-            v = v * parse_factor()
+            v = _pmul(v, parse_factor())
         return v
 
-    def parse_expr() -> Scalar:
+    def parse_expr() -> Poly:
         neg = False
         if peek() in ("+", "-"):
             neg = take() == "-"
         v = parse_term()
         if neg:
-            v = -v
+            v = _pneg(v)
         while peek() in ("+", "-"):
             op = take()
             w = parse_term()
-            v = v - w if op == "-" else v + w
+            v = _psub(v, w) if op == "-" else _padd(v, w)
         return v
 
     value = parse_expr()
@@ -126,20 +130,19 @@ def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scal
     return value
 
 
-def _power(field: NumberField, k: int) -> Scalar:
-    v = field.rational(1)
-    for _ in range(k):
-        v = v * field.gen
-    return v
+def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scalar:
+    """Parse a sum of terms c, c*L^k, L^k into an exact Scalar."""
+    coeffs = _parse_poly(text, line, field is not None)
+    if field is not None:
+        return field.element(coeffs)
+    return rational(coeffs[0] if coeffs else 0)
 
 
-def scalar_str(x: Scalar) -> str:
-    """Exact textual form, inverse of parse_scalar."""
-    if x.is_rational():
-        return str(x.as_fraction())
+def _poly_str(coeffs) -> str:
+    """Ascending coefficients as a polynomial in L, as _parse_poly reads it."""
     terms = []
-    for i in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         mono = "" if i == 0 else ("L" if i == 1 else f"L^{i}")
@@ -151,6 +154,11 @@ def scalar_str(x: Scalar) -> str:
         else:
             terms.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(terms) if terms else "0"
+
+
+def scalar_str(x: Scalar) -> str:
+    """Exact textual form, inverse of parse_scalar."""
+    return _poly_str(x.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +297,11 @@ def parse_system_text(text: str) -> BandSystem:
 
 def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
-    coeffs: dict[int, Fraction] = {}
-    toks = _tokenize(poly_text, no)
-    pos, sign_ = 0, 1
-    while pos < len(toks):
-        t = toks[pos]
-        if t == "+":
-            sign_ = 1
-            pos += 1
-            continue
-        if t == "-":
-            sign_ = -1
-            pos += 1
-            continue
-        coef = Fraction(1)
-        power = 0
-        if t not in ("L",):
-            coef = Fraction(t)
-            pos += 1
-            if pos < len(toks) and toks[pos] == "*":
-                pos += 1
-        if pos < len(toks) and toks[pos] == "L":
-            power = 1
-            pos += 1
-            if pos < len(toks) and toks[pos] == "^":
-                power = int(toks[pos + 1])
-                pos += 2
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign_ * coef
-        sign_ = 1
-    deg = max(coeffs) if coeffs else 0
-    vec = [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
-    return field_define(vec, Fraction(lo_text), Fraction(hi_text))
+    poly = _parse_poly(poly_text, no, gen=True)
+    try:
+        return field_define(poly, Fraction(lo_text), Fraction(hi_text))
+    except (ValueError, ZeroDivisionError, ScalarError) as exc:
+        raise BandsSyntaxError(no, f"bad field: {exc}") from None
 
 
 def parse_system(path: str) -> BandSystem:
@@ -359,25 +341,6 @@ def serialize_system(system: BandSystem) -> str:
         for m, img in b.correspondence:
             out.append(f"map {point_str(m)} -> {point_str(img)}")
     return "\n".join(out) + "\n"
-
-
-def _poly_str(coeffs) -> str:
-    from .scalar import ONE
-
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        mono = "" if i == 0 else ("L" if i == 1 else f"L^{i}")
-        mag = abs(c)
-        body = mono if (mag == 1 and mono) else (
-            str(mag) if not mono else f"{mag}*{mono}")
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"
 
 
 def point_str(p: Point) -> str:

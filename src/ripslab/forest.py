@@ -192,9 +192,6 @@ class MetricForest:
             cur = parent
         return up + list(reversed(down))
 
-    def _anchor(self, p: Point) -> str:
-        return p.vertex if p.is_vertex else self._edge[p.edge].u
-
     def distance(self, p: Point, q: Point) -> Scalar:
         if self.component_of(p) != self.component_of(q):
             raise DifferentComponents("points lie in different trees")

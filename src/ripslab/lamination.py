@@ -11,7 +11,7 @@ a finite word extends to a bi-infinite leaf is never decided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .forest import Point, Subforest
 from .isometry import BandSystem, PartialIsometry
@@ -119,19 +119,12 @@ def _extensions(system: BandSystem, phi: Optional[PartialIsometry],
             yield a.label, nxt
 
 
-def _walk(system: BandSystem, depth: int,
-          within: Optional[Point] = None
+def _walk(system: BandSystem, depth: int
           ) -> Iterator[tuple[tuple[str, ...], PartialIsometry]]:
-    """Depth-first enumeration of admissible words, domains carried exactly.
-
-    With `within` set, only words whose domain contains that point are
-    visited (the pruning that makes leaves_at cheap).
-    """
+    """Depth-first enumeration of admissible words, domains carried exactly."""
 
     def rec(word, phi):
         for letter, nxt in _extensions(system, phi, word[-1] if word else None):
-            if within is not None and not nxt.domain.contains(within):
-                continue
             ext = word + (letter,)
             yield ext, nxt
             if len(ext) < depth:
@@ -148,21 +141,15 @@ def admissible_words(system: BandSystem, depth: int
     return [(w, phi.domain) for w, phi in _walk(system, depth)]
 
 
-def _sides(system: BandSystem, depth: int,
-           within: Optional[Point] = None) -> list[tuple[tuple[str, ...], Subforest]]:
-    return [(w, phi.domain) for w, phi in _walk(system, depth, within=within)
-            if len(w) == depth]
-
-
-def dotted_words(system: BandSystem, depth: int,
-                 within: Optional[Point] = None) -> list[LeafWord]:
+def dotted_words(system: BandSystem, depth: int) -> list[LeafWord]:
     """Admissible dotted words of side-length depth, up to reversal.
 
     A pair of one-sided words is admissible when both domains meet and
     their first letters differ (so the two rays leave the dot along
     distinct bands and the full word is reduced across the dot).
     """
-    sides = _sides(system, depth, within=within)
+    sides = [(w, phi.domain) for w, phi in _walk(system, depth)
+             if len(w) == depth]
     out = []
     for i, (u, du) in enumerate(sides):
         for v, dv in sides[i:]:
@@ -171,10 +158,7 @@ def dotted_words(system: BandSystem, depth: int,
             dom = du.intersect(dv)
             if dom.is_empty:
                 continue
-            if u <= v:
-                out.append(LeafWord(u, v, dom))
-            else:
-                out.append(LeafWord(v, u, dom))
+            out.append(LeafWord(u, v, dom) if u <= v else LeafWord(v, u, dom))
     out.sort(key=LeafWord.key)
     return out
 
@@ -193,7 +177,7 @@ def leaves_at(system: BandSystem, x: Point, depth: int) -> list[LeafWord]:
     """Dotted words of side-length depth whose basepoint domain contains x."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return [leaf for leaf in dotted_words(system, depth, within=x)
+    return [leaf for leaf in dotted_words(system, depth)
             if leaf.domain.contains(x)]
 
 

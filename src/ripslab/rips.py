@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -302,10 +302,10 @@ class StepRecord:
     halted: bool
 
 
-def _record(i: int, s: BandSystem, halted: bool = False) -> StepRecord:
+def _record(i: int, s: BandSystem) -> StepRecord:
     return StepRecord(i, s, s.support.volume(),
                       ValenceStratification(s).vol_ge(3),
-                      s.max_domain_diameter(), len(s.bands), halted)
+                      s.max_domain_diameter(), len(s.bands), False)
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ def run(system: BandSystem, max_iter: int,
     for i in range(max_iter):
         nxt = rips_step(cur)
         if same_system(cur, nxt):
-            records[-1] = _record(i, cur, halted=True)
+            records[-1] = replace(records[-1], halted=True)
             break
         records.append(_record(i + 1, nxt))
         save(i + 1, nxt)

@@ -98,17 +98,13 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = list(a)
     lead = b[-1]
-    while len(r) >= len(b) and _trim(r):
-        r = list(_trim(r))
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] / lead
-        q[k] = c
-        for i, x in enumerate(b):
-            r[k + i] -= c * x
-        r = r[:-1]
-    return _trim(q), _trim(r)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(b) - 1] / lead
+        if c:
+            q[k] = c
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+    return _trim(q), _trim(r[:len(b) - 1])
 
 
 def _pmod(a: Poly, b: Poly) -> Poly:

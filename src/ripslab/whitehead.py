@@ -19,7 +19,7 @@ from typing import Optional
 
 from .forest import Direction, Point
 from .isometry import BandSystem
-from .lamination import LeafWord, leaves_at
+from .lamination import LeafWord, dotted_words, leaves_at
 
 
 class WhiteheadError(Exception):
@@ -62,8 +62,10 @@ def _shift_related(u: End, v: End) -> Optional[int]:
     return None
 
 
-def _end_classes(edges: tuple[LeafWord, ...]):
-    """Group the 2 per-edge ends by the suffix-shift relation."""
+def _graph(x: Point, d: Direction, depth: int,
+           edges: tuple[LeafWord, ...]) -> DirectionalWhiteheadGraph:
+    """The graph on these edges, its 2 ends per edge grouped by the
+    suffix-shift relation."""
     ends: list[End] = []
     for leaf in edges:
         for side in (leaf.left, leaf.right):
@@ -93,7 +95,8 @@ def _end_classes(edges: tuple[LeafWord, ...]):
         groups.setdefault(find(i), []).append(e)
     classes = tuple(tuple(sorted(g)) for g in
                     sorted(groups.values(), key=lambda g: min(g)))
-    return classes, frozenset(tentative)
+    return DirectionalWhiteheadGraph(x, d, depth, edges, classes,
+                                     frozenset(tentative))
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,7 @@ def directional_whitehead(system: BandSystem, x: Point, d: Direction,
         raise InvalidDirection(f"{d} is not a direction at {x!r}")
     edges = tuple(leaf for leaf in leaves_at(system, x, depth)
                   if leaf.domain.extends_in(d))
-    classes, tentative = _end_classes(edges)
-    return DirectionalWhiteheadGraph(x, d, depth, edges, classes, tentative)
+    return _graph(x, d, depth, edges)
 
 
 def candidate_points(system: BandSystem) -> list[Point]:
@@ -155,20 +157,26 @@ def candidate_points(system: BandSystem) -> list[Point]:
     return out
 
 
+def _scan(system: BandSystem, depth: int
+          ) -> list[tuple[Point, Direction, tuple[LeafWord, ...]]]:
+    """(x, d, edges at (x, d)) for every candidate point x and germ d of
+    the support at x, from one walk of the dotted words (a domain that
+    extends into d contains x); most edges first, ties broken by the
+    point's repr and then the direction."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    leaves = dotted_words(system, depth)
+    rows = [(x, d, tuple(leaf for leaf in leaves if leaf.domain.extends_in(d)))
+            for x in candidate_points(system)
+            for d in system.support.germ_directions(x)]
+    rows.sort(key=lambda r: (-len(r[2]), repr(r[0]), (r[1].edge, r[1].toward)))
+    return rows
+
+
 def wh_scan(system: BandSystem, depth: int
             ) -> list[tuple[Point, Direction, int]]:
     """Edge counts over every candidate point and germ, sorted descending."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rows = []
-    for x in candidate_points(system):
-        germs = system.support.germ_directions(x)
-        leaves = leaves_at(system, x, depth) if germs else []
-        for d in germs:
-            rows.append((x, d, sum(1 for leaf in leaves
-                                   if leaf.domain.extends_in(d))))
-    rows.sort(key=lambda r: (-r[2], repr(r[0]), (r[1].edge, r[1].toward)))
-    return rows
+    return [(x, d, len(edges)) for x, d, edges in _scan(system, depth)]
 
 
 @dataclass(frozen=True)
@@ -229,14 +237,12 @@ def _point_on_side(system: BandSystem, leaf: LeafWord, a: Point,
 
 
 def detect_pattern(system: BandSystem, depth: int):
-    """A PatternCertificate from the first (a, d) whose directional graph
-    has two edges with >= 3 end classes, else NotFound(depth)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    for x, d, count in wh_scan(system, depth):
-        if count < 2:
+    """A PatternCertificate from the first (a, d) in wh_scan order whose
+    directional graph has two edges with >= 3 end classes, else NotFound."""
+    for x, d, edges in _scan(system, depth):
+        if len(edges) < 2:
             break
-        g = directional_whitehead(system, x, d, depth)
+        g = _graph(x, d, depth, edges)
         for i in range(len(g.edges)):
             for j in range(i + 1, len(g.edges)):
                 l1, l2 = g.edges[i], g.edges[j]

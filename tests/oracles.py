@@ -6,7 +6,9 @@ preimages (the fast path composes marker isometries forward); word lists
 come from exhaustive generation with no pruning; rose-map dynamics use
 naive substitution on letter strings.  Subforest intersection and the
 Rips overlap set keep their pairwise, point-probing forms here; the other
-forest/subforest set primitives are shared, as infrastructure.
+forest/subforest set primitives are shared, as infrastructure.  The
+T±-pattern search keeps its per-row form: one directional Whitehead graph,
+and so one word walk, per row of the scan.
 
 Do not "optimize" these to match the library: their value is that they
 are dumb and separately derived.
@@ -161,6 +163,38 @@ def brute_wh_scan(system, depth):
                 rows.append((repr(x), (d.edge, d.toward), n))
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows
+
+
+def reference_detect_pattern(system, depth):
+    """detect_pattern as the walk over the wh_scan rows with >= 2 edges,
+    building each row's graph with directional_whitehead."""
+    from ripslab.whitehead import (NotFound, PatternCertificate, _point_on_side,
+                                   directional_whitehead, wh_scan)
+
+    for x, d, count in wh_scan(system, depth):
+        if count < 2:
+            break
+        g = directional_whitehead(system, x, d, depth)
+        for i in range(len(g.edges)):
+            for j in range(i + 1, len(g.edges)):
+                l1, l2 = g.edges[i], g.edges[j]
+                ends = {g.class_of(l1.left), g.class_of(l1.right),
+                        g.class_of(l2.left), g.class_of(l2.right)}
+                if len(ends) < 3:
+                    continue
+                b = _point_on_side(system, l1, x, d, 1, 2)
+                c = _point_on_side(system, l2, x, d, 1, 3)
+                if b is None or c is None:
+                    continue
+                if b == c:
+                    c = _point_on_side(system, l2, x, d, 1, 4)
+                    if c is None or b == c:
+                        continue
+                cert = PatternCertificate(x, d, l1, l2, len(ends),
+                                          b, l1, c, l2, depth)
+                if not cert.validate():
+                    return cert
+    return NotFound(depth)
 
 
 # --- rose maps -------------------------------------------------------------

@@ -34,6 +34,41 @@ def test_validate_bad_marker():
     assert code == 2
 
 
+def test_validate_malformed_is_input_error(tmp_path):
+    tree = "tree\nvertex u\nvertex v\nedge e0 u v {}\n"
+    path = tmp_path / "bad.bands"
+    for text in ("field L^ in (0, 1)\n" + tree.format(1),
+                 "field L^2 - 2 in (a, 1)\n" + tree.format(1),
+                 "field L^2 - 2 in (0, 1)\n" + tree.format(1),
+                 tree.format("1/0")):
+        path.write_text(text)
+        assert run_cli("validate", str(path))[0] == 2, text
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe after one line ends the run with
+    141 (128 + SIGPIPE) and nothing on stderr."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a settable pipe size")
+    import ripslab
+    src = os.path.dirname(os.path.dirname(ripslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_fd, write_fd = os.pipe()
+    # a one-page pipe, so that the 9 kB report cannot fit in it
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ripslab.cli", "words", "--depth", "6",
+         corpus("bk_itm.bands")],
+        env=env, stdout=write_fd, stderr=subprocess.PIPE)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb", buffering=0) as reader:
+        assert reader.readline()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_missing_file_is_input_error():
     code, _ = run_cli("rips", "run", "--max-iter", "5", "nonexistent.bands")
     assert code == 2

@@ -43,6 +43,11 @@ def test_parse_scalar_polynomial():
     assert parse_scalar("1 - L - L^2", f) == 1 - b - b * b
     assert parse_scalar("1/2*L^2", f) == b * b / 2
     assert parse_scalar("L^3", f) == 1 - b - b * b
+    power = f.rational(1)
+    for k in range(40):
+        assert parse_scalar(f"L^{k}", f) == power
+        assert parse_scalar(f"(2 - L)*L^{k}", f) == (2 - b) * power
+        power = power * b
 
 
 def test_parse_scalar_without_field_rejects_L():

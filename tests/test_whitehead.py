@@ -20,7 +20,8 @@ from ripslab.whitehead import (
     wh_scan,
 )
 
-from oracles import brute_check_complete_bipartite_33, brute_wh_scan
+from oracles import (brute_check_complete_bipartite_33, brute_wh_scan,
+                     reference_detect_pattern)
 
 
 def corpus(name):
@@ -102,12 +103,24 @@ def test_candidate_points_in_support(e_trim):
 
 @pytest.mark.parametrize("name,depth", [("e_surf.bands", 3),
                                         ("e_trim.bands", 3),
-                                        ("bk_itm.bands", 2)])
+                                        ("bk_itm.bands", 2),
+                                        ("bk_itm.bands", 3),
+                                        ("bk_itm.bands", 4)])
 def test_wh_scan_matches_oracle(name, depth):
     s = corpus(name)
     fast = sorted((repr(x), (d.edge, d.toward), n)
                   for x, d, n in wh_scan(s, depth))
     assert fast == sorted(brute_wh_scan(s, depth))
+
+
+@pytest.mark.parametrize("name", ["bk_itm.bands", "e_surf.bands",
+                                  "e_trim.bands"])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_detect_pattern_matches_reference(name, depth):
+    """One shared scan gives the certificate (or NotFound) of the per-row
+    walk with a directional_whitehead graph per row."""
+    s = corpus(name)
+    assert detect_pattern(s, depth) == reference_detect_pattern(s, depth)
 
 
 def test_wh_scan_sorted_descending(e_surf):
