@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import fileformat, lamination, rips, traintrack, whitehead
 from .fileformat import BandsSyntaxError, parse_system, point_str, scalar_str
-from .forest import Direction, ForestError
+from .forest import Direction, ForestError, point_key
 from .isometry import ValidationError
 from .scalar import FieldMismatch
 
@@ -126,7 +126,7 @@ def _subforest_str(s) -> str:
     for eid in sorted(s.intervals):
         for lo, hi in s.intervals[eid]:
             parts.append(f"{eid}[{scalar_str(lo)},{scalar_str(hi)}]")
-    for p in sorted(s.points, key=lambda q: repr(q)):
+    for p in sorted(s.points, key=point_key):
         parts.append(f"point {point_str(p)}")
     return " ".join(parts)
 
@@ -168,13 +168,18 @@ def _cmd_rips(args, out):
         if trace.halted:
             out.write(f"halt-step: {trace.halt_step + start}\n")
         return 0
-    result = rips.classify(system, args.max_iter,
-                           diam_ratio_threshold=args.diam_ratio,
-                           checkpoint=args.checkpoint, start=start)
+    try:
+        result = rips.classify(system, args.max_iter,
+                               diam_ratio_threshold=args.diam_ratio,
+                               checkpoint=args.checkpoint, start=start)
+    except FileNotFoundError as exc:
+        raise InputError(f"no such checkpoint: {exc.filename}") from exc
+    except BandsSyntaxError as exc:
+        raise InputError(f"checkpoint {args.checkpoint}: {exc}") from exc
     v = result.verdict
     out.write(f"verdict: {type(v).__name__}\n")
     if isinstance(v, rips.SurfaceType):
-        out.write(f"halt-step: {v.halt_step + start}\n")
+        out.write(f"halt-step: {v.halt_step}\n")
     elif isinstance(v, rips.LevittEvidence):
         out.write(f"iterations: {v.iterations}\n")
         out.write(f"initial-diameter:"
@@ -198,7 +203,7 @@ def _latest_checkpoint(directory):
                 best = i
     if best is None:
         return None
-    return best, parse_system(os.path.join(directory, f"step-{best}.bands"))
+    return best, _load_system(os.path.join(directory, f"step-{best}.bands"))
 
 
 def _cmd_strata(args, out):

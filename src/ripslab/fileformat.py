@@ -25,6 +25,7 @@ must pass the isometry validator.
 
 from __future__ import annotations
 
+import os
 import re
 from fractions import Fraction
 from typing import Optional
@@ -351,5 +352,11 @@ def point_str(p: Point) -> str:
 
 
 def save_system(system: BandSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_system(system))
+    """Write the system to path through a temporary file in the same
+    directory, so an interrupted write leaves the old file or the complete
+    new one, never a partial one."""
+    text = serialize_system(system)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

@@ -10,13 +10,15 @@ band domains is reported as Levitt evidence, never as proof.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .forest import MetricForest, Point, Subforest, sorted_unique
+from .fileformat import parse_system, save_system
+from .forest import ZERO, Point, Subforest, sorted_unique
 from .isometry import BandSystem, PartialIsometry
 from .scalar import Scalar, rational
 
@@ -29,42 +31,46 @@ class ValenceStratification:
     """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)}.
 
     Computed after cutting the support at every domain endpoint, so v is
-    constant on the open interior of each recorded segment; valences at
-    the cut points themselves are listed separately (they can exceed the
-    neighboring interior values, never undercut them).
+    constant on the open interior of each recorded segment.  A valence at
+    a cut point is never below that of the pieces beside it; a cut point
+    is listed in `point_valences` only where its valence exceeds both of
+    them, since elsewhere every stratum containing it also contains a
+    segment ending there.  Isolated points of the support are listed too.
     """
 
     def __init__(self, system: BandSystem):
         self.system = system
         host = system.forest
-        field = system.field
         self._domains = domains = [e.domain for e in system.elements()]
-        self.max_valence_bound = len(domains)
-
-        def canon(x: Scalar) -> Scalar:
-            if field is not None and x.field is None:
-                return field.rational(x.as_fraction())
-            return x
+        spans: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        counts: dict[Point, int] = {}  # domains holding a vertex or lone point
+        for d in domains:
+            for eid, ivs in d.intervals.items():
+                spans.setdefault(eid, []).extend(ivs)
+            held = [Point(vertex=v) for v in d._interval_vertices()]
+            held.extend(d.points)
+            for p in held:
+                counts[p] = counts.get(p, 0) + 1
+                if not p.is_vertex:
+                    spans.setdefault(p.edge, []).append((p.offset, p.offset))
 
         segments: list[tuple[str, Scalar, Scalar, int]] = []
         point_valences: dict[Point, int] = {}
         for eid, ivs in system.support.intervals.items():
-            spans = [(canon(lo), canon(hi)) for d in domains
-                     for lo, hi in d.intervals.get(eid, ())]
-            offsets = [canon(p.offset) for d in domains for p in d.points
-                       if not p.is_vertex and p.edge == eid]
-            ends = [canon(x) for iv in ivs for x in iv]
-            cuts, index, seg_cov, pt_cov = _edge_sweep(spans, offsets, ends)
+            cuts, index, seg_cov, pt_cov = _edge_sweep(
+                spans.get(eid, []), [x for iv in ivs for x in iv])
             for lo, hi in ivs:
-                i, j = index[canon(lo)], index[canon(hi)]
+                i, j = index[lo], index[hi]
                 for k in range(i, j):
                     segments.append((eid, cuts[k], cuts[k + 1], seg_cov[k]))
                 for k in range(i, j + 1):
                     p = host.point(eid, cuts[k])
-                    point_valences[p] = (self.value(p) if p.is_vertex
-                                         else pt_cov[k])
+                    v = counts.get(p, 0) if p.is_vertex else pt_cov[k]
+                    if v > max(seg_cov[k - 1] if k > i else 0,
+                               seg_cov[k] if k < j else 0):
+                        point_valences[p] = v
         for p in system.support.points:
-            point_valences[p] = self.value(p)
+            point_valences[p] = counts.get(p, 0)
 
         self.segments = tuple(segments)
         self.point_valences = point_valences
@@ -85,18 +91,16 @@ class ValenceStratification:
         return self.stratum_ge(i).volume()
 
 
-def _edge_sweep(spans: list[tuple[Scalar, Scalar]], offsets: list[Scalar],
-                extra: Iterable[Scalar] = ()):
+def _edge_sweep(spans: list[tuple[Scalar, Scalar]], extra: list[Scalar]):
     """One sorted sweep along an edge.
 
-    `spans` are closed intervals and `offsets` single points on the edge.
-    Returns the sorted distinct cuts (every span end, offset and extra
-    value), the index of each cut, and per cut k the number of spans
+    `spans` are closed intervals on the edge, a single point x being the
+    span (x, x).  Returns the sorted distinct cuts (every span end and
+    extra value), the index of each cut, and per cut k the number of spans
     covering the open piece (cuts[k], cuts[k+1]) and the number of spans
-    and offsets containing cuts[k] itself.
+    containing cuts[k] itself.
     """
-    cuts = sorted_unique(list(extra) + [x for iv in spans for x in iv]
-                         + list(offsets))
+    cuts = sorted_unique(extra + [x for iv in spans for x in iv])
     index = {c: k for k, c in enumerate(cuts)}
     n = len(cuts)
     seg_diff = [0] * (n + 1)
@@ -107,10 +111,6 @@ def _edge_sweep(spans: list[tuple[Scalar, Scalar]], offsets: list[Scalar],
         seg_diff[j] -= 1
         pt_diff[i] += 1
         pt_diff[j + 1] -= 1
-    for x in offsets:
-        k = index[x]
-        pt_diff[k] += 1
-        pt_diff[k + 1] -= 1
     seg_cov = list(itertools.accumulate(seg_diff[:n]))
     pt_cov = list(itertools.accumulate(pt_diff[:n]))
     return cuts, index, seg_cov, pt_cov
@@ -127,57 +127,18 @@ def valence(system: BandSystem) -> ValenceStratification:
 def overlap_set(system: BandSystem) -> Subforest:
     """K': points lying in the domains of two distinct elements of A+-.
 
-    A single point where a band domain touches the domain of that same
-    band's inverse is discarded: only the nondegenerate part of a
-    band/own-inverse overlap survives the step.  Point overlaps between
-    genuinely distinct bands are kept.
-
-    Computed in one sorted sweep per edge: the piece between two
-    consecutive cuts is kept where at least two domains cover it, and a
-    cut point or a vertex is kept where the domains containing it carry
-    at least two distinct band names.
+    K' is K^{>=2} minus the own-inverse touch points: an isolated point of
+    K^{>=2} is kept only where the domains containing it carry at least
+    two distinct band names, so a single point where a band domain touches
+    the domain of that same band's inverse is discarded.  Point overlaps
+    between genuinely distinct bands are kept.
     """
-    host = system.forest
-    spans: dict[str, list[tuple[str, Scalar, Scalar]]] = {}
-    lone: dict[str, list[tuple[str, Scalar]]] = {}
-    vertex_names: dict[str, set[str]] = {}
-    for a in system.elements():
-        dom = a.domain
-        for eid, ivs in dom.intervals.items():
-            spans.setdefault(eid, []).extend((a.name, lo, hi) for lo, hi in ivs)
-        for v in dom._interval_vertices():
-            vertex_names.setdefault(v, set()).add(a.name)
-        for p in dom.points:
-            if p.is_vertex:
-                vertex_names.setdefault(p.vertex, set()).add(a.name)
-            else:
-                lone.setdefault(p.edge, []).append((a.name, p.offset))
-    intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-    points = {Point(vertex=v) for v, names in vertex_names.items()
-              if len(names) >= 2}
-    for eid in sorted(spans.keys() | lone.keys()):
-        named = spans.get(eid, [])
-        pts = lone.get(eid, [])
-        cuts, index, seg_cov, pt_cov = _edge_sweep(
-            [(lo, hi) for _, lo, hi in named], [x for _, x in pts])
-        n = len(cuts)
-        length = host.edge_of(eid).length
-        kept = []
-        for k, x in enumerate(cuts):
-            if seg_cov[k] >= 2:
-                kept.append((x, cuts[k + 1]))
-            if (k and seg_cov[k - 1] >= 2) or seg_cov[k] >= 2 or pt_cov[k] < 2:
-                continue
-            if (k == 0 and x.sign() == 0) or (k == n - 1 and x == length):
-                continue  # a vertex: decided by vertex_names
-            names = {name for name, lo, hi in named
-                     if index[lo] <= k <= index[hi]}
-            names.update(name for name, y in pts if index[y] == k)
-            if len(names) >= 2:
-                points.add(Point(edge=eid, offset=x))
-        if kept:
-            intervals[eid] = kept
-    return Subforest(host, intervals, frozenset(points))
+    K = ValenceStratification(system).stratum_ge(2)
+    els = system.elements()
+    points = frozenset(
+        p for p in K.points
+        if len({a.name for a in els if a.domain.contains(p)}) >= 2)
+    return Subforest(system.forest, K.intervals, points)
 
 
 class _ComponentLocator:
@@ -186,6 +147,8 @@ class _ComponentLocator:
     def __init__(self, K: Subforest, comps: list[Subforest]):
         self.K = K
         self.host = K.host
+        self.starts = {eid: [lo for lo, _ in ivs]
+                       for eid, ivs in K.intervals.items()}
         self.interval_comp: dict[tuple[str, tuple], int] = {}
         self.point_comp: dict = {}
         for ci, C in enumerate(comps):
@@ -195,27 +158,22 @@ class _ComponentLocator:
             for p in C.points:
                 self.point_comp[p] = ci
 
-    def _locate_interval(self, eid: str, lo: Scalar, hi: Scalar) -> int:
-        """Component of K' containing the interval piece [lo, hi] of eid."""
-        for iv in self.K.intervals.get(eid, ()):
-            if iv[0] <= lo and hi <= iv[1]:
-                return self.interval_comp[(eid, iv)]
-        raise ValueError("interval piece escapes K'")  # pragma: no cover
+    def _find(self, cells: list[tuple[str, Scalar]]) -> int:
+        """Component of the first K' interval that contains one of the
+        (edge, offset) cells, found by bisecting the interval starts."""
+        for eid, x in cells:
+            k = bisect.bisect_right(self.starts.get(eid, ()), x) - 1
+            if k >= 0 and x <= self.K.intervals[eid][k][1]:
+                return self.interval_comp[(eid, self.K.intervals[eid][k])]
+        raise ValueError("escapes K'")  # pragma: no cover
 
     def _locate_point(self, p) -> int:
         if p in self.point_comp:
             return self.point_comp[p]
-        if p.is_vertex:
-            for e in self.host._adj[p.vertex]:
-                for iv in self.K.intervals.get(e.id, ()):
-                    if (e.u == p.vertex and iv[0].sign() == 0) or (
-                            e.v == p.vertex and iv[1] == e.length):
-                        return self.interval_comp[(e.id, iv)]
-            raise ValueError("point escapes K'")  # pragma: no cover
-        for iv in self.K.intervals.get(p.edge, ()):
-            if iv[0] <= p.offset <= iv[1]:
-                return self.interval_comp[(p.edge, iv)]
-        raise ValueError("point escapes K'")  # pragma: no cover
+        if not p.is_vertex:
+            return self._find([(p.edge, p.offset)])
+        return self._find([(e.id, ZERO if e.u == p.vertex else e.length)
+                           for e in self.host._adj[p.vertex]])
 
     def split(self, sub: Subforest) -> dict[int, Subforest]:
         """Decompose sub (a subset of K') by component of K'."""
@@ -223,7 +181,7 @@ class _ComponentLocator:
         pts: dict[int, set] = {}
         for eid, ivs in sub.intervals.items():
             for lo, hi in ivs:
-                ci = self._locate_interval(eid, lo, hi)
+                ci = self._find([(eid, lo)])
                 pieces.setdefault(ci, {}).setdefault(eid, []).append((lo, hi))
         for p in sub.points:
             ci = self._locate_point(p)
@@ -338,12 +296,9 @@ def run(system: BandSystem, max_iter: int,
         raise ValueError("max_iter must be >= 1")
 
     def save(i: int, s: BandSystem):
-        if checkpoint is None:
-            return
-        from .fileformat import save_system
-
-        os.makedirs(checkpoint, exist_ok=True)
-        save_system(s, os.path.join(checkpoint, f"step-{i + start}.bands"))
+        if checkpoint is not None:
+            os.makedirs(checkpoint, exist_ok=True)
+            save_system(s, _step_path(checkpoint, i + start))
 
     records = [_record(0, system)]
     save(0, system)
@@ -357,6 +312,10 @@ def run(system: BandSystem, max_iter: int,
         save(i + 1, nxt)
         cur = nxt
     return RipsTrace(tuple(records), max_iter)
+
+
+def _step_path(checkpoint: str, i: int) -> str:
+    return os.path.join(checkpoint, f"step-{i}.bands")
 
 
 @dataclass(frozen=True)
@@ -397,14 +356,25 @@ def classify(system: BandSystem, max_iter: int,
              diam_ratio_threshold: Fraction = Fraction(1, 2),
              checkpoint: Optional[str] = None, start: int = 0) -> Classification:
     """Run the machine and read a verdict off its trace; `checkpoint`
-    and `start` are passed to `run`."""
+    and `start` are passed to `run`.
+
+    A run resumed at step `start` is judged as the whole trajectory: the
+    records of steps 0..start-1 are read back from the checkpoint files
+    (a missing one raises FileNotFoundError before anything runs), and
+    the trace is indexed from step 0, with `start + max_iter` steps.
+    """
     ratio = Fraction(diam_ratio_threshold)
     if not (0 < ratio < 1):
         raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
-    trace = run(system, max_iter, checkpoint=checkpoint, start=start)
+    earlier = tuple(_record(i, parse_system(_step_path(checkpoint, i)))
+                    for i in range(start))
+    resumed = run(system, max_iter, checkpoint=checkpoint, start=start)
+    trace = RipsTrace(earlier + tuple(replace(r, index=r.index + start)
+                                      for r in resumed.steps),
+                      start + max_iter)
 
     def done(verdict):
-        return Classification(verdict, max_iter, ratio, trace)
+        return Classification(verdict, trace.max_iter, ratio, trace)
 
     if trace.halted:
         return done(SurfaceType(trace.halt_step))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .forest import Direction, Point
+from .forest import Direction, Point, point_key
 from .isometry import BandSystem
 from .lamination import LeafWord, dotted_words, leaves_at
 
@@ -162,14 +162,15 @@ def _scan(system: BandSystem, depth: int
     """(x, d, edges at (x, d)) for every candidate point x and germ d of
     the support at x, from one walk of the dotted words (a domain that
     extends into d contains x); most edges first, ties broken by the
-    point's repr and then the direction."""
+    exact point order of point_key and then by the direction."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     leaves = dotted_words(system, depth)
     rows = [(x, d, tuple(leaf for leaf in leaves if leaf.domain.extends_in(d)))
             for x in candidate_points(system)
             for d in system.support.germ_directions(x)]
-    rows.sort(key=lambda r: (-len(r[2]), repr(r[0]), (r[1].edge, r[1].toward)))
+    rows.sort(key=lambda r: (-len(r[2]), point_key(r[0]),
+                             (r[1].edge, r[1].toward)))
     return rows
 
 

@@ -4,11 +4,12 @@ These deliberately avoid the library's enumeration and composition code
 paths.  Word domains are computed by backward recursion over per-band
 preimages (the fast path composes marker isometries forward); word lists
 come from exhaustive generation with no pruning; rose-map dynamics use
-naive substitution on letter strings.  Subforest intersection and the
-Rips overlap set keep their pairwise, point-probing forms here; the other
-forest/subforest set primitives are shared, as infrastructure.  The
-T±-pattern search keeps its per-row form: one directional Whitehead graph,
-and so one word walk, per row of the scan.
+naive substitution on letter strings.  Subforest intersection, the
+valence strata and the Rips overlap set keep their pairwise or
+subset-wise, point-probing forms here; the other forest/subforest set
+primitives are shared, as infrastructure.  The T±-pattern search keeps
+its per-row form: one directional Whitehead graph, and so one word walk,
+per row of the scan.
 
 Do not "optimize" these to match the library: their value is that they
 are dumb and separately derived.
@@ -64,6 +65,21 @@ def brute_overlap_set(system):
                 intervals.setdefault(eid, []).extend(ivs)
             if b.name != a.name:
                 points.update(inter.points)
+    return Subforest(system.forest, intervals, frozenset(points))
+
+
+def brute_stratum_ge(system, i):
+    """K^{>=i} as the union, over the i-element subsets of A+-, of the
+    intersection of their domains."""
+    intervals = {}
+    points = set()
+    for subset in itertools.combinations(system.elements(), i):
+        inter = subset[0].domain
+        for a in subset[1:]:
+            inter = brute_intersect(inter, a.domain)
+        for eid, ivs in inter.intervals.items():
+            intervals.setdefault(eid, []).extend(ivs)
+        points.update(inter.points)
     return Subforest(system.forest, intervals, frozenset(points))
 
 

@@ -3,10 +3,13 @@ import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ripslab.cli import emit_dot, main
+from ripslab.cli import _subforest_str, emit_dot, main
+from ripslab.fileformat import parse_system
+from ripslab.forest import Subforest
 from ripslab.traintrack import parse_map, rotationless_power, \
     stable_whitehead_graph
 
@@ -150,6 +153,33 @@ def test_classify_resume_keeps_checkpoints(tmp_path):
         assert after[name] == (fresh / name).read_bytes(), name
 
 
+def test_classify_resume_judges_whole_trajectory(tmp_path):
+    bands = corpus("bk_itm.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "3",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    resume = ("rips", "classify", "--max-iter", "2", "--resume",
+              "--checkpoint", str(ck), bands)
+    code, text = run_cli(*resume)
+    assert code == 0 and text.startswith("resumed: step 3\n")
+    whole = run_cli("rips", "classify", "--max-iter", "5", bands)[1]
+    assert text.removeprefix("resumed: step 3\n") == whole
+    # the earlier steps are read back, so a missing one is an input error
+    (ck / "step-1.bands").unlink()
+    assert run_cli(*resume)[0] == 2
+
+
+def test_resume_from_corrupt_checkpoint_is_input_error(tmp_path):
+    bands = corpus("e_trim.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    (ck / "step-5.bands").write_text("garbage\n")
+    for action in ("run", "classify"):
+        assert run_cli("rips", action, "--resume",
+                       "--checkpoint", str(ck), bands)[0] == 2, action
+
+
 def test_resume_requires_checkpoint():
     code, _ = run_cli("rips", "run", "--resume", corpus("e_trim.bands"))
     assert code == 1
@@ -159,6 +189,13 @@ def test_strata_report():
     code, text = run_cli("strata", corpus("e_surf.bands"))
     assert code == 0
     assert "K>=1: vol 3" in text and "K>=3: vol 0" in text
+
+
+def test_subforest_points_in_exact_order():
+    host = parse_system(corpus("e_trim.bands")).forest
+    s = Subforest(host, {}, frozenset([host.point("e0", Fraction(1, 2)),
+                                       host.point("e0", Fraction(3, 10))]))
+    assert _subforest_str(s) == "point e0:3/10 point e0:1/2"
 
 
 def test_words_report():

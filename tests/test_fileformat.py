@@ -2,6 +2,7 @@ import importlib.resources as resources
 
 import pytest
 
+from ripslab import fileformat
 from ripslab.fileformat import (
     BandsSyntaxError,
     parse_scalar,
@@ -129,3 +130,19 @@ def test_save_system(tmp_path):
     out = tmp_path / "copy.bands"
     save_system(s, str(out))
     assert parse_system(str(out)).summary() == s.summary()
+
+
+def test_save_system_keeps_old_file_when_interrupted(tmp_path, monkeypatch):
+    s = parse_system(corpus("e_surf.bands"))
+    out = tmp_path / "step-1.bands"
+    save_system(s, str(out))
+    before = out.read_bytes()
+
+    def interrupted(system):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fileformat, "serialize_system", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_system(s, str(out))
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["step-1.bands"]

@@ -180,6 +180,35 @@ def test_overlap_set_matches_oracle_on_corpus(name, steps, halts):
         assert overlap_set(rec.system) == oracles.brute_overlap_set(rec.system)
 
 
+@pytest.mark.parametrize("name, steps", [
+    ("e_surf.bands", 30),
+    ("e_trim.bands", 30),
+    ("bk_itm.bands", 4),
+])
+def test_strata_match_oracle_on_corpus(name, steps):
+    """K^{>=i}, i = 1, 2, 3, on every step up to the halt or the budget;
+    the cut points of valence above both neighbouring pieces (x = 1 and
+    x = 2 in e_surf) are isolated points of K^{>=3}."""
+    path = str(resources.files("ripslab") / "corpus" / name)
+    for rec in run(parse_system(path), steps).steps:
+        strat = valence(rec.system)
+        for i in (1, 2, 3):
+            assert (strat.stratum_ge(i)
+                    == oracles.brute_stratum_ge(rec.system, i)), (rec.index, i)
+
+
+def test_strata_match_oracle_with_vertex_point_domains():
+    # dom(b) = {u} and dom(b') = {v}; u also lies in dom(a) = [0, 1]
+    host = line(3)
+    u, v = host.vertex_point("u"), host.vertex_point("v")
+    s = BandSystem(host, (shift(host, "a", 0, 1, 1),
+                          arc_band(host, "b", u, u, v, v)))
+    strat = valence(s)
+    for i in (1, 2, 3):
+        assert strat.stratum_ge(i) == oracles.brute_stratum_ge(s, i), i
+    assert overlap_set(s) == Subforest(host, {}, frozenset([u]))
+
+
 # -- reducedness -----------------------------------------------------------
 
 def test_is_reduced_e_surf(e_surf):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from ripslab.fileformat import parse_system, parse_system_text
-from ripslab.forest import Direction
+from ripslab.forest import Direction, point_key
 from ripslab.lamination import LeafWord, limit_set
 from ripslab.rips import classify
 from ripslab.scalar import Scalar
@@ -126,6 +126,12 @@ def test_detect_pattern_matches_reference(name, depth):
 def test_wh_scan_sorted_descending(e_surf):
     counts = [n for _, _, n in wh_scan(e_surf, 3)]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_wh_scan_breaks_ties_by_point_key(bk_itm):
+    keys = [(-n, point_key(x), (d.edge, d.toward))
+            for x, d, n in wh_scan(bk_itm, 3)]
+    assert keys == sorted(keys)
 
 
 def test_edge_truncation_monotone(bk_itm):
