@@ -174,8 +174,8 @@ def _cmd_rips(args, out):
                                checkpoint=args.checkpoint, start=start)
     except FileNotFoundError as exc:
         raise InputError(f"no such checkpoint: {exc.filename}") from exc
-    except BandsSyntaxError as exc:
-        raise InputError(f"checkpoint {args.checkpoint}: {exc}") from exc
+    except rips.CheckpointError as exc:
+        raise InputError(str(exc)) from exc
     v = result.verdict
     out.write(f"verdict: {type(v).__name__}\n")
     if isinstance(v, rips.SurfaceType):

@@ -33,7 +33,8 @@ from typing import Optional
 from .forest import Edge, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import (FieldMismatch, NumberField, Poly, Scalar, ScalarError,
-                     _padd, _pmul, _pneg, _poly, _psub, field_define, rational)
+                     _padd, _pmul, _pneg, _poly, _psub, field_define, poly_str,
+                     rational)
 
 
 class BandsSyntaxError(Exception):
@@ -139,27 +140,9 @@ def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scal
     return rational(coeffs[0] if coeffs else 0)
 
 
-def _poly_str(coeffs) -> str:
-    """Ascending coefficients as a polynomial in L, as _parse_poly reads it."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        mono = "" if i == 0 else ("L" if i == 1 else f"L^{i}")
-        mag = abs(c)
-        body = mono if (mag == 1 and mono) else (
-            str(mag) if not mono else f"{mag}*{mono}")
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"
-
-
 def scalar_str(x: Scalar) -> str:
     """Exact textual form, inverse of parse_scalar."""
-    return _poly_str(x.coeffs)
+    return poly_str(x.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +283,8 @@ def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
     poly = _parse_poly(poly_text, no, gen=True)
     try:
-        return field_define(poly, Fraction(lo_text), Fraction(hi_text))
+        return field_define(poly, Fraction(lo_text), Fraction(hi_text),
+                            check_irreducible=True)
     except (ValueError, ZeroDivisionError, ScalarError) as exc:
         raise BandsSyntaxError(no, f"bad field: {exc}") from None
 
@@ -318,7 +302,7 @@ def serialize_system(system: BandSystem) -> str:
     out = []
     if system.field is not None:
         f = system.field
-        out.append(f"field {_poly_str(f.minpoly)} in "
+        out.append(f"field {poly_str(f.minpoly)} in "
                    f"({f._lo0}, {f._hi0})")
     out.append("tree")
     for v in sorted(system.forest.vertices):

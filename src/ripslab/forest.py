@@ -57,7 +57,7 @@ class Point:
     def __repr__(self) -> str:
         if self.is_vertex:
             return f"P({self.vertex})"
-        return f"P({self.edge}:{self.offset.coeffs})"
+        return f"P({self.edge}:{self.offset!r})"
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .fileformat import parse_system, save_system
-from .forest import ZERO, Point, Subforest, sorted_unique
-from .isometry import BandSystem, PartialIsometry
-from .scalar import Scalar, rational
+from .fileformat import BandsSyntaxError, parse_system, save_system
+from .forest import ZERO, ForestError, Point, Subforest, sorted_unique
+from .isometry import BandSystem, PartialIsometry, ValidationError
+from .scalar import FieldMismatch, Scalar, rational
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +318,18 @@ def _step_path(checkpoint: str, i: int) -> str:
     return os.path.join(checkpoint, f"step-{i}.bands")
 
 
+class CheckpointError(Exception):
+    """A checkpoint file read back by a resumed run is not a valid system."""
+
+
+def _read_step(checkpoint: str, i: int) -> BandSystem:
+    path = _step_path(checkpoint, i)
+    try:
+        return parse_system(path)
+    except (BandsSyntaxError, ValidationError, FieldMismatch, ForestError) as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SurfaceType:
     halt_step: int
@@ -360,14 +372,14 @@ def classify(system: BandSystem, max_iter: int,
 
     A run resumed at step `start` is judged as the whole trajectory: the
     records of steps 0..start-1 are read back from the checkpoint files
-    (a missing one raises FileNotFoundError before anything runs), and
-    the trace is indexed from step 0, with `start + max_iter` steps.
+    (a missing one raises FileNotFoundError and an invalid one
+    CheckpointError, before anything runs), and the trace is indexed from
+    step 0, with `start + max_iter` steps.
     """
     ratio = Fraction(diam_ratio_threshold)
     if not (0 < ratio < 1):
         raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
-    earlier = tuple(_record(i, parse_system(_step_path(checkpoint, i)))
-                    for i in range(start))
+    earlier = tuple(_record(i, _read_step(checkpoint, i)) for i in range(start))
     resumed = run(system, max_iter, checkpoint=checkpoint, start=start)
     trace = RipsTrace(earlier + tuple(replace(r, index=r.index + start)
                                       for r in resumed.steps),

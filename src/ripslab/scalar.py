@@ -2,16 +2,21 @@
 
 Every length, offset and coordinate in the rest of the package is a
 :class:`Scalar`: either a plain rational or a polynomial in a fixed real
-algebraic number lambda, reduced modulo its defining polynomial.  Sign
-determination is exact: an algebraic zero test (polynomial gcd with the
-defining polynomial) guarantees termination, and interval refinement of
-the isolating interval only accelerates the nonzero case.  No floating
-point is used anywhere.
+algebraic number lambda, reduced modulo its defining polynomial.  A scalar
+holds integer coefficients over one positive common denominator, in lowest
+terms, so arithmetic, equality and hashing are integer operations;
+``Fraction`` polynomials remain only in parsing, the inverse, the exact
+zero test and Sturm root counting.  Sign determination is exact: an
+algebraic zero test (polynomial gcd with the defining polynomial)
+guarantees termination, and interval refinement of the isolating interval
+only accelerates the nonzero case.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -61,10 +66,7 @@ def _poly(c: Iterable) -> Poly:
 def _padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
+    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
 
 
 def _pneg(a: Poly) -> Poly:
@@ -84,12 +86,6 @@ def _pmul(a: Poly, b: Poly) -> Poly:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-def _pscale(a: Poly, s: Fraction) -> Poly:
-    if s == 0:
-        return ()
-    return tuple(x * s for x in a)
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -112,8 +108,6 @@ def _pmod(a: Poly, b: Poly) -> Poly:
 
 
 def _pmonic(a: Poly) -> Poly:
-    if not a:
-        return ()
     return tuple(x / a[-1] for x in a)
 
 
@@ -123,21 +117,15 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return _pmonic(a)
 
 
-def _pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, s, t) monic with s*a + t*b = g."""
+def _pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Return (g, s) with g = gcd(a, b) monic and s*a == g (mod b)."""
     r0, r1 = a, b
     s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if not r0:
-        return (), s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
-    return _pmonic(r0), _pscale(s0, inv), _pscale(t0, inv)
+    return _pmonic(r0), tuple(x / r0[-1] for x in s0)
 
 
 def _pderiv(a: Poly) -> Poly:
@@ -151,27 +139,10 @@ def _peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def _peval_interval(a: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval extension of polynomial evaluation by Horner."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for c in reversed(a):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
-
-
-def _frac_enclosure(v: Fraction) -> tuple[float, float]:
-    f = float(v)
-    return (math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
-
-
 def _dyadic_float(n: int, prec: int, up: bool) -> float:
     """Outward float approximation of n / 2^prec."""
-    b = n.bit_length()
-    shift = 0
-    if b > 900:  # keep float(n) away from overflow
-        shift = b - 900
-        n = -((-n) >> shift) if up else (n >> shift)
+    shift = max(0, n.bit_length() - 900)  # keep float(n) away from overflow
+    n = -((-n) >> shift) if up else (n >> shift)
     try:
         f = math.ldexp(float(n), shift - prec)
     except OverflowError:  # pragma: no cover
@@ -179,36 +150,35 @@ def _dyadic_float(n: int, prec: int, up: bool) -> float:
     return math.nextafter(f, math.inf if up else -math.inf)
 
 
-def _dyadic_down(n: int, prec: int) -> float:
-    return _dyadic_float(n, prec, False)
-
-
-def _dyadic_up(n: int, prec: int) -> float:
-    return _dyadic_float(n, prec, True)
-
-
-def _sturm_chain(p: Poly) -> list[Poly]:
+def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    by the Sturm chain of its squarefree part."""
+    p = _pdivmod(p, _pgcd(p, _pderiv(p)))[0] if len(p) > 2 else p
+    if len(p) <= 1:
+        return 0
     chain = [p, _pderiv(p)]
     while chain[-1]:
         chain.append(_pneg(_pmod(chain[-2], chain[-1])))
-    chain.pop()
-    return chain
+
+    def sign_changes(x) -> int:
+        signs = [v > 0 for v in (_peval(q, x) for q in chain[:-1]) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
 
 
-def _sign_changes(vals: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in vals if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    p = _pdivmod(p, _pgcd(p, _pderiv(p)))[0] if len(p) > 2 else p  # squarefree part
-    if not p or len(p) == 1:
-        return 0
-    chain = _sturm_chain(p)
-    at_lo = _sign_changes([_peval(q, lo) for q in chain])
-    at_hi = _sign_changes([_peval(q, hi) for q in chain])
-    return at_lo - at_hi
+def poly_str(coeffs: Sequence) -> str:
+    """Ascending coefficients as a polynomial in L, as the `.bands` scalar
+    grammar reads it: ``-1/2*L^2 + L - 3``."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c, mono = coeffs[i], ("", "L")[i] if i < 2 else f"L^{i}"
+        if c:
+            body = mono if abs(c) == 1 and mono else (
+                f"{abs(c)}*{mono}" if mono else str(abs(c)))
+            sign = ("+ ", "- ") if terms else ("", "-")
+            terms.append(sign[c < 0] + body)
+    return " ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +187,10 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
 
 
 class NumberField:
-    """Q(lambda) for lambda the unique real root of a monic integer polynomial
-    inside an isolating interval.
-
-    The interval is refined lazily as sign determinations demand; refinement
-    only ever shrinks it, so instances behave as immutable values.
-    """
+    """Q(lambda) for lambda the unique real root of a monic polynomial over
+    Q inside an isolating interval.  The interval is refined lazily as sign
+    determinations demand; refinement only ever shrinks it, so instances
+    behave as immutable values."""
 
     def __init__(self, minpoly: Iterable, lo, hi, check_irreducible: bool = False):
         poly = _poly(minpoly)
@@ -244,25 +212,42 @@ class NumberField:
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
         if check_irreducible and not self._is_irreducible():
             raise NotIrreducible("defining polynomial is reducible over Q")
+        # rows[j] / den is lambda^(degree + j) mod minpoly, for products
+        d = self.degree
+        rows = [_pmod((0,) * k + (1,), poly) for k in range(d, 2 * d - 1)]
+        den = math.lcm(1, *(c.denominator for r in rows for c in r))
+        self._red = (den, [[c.numerator * (den // c.denominator) for c in r]
+                           for r in rows])
         if len(poly) == 2:
             # linear polynomial: lambda is the rational -poly[0]
-            self._exact = -poly[0]
-            self._lo = self._hi = self._exact
+            self._exact = self._lo = self._hi = -poly[0]
 
     def _is_irreducible(self) -> bool:
-        import sympy
+        p, n = self.minpoly, self.degree
+        if n > 3:
+            import sympy
 
-        x = sympy.Symbol("x")
-        expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(self.minpoly))
-        factors = sympy.factor_list(expr)[1]
-        return len(factors) == 1 and factors[0][1] == 1
+            x = sympy.Symbol("x")
+            factors = sympy.factor_list(sum(sympy.Rational(c) * x**i
+                                            for i, c in enumerate(p)))[1]
+            return len(factors) == 1 and factors[0][1] == 1
+        # reducible iff p has a rational root, i.e. g(y) = D^n p(y/D), monic
+        # over Z for D a common denominator, has an integer root dividing
+        # g(0); bisect integer intervals (lo, hi] holding a root to width 1
+        d = math.lcm(*(c.denominator for c in p))
+        g = _poly(c * d ** (n - i) for i, c in enumerate(p))
+        stack = [(-abs(g[0]) - 1, abs(g[0]))] if g[0] and n > 1 else []
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo == 1 and _peval(g, hi) == 0:
+                return False
+            if hi - lo > 1 and count_roots(g, lo, hi):
+                stack += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+        return n == 1 or bool(g[0])
 
     @property
     def degree(self) -> int:
         return len(self.minpoly) - 1
-
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
 
     def refine(self) -> None:
         """Halve the isolating interval, keeping the root."""
@@ -273,8 +258,7 @@ class NumberField:
         vm = _peval(self.minpoly, mid)
         if vm == 0:
             # the isolated root is exactly mid (reducible/trusted mode)
-            self._exact = mid
-            self._lo = self._hi = mid
+            self._exact = self._lo = self._hi = mid
             return
         if _peval(self.minpoly, lo) * vm < 0:
             self._hi = mid
@@ -294,11 +278,11 @@ class NumberField:
             self._fp = (prec, L, H)
         return self._fp
 
-    # element constructors -------------------------------------------------
-
     def element(self, coeffs: Iterable) -> "Scalar":
-        c = _pmod(_poly(coeffs), self.minpoly)
-        return Scalar(self, c)
+        p = _pmod(_poly(coeffs), self.minpoly)
+        den = math.lcm(1, *(c.denominator for c in p))
+        # over the lcm of the denominators no factor is common to all
+        return Scalar(self, tuple(c.numerator * (den // c.denominator) for c in p), den)
 
     @property
     def gen(self) -> "Scalar":
@@ -309,8 +293,6 @@ class NumberField:
 
     def zero(self) -> "Scalar":
         return self.element(())
-
-    # value semantics ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -341,75 +323,107 @@ ScalarLike = Union["Scalar", int, Fraction]
 class Scalar:
     """An element of Q or of a NumberField, in canonical reduced form.
 
-    Two scalars of the same field are equal iff their coefficient vectors
-    are equal.  All operations are pure; instances are immutable.
+    The value is ``sum(num[i] * lambda**i) / den``: `num` is a tuple of ints
+    with no trailing zero, `den` a positive int and gcd(den, *num) == 1.
+    Reduced modulo the defining polynomial, a rational value has
+    ``len(num) <= 1`` in any field, and scalars of compatible fields are
+    equal iff their (num, den) are.  `coeffs` derives the ``Fraction``
+    coefficients.  All operations are pure; instances are immutable.
     """
 
-    __slots__ = ("field", "coeffs", "_hash", "_enc", "_encrev")
+    __slots__ = ("field", "num", "den", "_hash", "_enc", "_encrev")
 
-    def __init__(self, field: NumberField | None, coeffs: Poly):
+    def __init__(self, field: NumberField | None, num: tuple, den: int = 1):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_enc", None)
-        object.__setattr__(self, "_encrev", -1)
+        object.__setattr__(self, "_encrev", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
-    # coercion -------------------------------------------------------------
+    @property
+    def coeffs(self) -> Poly:
+        return tuple(Fraction(n, self.den) for n in self.num)
+
+    # coercion and arithmetic ----------------------------------------------
 
     @staticmethod
     def _coerce(value: ScalarLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        return Scalar(None, _poly((Fraction(value),)))
+        return value if isinstance(value, Scalar) else rational(value)
 
-    def _pair(self, other: ScalarLike) -> tuple["Scalar", "Scalar", NumberField | None]:
-        other = Scalar._coerce(other)
-        if self.field is other.field:
-            return self, other, self.field
-        if self.field is None:
-            return Scalar(other.field, self.coeffs), other, other.field
-        if other.field is None:
-            return self, Scalar(self.field, other.coeffs), self.field
-        if self.field == other.field:
-            return self, other, self.field
-        raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
+    def _field(self, other: "Scalar") -> NumberField | None:
+        """The field of a result of self and other; a rational joins any."""
+        fa, fb = self.field, other.field
+        if fa is fb or fb is None:
+            return fa
+        if fa is None or fa == fb:
+            return fa or fb
+        raise FieldMismatch(f"{fa!r} vs {fb!r}")
 
-    # arithmetic -----------------------------------------------------------
+    def _addsub(self, other: ScalarLike, s: int) -> "Scalar":
+        """self + s * other over the least common denominator, s = 1 or -1."""
+        b = Scalar._coerce(other)
+        f = self._field(b)
+        an, bn, ad, bd = self.num, b.num, self.den, b.den
+        g = math.gcd(ad, bd)
+        ma, mb = bd // g, s * (ad // g)
+        out = [x * ma for x in an] + [0] * (len(bn) - len(an))
+        for i, y in enumerate(bn):
+            out[i] += y * mb
+        return _canon(f, out, ad * ma)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        a, b, f = self._pair(other)
-        return Scalar(f, _padd(a.coeffs, b.coeffs))
+        return self._addsub(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, _pneg(self.coeffs))
+        return Scalar(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-Scalar._coerce(other))
+        return self._addsub(other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar._coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        a, b, f = self._pair(other)
-        prod = _pmul(a.coeffs, b.coeffs)
-        if f is not None:
-            prod = _pmod(prod, f.minpoly)
-        return Scalar(f, prod)
+        """Integer convolution, then the field's rows replace the powers of
+        lambda from its degree up."""
+        b = Scalar._coerce(other)
+        f = self._field(b)
+        an, bn = self.num, b.num
+        if not an or not bn:
+            return Scalar(f, ())
+        out = [0] * (len(an) + len(bn) - 1)
+        for i, x in enumerate(an):
+            for j, y in enumerate(bn):
+                out[i + j] += x * y
+        den = self.den * b.den
+        d = f.degree if f is not None else len(out)
+        if len(out) > d:
+            rden, rows = f._red
+            low = out[:d] if rden == 1 else [x * rden for x in out[:d]]
+            for c, row in zip(out[d:], rows):
+                if c:
+                    for i, r in enumerate(row):
+                        low[i] += c * r
+            out, den = low, den * rden
+        return _canon(f, out, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        a, b, f = self._pair(other)
+        b = Scalar._coerce(other)
+        f = self._field(b)
         if b.is_zero():
             raise DivisionByZero("division by zero scalar")
-        if f is None:
-            return Scalar(None, (a.coeffs[0] / b.coeffs[0],) if a.coeffs else ())
-        return a * b._inverse()
+        if len(b.num) == 1:
+            s = -1 if b.num[0] < 0 else 1
+            return _canon(f, [x * s * b.den for x in self.num], self.den * b.num[0] * s)
+        return self * b._inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar._coerce(other) / self
@@ -420,124 +434,124 @@ class Scalar:
         modulus = f.minpoly
         b = self.coeffs
         while True:
-            g, s, _t = _pxgcd(b, modulus)
+            g, s = _pxgcd(b, modulus)
             if len(g) == 1:
                 # g is monic, hence the constant 1: s*b == 1 (mod modulus)
-                return Scalar(f, _pmod(s, f.minpoly))
+                return f.element(s)
             # reducible modulus: g is a nontrivial common factor
             if count_roots(g, f._lo, f._hi) > 0:
                 raise DivisionByZero("scalar is zero at the isolated root")
             modulus = _pdivmod(modulus, g)[0]
             b = _pmod(b, modulus)
 
-    # predicates -----------------------------------------------------------
-
     def is_zero(self) -> bool:
-        if not self.coeffs:
-            return True
-        if self.field is None:
-            return False
-        g = _pgcd(self.coeffs, self.field.minpoly)
-        if len(g) <= 1:
-            return False
-        return count_roots(g, self.field._lo, self.field._hi) > 0
-
-    def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        f = self.field
+        if not self.num or f is None:
+            return not self.num
+        g = _pgcd(self.coeffs, f.minpoly)
+        return len(g) > 1 and count_roots(g, f._lo, f._hi) > 0
 
     def as_fraction(self) -> Fraction:
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise ScalarError("scalar is not a plain rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
-    def enclosure(self) -> tuple[float, float]:
-        """A rigorous floating interval containing the exact value.
-
-        Computed by integer fixed-point interval Horner over the field's
-        dyadic root bounds, then widened outward; cached per revision of
-        the field's isolating interval.
-        """
-        if not self.coeffs:
-            return (0.0, 0.0)
-        f = self.field
-        if len(self.coeffs) == 1 or f is None:
-            return _frac_enclosure(self.coeffs[0])
-        if f._exact is not None:
-            return _frac_enclosure(_peval(self.coeffs, f._exact))
-        if self._enc is not None and self._encrev == f._rev:
-            return self._enc
-        prec, L, H = f.fixed_bounds()
+    def _fixed(self) -> tuple[int, int, int]:
+        """(prec, lo, hi) with lo/2^prec <= sum(num[i] * lambda**i) <= hi/2^prec,
+        by integer interval Horner over the field's dyadic root bounds."""
+        prec, L, H = self.field.fixed_bounds()
         vlo = vhi = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             if vlo or vhi:
                 cands = (vlo * L, vlo * H, vhi * L, vhi * H)
-                mlo, mhi = min(cands), max(cands)
-                vlo = mlo >> prec
-                vhi = -((-mhi) >> prec)
-            num, den = c.numerator, c.denominator
-            vlo += (num << prec) // den
-            vhi += -((-num << prec) // den)
-        enc = (_dyadic_down(vlo, prec), _dyadic_up(vhi, prec))
+                vlo = min(cands) >> prec
+                vhi = -((-max(cands)) >> prec)
+            c <<= prec
+            vlo += c
+            vhi += c
+        return prec, vlo, vhi
+
+    def _exact_value(self) -> Fraction | None:
+        """The value as a Fraction if it is rational by representation or
+        because lambda is; None otherwise."""
+        f = self.field
+        if len(self.num) <= 1 or f is None:
+            return self.as_fraction()
+        return _peval(self.coeffs, f._exact) if f._exact is not None else None
+
+    def enclosure(self) -> tuple[float, float]:
+        """A rigorous floating interval containing the exact value: for a
+        rational, the correctly rounded quotient widened by one ulp, cached
+        for good; for a field element, `_fixed` divided by `den` once and
+        widened outward, cached per revision of the isolating interval.
+        """
+        enc = self._enc
+        if enc is not None and (self._encrev is None
+                                or self._encrev == self.field._rev):
+            return enc
+        num, f = self.num, self.field
+        if not num:
+            return (0.0, 0.0)
+        if len(num) == 1 or f is None:
+            x = num[0] / self.den  # int division rounds correctly
+            enc, rev = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)), None
+        elif f._exact is not None:
+            return rational(self._exact_value()).enclosure()
+        else:
+            prec, vlo, vhi = self._fixed()
+            enc = (_dyadic_float(vlo // self.den, prec, False),
+                   _dyadic_float(-(-vhi // self.den), prec, True))
+            rev = f._rev
         object.__setattr__(self, "_enc", enc)
-        object.__setattr__(self, "_encrev", f._rev)
+        object.__setattr__(self, "_encrev", rev)
         return enc
 
     def sign(self) -> int:
-        """-1, 0 or +1; exact.
-
-        The cached enclosure decides almost every call; the exact
-        (gcd-based) zero test runs only when the enclosure keeps
-        straddling zero, so true zeros stay exact and nonzeros stay fast.
-        """
-        if not self.coeffs:
+        """-1, 0 or +1; exact.  The cached enclosure decides almost every
+        call; the exact (gcd-based) zero test runs only when the enclosure
+        keeps straddling zero, so true zeros stay exact and nonzeros fast."""
+        num, f = self.num, self.field
+        if not num:
             return 0
-        if len(self.coeffs) == 1 or self.field is None:
-            return 1 if self.coeffs[0] > 0 else -1
-        f = self.field
+        if len(num) == 1 or f is None:
+            return 1 if num[0] > 0 else -1
         if f._exact is not None:
-            v = _peval(self.coeffs, f._exact)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        attempts = 0
-        checked_zero = False
-        while True:
+            return rational(self._exact_value()).sign()
+        for attempt in itertools.count():
             lo, hi = self.enclosure()
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if not checked_zero and attempts >= 2:
-                if self.is_zero():
-                    return 0
-                checked_zero = True
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            if attempt == 2 and self.is_zero():
+                return 0
             for _ in range(8):
                 f.refine()
-            attempts += 1
             if f._exact is not None:
                 return self.sign()
 
     # comparisons ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        try:
-            a, b, _ = self._pair(other)
-        except FieldMismatch:
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = rational(other)
+        if self.num != other.num or self.den != other.den:
             return False
-        return a.coeffs == b.coeffs
+        fa, fb = self.field, other.field
+        return fa is fb or fa is None or fb is None or fa == fb
 
     def __hash__(self) -> int:
         if self._hash is None:
             # rational values hash alike in every field, matching __eq__
-            key = self.field if len(self.coeffs) > 1 else None
-            h = hash((key, self.coeffs))
-            object.__setattr__(self, "_hash", h)
+            key = self.field if len(self.num) > 1 else None
+            object.__setattr__(self, "_hash", hash((key, self.num, self.den)))
         return self._hash
 
     def _compare(self, other: ScalarLike) -> int:
-        """Sign of self - other, with an enclosure fast path."""
-        b = Scalar._coerce(other)
-        if self.field is b.field and self.coeffs == b.coeffs:
+        """Sign of self - other: equal representations first, then the
+        enclosures, then the exact sign of the difference."""
+        b = other if isinstance(other, Scalar) else rational(other)
+        if self.field is b.field and self.num == b.num and self.den == b.den:
             return 0
         alo, ahi = self.enclosure()
         blo, bhi = b.enclosure()
@@ -567,52 +581,49 @@ class Scalar:
 
     # reporting ------------------------------------------------------------
 
+    def __repr__(self) -> str:
+        return poly_str(self.coeffs)
+
     def to_decimal(self, digits: int) -> str:
-        """Decimal approximation, correctly rounded to `digits` places."""
+        """Decimal approximation, rounded half up to `digits` places."""
         if digits < 1:
             raise ScalarError("digits must be >= 1")
-        f = self.field
-        if len(self.coeffs) <= 1 or f is None or f._exact is not None:
-            if f is not None and f._exact is not None and len(self.coeffs) > 1:
-                value = _peval(self.coeffs, f._exact)
-            else:
-                value = self.as_fraction()
-            return _format_decimal(value, digits)
-        scale = Fraction(10) ** digits
-        while True:
-            lo, hi = _peval_interval(self.coeffs, f._lo, f._hi)
-            nlo = _round_half_up(lo * scale)
-            nhi = _round_half_up(hi * scale)
-            if nlo == nhi:
-                return _format_decimal(Fraction(nlo, scale.numerator), digits,
-                                       already_scaled=True, scaled=nlo)
-            # guard against an exact tie: compare against the boundary
-            boundary = Fraction(2 * nlo + 1, 2 * scale.numerator)
-            diff = self - Scalar(None, (boundary,))
-            if diff.is_zero():
-                return _format_decimal(boundary, digits)
-            f.refine()
+        scale = 10 ** digits
+        while (v := self._exact_value()) is None:
+            # n = floor(value * scale + 1/2) once both bounds agree on it
+            prec, lo, hi = self._fixed()
+            den = self.den << (prec + 1)
+            n, nhi = ((2 * x * scale + (self.den << prec)) // den for x in (lo, hi))
+            if n == nhi:
+                break
+            # guard against an exact tie: the value on the boundary
+            if (self - rational(2 * n + 1, 2 * scale)).is_zero():
+                n += 1
+                break
+            self.field.refine()
+        else:
+            n = math.floor(v * scale + Fraction(1, 2))
+        whole, frac = divmod(abs(n), scale)
+        return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
-def _round_half_up(x: Fraction) -> int:
-    from math import floor
-
-    return floor(x + Fraction(1, 2))
-
-
-def _format_decimal(value: Fraction, digits: int, already_scaled: bool = False,
-                    scaled: int | None = None) -> str:
-    scale = 10 ** digits
-    n = scaled if already_scaled else _round_half_up(value * scale)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+def _canon(field: NumberField | None, num: list, den: int) -> Scalar:
+    """The Scalar num/den in lowest terms; the list `num` is consumed."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return Scalar(field, tuple(num), den)
 
 
 def rational(numerator, denominator=1) -> Scalar:
     """A rational-mode scalar."""
-    return Scalar(None, _poly((Fraction(numerator, denominator),)))
+    if type(numerator) is int and denominator == 1:
+        return Scalar(None, (numerator,) if numerator else ())
+    q = Fraction(numerator, denominator)
+    return Scalar(None, (q.numerator,) if q else (), q.denominator)
 
 
 ZERO = rational(0)
@@ -621,20 +632,8 @@ ONE = rational(1)
 
 def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     """Named dispatch over the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown operation {op!r}")
-
-
-def sign(a: ScalarLike) -> int:
-    return Scalar._coerce(a).sign()
-
-
-def to_decimal(a: ScalarLike, digits: int) -> str:
-    return Scalar._coerce(a).to_decimal(digits)
+    ops = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv}
+    if op not in ops:
+        raise ScalarError(f"unknown operation {op!r}")
+    return ops[op](a, b)

@@ -9,16 +9,110 @@ valence strata and the Rips overlap set keep their pairwise or
 subset-wise, point-probing forms here; the other forest/subforest set
 primitives are shared, as infrastructure.  The T±-pattern search keeps
 its per-row form: one directional Whitehead graph, and so one word walk,
-per row of the scan.
+per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
+scalar arithmetic that the integer-coefficient `Scalar` replaced, with a
+sign decided by its own bisection of the field's original interval.
 
 Do not "optimize" these to match the library: their value is that they
 are dumb and separately derived.
 """
 
 import itertools
+from fractions import Fraction
 
 from ripslab.forest import Subforest
 from ripslab.lamination import inverse_label
+from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
+                            _poly, _pxgcd, _peval, count_roots)
+
+
+# --- scalars ----------------------------------------------------------------
+
+class RefScalar:
+    """A rational or an element of a NumberField, as a reduced tuple of
+    ``Fraction`` coefficients: the arithmetic `Scalar` used before it
+    stored integers over one denominator.  The field must be irreducible."""
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        c = _poly(coeffs)
+        self.coeffs = _pmod(c, field.minpoly) if field is not None else c
+        assert field is not None or len(self.coeffs) <= 1
+
+    def _pair(self, other):
+        fa, fb = self.field, other.field
+        if fa is not None and fb is not None and fa != fb:
+            raise FieldMismatch(f"{fa!r} vs {fb!r}")
+        return fa if fa is not None else fb
+
+    def __add__(self, other):
+        return RefScalar(self._pair(other), _padd(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return RefScalar(self.field, _pneg(self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RefScalar(self._pair(other), _pmul(self.coeffs, other.coeffs))
+
+    def __truediv__(self, other):
+        f = self._pair(other)
+        assert other.coeffs, "division by zero"
+        if f is None:
+            return RefScalar(None, (self.coeffs[0] / other.coeffs[0],)
+                             if self.coeffs else ())
+        g, s = _pxgcd(other.coeffs, f.minpoly)
+        assert len(g) == 1
+        return self * RefScalar(f, s)
+
+    def __eq__(self, other):
+        try:
+            self._pair(other)
+        except FieldMismatch:
+            return False
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        key = self.field if len(self.coeffs) > 1 else None
+        return hash((key, self.coeffs))
+
+    def is_zero(self):
+        if not self.coeffs or self.field is None:
+            return not self.coeffs
+        g = _pgcd(self.coeffs, self.field.minpoly)
+        return len(g) > 1 and count_roots(g, self.field._lo0, self.field._hi0) > 0
+
+    def sign(self):
+        """Exact: the gcd zero test, then exact interval Horner over a
+        private bisection of the field's original isolating interval."""
+        if self.is_zero():
+            return 0
+        if self.field is None or len(self.coeffs) == 1:
+            return 1 if self.coeffs[0] > 0 else -1
+        p = self.field.minpoly
+        lo, hi = self.field._lo0, self.field._hi0
+        while True:
+            vlo = vhi = Fraction(0)
+            for c in reversed(self.coeffs):
+                cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+                vlo, vhi = min(cands) + c, max(cands) + c
+            if vlo > 0 or vhi < 0:
+                return 1 if vlo > 0 else -1
+            mid = (lo + hi) / 2
+            if _peval(p, lo) * _peval(p, mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def contains_in(self, lo, hi):
+        """Whether lo <= self <= hi for floats lo, hi, decided exactly."""
+        return ((self - RefScalar(None, (Fraction(lo),))).sign() >= 0
+                and (RefScalar(None, (Fraction(hi),)) - self).sign() >= 0)
 
 
 # --- subforest set algebra and the overlap set ------------------------------

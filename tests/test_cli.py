@@ -1,12 +1,14 @@
 import importlib.resources as resources
 import io
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from ripslab import rips
 from ripslab.cli import _subforest_str, emit_dot, main
 from ripslab.fileformat import parse_system
 from ripslab.forest import Subforest
@@ -178,6 +180,42 @@ def test_resume_from_corrupt_checkpoint_is_input_error(tmp_path):
     for action in ("run", "classify"):
         assert run_cli("rips", action, "--resume",
                        "--checkpoint", str(ck), bands)[0] == 2, action
+
+
+def test_resume_from_invalid_earlier_checkpoint_names_file(tmp_path, capsys):
+    bands = corpus("e_trim.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    shutil.copy(corpus("bad_marker.bands"), ck / "step-1.bands")
+    capsys.readouterr()
+    code, _ = run_cli("rips", "classify", "--resume",
+                      "--checkpoint", str(ck), bands)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(ck / "step-1.bands") in err and "distance violation" in err
+
+
+def test_validation_error_later_in_resumed_run_is_internal(tmp_path,
+                                                           monkeypatch):
+    bands = corpus("e_trim.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2",
+                   "--checkpoint", str(ck), bands)[0] == 0
+
+    def broken(system):
+        raise rips.ValidationError(["invariant broken"])
+
+    monkeypatch.setattr(rips, "rips_step", broken)
+    assert run_cli("rips", "classify", "--resume",
+                   "--checkpoint", str(ck), bands)[0] == 3
+
+
+def test_validate_reducible_field_is_input_error(tmp_path):
+    path = tmp_path / "reducible.bands"
+    path.write_text("field L^2 - 1/4 in (0, 1)\ntree\nvertex u\nvertex v\n"
+                    "edge e0 u v 1\nband a\nmap e0:0 -> e0:L\n")
+    assert run_cli("validate", str(path))[0] == 2
 
 
 def test_resume_requires_checkpoint():

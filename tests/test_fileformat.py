@@ -1,4 +1,7 @@
 import importlib.resources as resources
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -146,3 +149,48 @@ def test_save_system_keeps_old_file_when_interrupted(tmp_path, monkeypatch):
         save_system(s, str(out))
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["step-1.bands"]
+
+
+LINE = "tree\nvertex u\nvertex v\nedge e0 u v 1\n"
+
+
+@pytest.mark.parametrize("field", [
+    "L^2 - 1/4 in (0, 1)",                # (L - 1/2)(L + 1/2)
+    "L^3 + 5*L^2 - 2*L - 10 in (1, 2)",   # (L + 5)(L^2 - 2), root -5 outside
+    "L^4 - 5*L^2 + 6 in (1, 3/2)",        # (L^2 - 2)(L^2 - 3), no rational root
+])
+def test_reducible_field_rejected(field):
+    # over a reducible polynomial, equal values can have different reduced
+    # forms: with L = 1/2 this band is an isometry, yet failed validation
+    text = (f"field {field}\n" + LINE +
+            "band a\nmap e0:0 -> e0:1/2\nmap e0:L -> e0:1\n")
+    with pytest.raises(BandsSyntaxError, match="reducible") as exc:
+        parse_system_text(text)
+    assert exc.value.line == 1
+
+
+def test_irreducible_fields_accepted():
+    for field in ("L - 1/2 in (0, 1)", "L^2 - 2 in (1, 2)",
+                  "L^3 - 1/2*L - 1/4 in (0, 1)", "L^4 - 2 in (1, 2)"):
+        assert parse_system_text(f"field {field}\n" + LINE).field is not None
+
+
+def test_parse_field_system_does_not_load_sympy():
+    import ripslab
+    src = os.path.dirname(os.path.dirname(ripslab.__file__))
+    probe = ("import sys; from ripslab.fileformat import parse_system; "
+             f"parse_system({corpus('bk_itm.bands')!r}); "
+             "print('sympy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_validation_message_prints_points_exactly():
+    text = ("field L^3 + L^2 + L - 1 in (0, 1)\n" + LINE +
+            "band a\nmap e0:0 -> e0:1/2\nmap e0:L -> e0:1\n")
+    with pytest.raises(ValidationError) as exc:
+        parse_system_text(text)
+    assert "distance violation between markers P(u),P(e0:L) " in str(exc.value)

@@ -1,6 +1,8 @@
 """The per-layer trace of perfbench/run.py --trace 1 must stay installable:
 it wraps library names by their attribute names, so renaming or removing
-one of them breaks tracing without breaking any library test."""
+one of them breaks tracing without breaking any library test.  It counts
+only the wrapped Scalar methods, so a scalar fast path that bypassed them
+would silently zero a counter."""
 
 import os
 import subprocess
@@ -24,6 +26,15 @@ bucket = rec.buckets[0]
 for name in ("rips.run", "rips.rips_step", "rips.overlap_set",
              "rips.valence", "rips.same_system"):
     assert bucket[name + ".calls"] > 0, name
+# a field system: internal fast paths of the scalar layer must not bypass
+# the wrapped methods and silently zero a counter
+rec.begin()
+rips.classify(parse_system(FIELD_BANDS), 3)
+rec.end()
+bucket = rec.buckets[1]
+for name in ("scalar.sign", "scalar.compare", "scalar.arith",
+             "scalar.enclosure"):
+    assert bucket[name + ".calls"] > 0, name
 print("installed")
 """
 
@@ -34,8 +45,10 @@ def test_tracing_installs_and_records_rips_layers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "perfbench"), src]))
     bands = os.path.join(src, "ripslab", "corpus", "e_trim.bands")
+    field_bands = os.path.join(src, "ripslab", "corpus", "bk_itm.bands")
     proc = subprocess.run(
-        [sys.executable, "-c", f"BANDS = {bands!r}\n" + SCRIPT],
+        [sys.executable, "-c",
+         f"BANDS = {bands!r}\nFIELD_BANDS = {field_bands!r}\n" + SCRIPT],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
