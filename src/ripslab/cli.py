@@ -152,7 +152,7 @@ def _cmd_rips(args, out):
     if args.resume:
         if not args.checkpoint:
             raise UsageError("--resume requires --checkpoint")
-        latest = _latest_checkpoint(args.checkpoint)
+        latest = rips.latest_checkpoint(args.checkpoint)
         if latest is not None:
             start, system = latest
             out.write(f"resumed: step {start}\n")
@@ -160,22 +160,17 @@ def _cmd_rips(args, out):
         trace = rips.run(system, args.max_iter, checkpoint=args.checkpoint,
                          start=start)
         for rec in trace.steps:
-            out.write(f"step {rec.index + start}: volume"
+            out.write(f"step {rec.index}: volume"
                       f" {scalar_str(rec.volume)} vol_ge3"
                       f" {scalar_str(rec.vol_ge3)} diameter"
                       f" {scalar_str(rec.max_diameter)} bands {rec.bands}\n")
         out.write(f"halted: {trace.halted}\n")
         if trace.halted:
-            out.write(f"halt-step: {trace.halt_step + start}\n")
+            out.write(f"halt-step: {trace.halt_step}\n")
         return 0
-    try:
-        result = rips.classify(system, args.max_iter,
-                               diam_ratio_threshold=args.diam_ratio,
-                               checkpoint=args.checkpoint, start=start)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such checkpoint: {exc.filename}") from exc
-    except rips.CheckpointError as exc:
-        raise InputError(str(exc)) from exc
+    result = rips.classify(system, args.max_iter,
+                           diam_ratio_threshold=args.diam_ratio,
+                           checkpoint=args.checkpoint, start=start)
     v = result.verdict
     out.write(f"verdict: {type(v).__name__}\n")
     if isinstance(v, rips.SurfaceType):
@@ -191,26 +186,10 @@ def _cmd_rips(args, out):
     return 0
 
 
-def _latest_checkpoint(directory):
-    if not os.path.isdir(directory):
-        return None
-    best = None
-    for name in os.listdir(directory):
-        m = re.fullmatch(r"step-(\d+)\.bands", name)
-        if m:
-            i = int(m.group(1))
-            if best is None or i > best:
-                best = i
-    if best is None:
-        return None
-    return best, _load_system(os.path.join(directory, f"step-{best}.bands"))
-
-
 def _cmd_strata(args, out):
     system = _load_system(args.file)
-    strat = rips.ValenceStratification(system)
     for i in (1, 2, 3):
-        s = strat.stratum_ge(i)
+        s = system.strata.stratum_ge(i)
         out.write(f"K>={i}: vol {scalar_str(s.volume())}"
                   f" set {_subforest_str(s)}\n")
     return 0
@@ -432,7 +411,7 @@ def main(argv=None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, rips.CheckpointError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

@@ -283,8 +283,7 @@ def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
     poly = _parse_poly(poly_text, no, gen=True)
     try:
-        return field_define(poly, Fraction(lo_text), Fraction(hi_text),
-                            check_irreducible=True)
+        return field_define(poly, Fraction(lo_text), Fraction(hi_text))
     except (ValueError, ZeroDivisionError, ScalarError) as exc:
         raise BandsSyntaxError(no, f"bad field: {exc}") from None
 

@@ -11,7 +11,7 @@ set equality -- the Rips halting test -- is representation equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .scalar import Scalar, ScalarLike, rational
 
@@ -562,10 +562,6 @@ class Subforest:
         return min(keys, default=(2,))
 
     @property
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    @property
     def is_point(self) -> bool:
         return not self.intervals and len(self.points) == 1
 
@@ -691,25 +687,3 @@ def _merge(ivs: list[tuple[Scalar, Scalar]]) -> list[tuple[Scalar, Scalar]]:
         else:
             out.append((lo, hi))
     return out
-
-
-# module-level conveniences matching the operation vocabulary ------------
-
-def distance(f: MetricForest, p: Point, q: Point) -> Scalar:
-    return f.distance(p, q)
-
-
-def segment(f: MetricForest, p: Point, q: Point) -> Subforest:
-    return f.segment(p, q)
-
-
-def directions_at(f: MetricForest, p: Point) -> list[Direction]:
-    return f.directions_at(p)
-
-
-def intersect(a: Subforest, b: Subforest) -> Subforest:
-    return a.intersect(b)
-
-
-def volume(s: Subforest) -> Scalar:
-    return s.volume()

@@ -5,15 +5,17 @@ point -> range point) rather than by a formula: the markers include every
 extremal point of the domain, which pins the map on the whole subtree and
 survives refinement and restriction.  A band system couples a host forest
 with finitely many positively-labeled bands; inverses are derived, so the
-label set and its inverses never collide.
+label set and its inverses never collide.  Its valence stratification is
+computed once, on first use, and kept on the system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
-from .forest import MetricForest, Point, Subforest
+from .forest import MetricForest, Point, Subforest, sorted_unique
 from .scalar import NumberField, Scalar
 
 
@@ -187,6 +189,11 @@ class BandSystem:
                 bad.append(f"band {b.label}: range leaves the support")
         return bad
 
+    @cached_property
+    def strata(self) -> ValenceStratification:
+        """The valence stratification, computed on first use."""
+        return ValenceStratification(self)
+
     def max_domain_diameter(self) -> Scalar:
         from .scalar import rational
 
@@ -205,6 +212,94 @@ class BandSystem:
             "components": len(self.support.components()),
             "max_diameter": self.max_domain_diameter(),
         }
+
+
+class ValenceStratification:
+    """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)}.
+
+    Computed after cutting the support at every domain endpoint, so v is
+    constant on the open interior of each recorded segment.  A valence at
+    a cut point is never below that of the pieces beside it; a cut point
+    is listed in `point_valences` only where its valence exceeds both of
+    them, since elsewhere every stratum containing it also contains a
+    segment ending there.  Isolated points of the support are listed too.
+    """
+
+    def __init__(self, system: BandSystem):
+        self.forest = host = system.forest
+        self._domains = domains = [e.domain for e in system.elements()]
+        spans: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        counts: dict[Point, int] = {}  # domains holding a vertex or lone point
+        for d in domains:
+            for eid, ivs in d.intervals.items():
+                spans.setdefault(eid, []).extend(ivs)
+            held = [Point(vertex=v) for v in d._interval_vertices()]
+            held.extend(d.points)
+            for p in held:
+                counts[p] = counts.get(p, 0) + 1
+                if not p.is_vertex:
+                    spans.setdefault(p.edge, []).append((p.offset, p.offset))
+
+        segments: list[tuple[str, Scalar, Scalar, int]] = []
+        point_valences: dict[Point, int] = {}
+        for eid, ivs in system.support.intervals.items():
+            cuts, index, seg_cov, pt_cov = _edge_sweep(
+                spans.get(eid, []), [x for iv in ivs for x in iv])
+            for lo, hi in ivs:
+                i, j = index[lo], index[hi]
+                for k in range(i, j):
+                    segments.append((eid, cuts[k], cuts[k + 1], seg_cov[k]))
+                for k in range(i, j + 1):
+                    p = host.point(eid, cuts[k])
+                    v = counts.get(p, 0) if p.is_vertex else pt_cov[k]
+                    if v > max(seg_cov[k - 1] if k > i else 0,
+                               seg_cov[k] if k < j else 0):
+                        point_valences[p] = v
+        for p in system.support.points:
+            point_valences[p] = counts.get(p, 0)
+
+        self.segments = tuple(segments)
+        self.point_valences = point_valences
+
+    def value(self, p: Point) -> int:
+        return sum(1 for d in self._domains if d.contains(p))
+
+    def stratum_ge(self, i: int) -> Subforest:
+        """K^{>=i} as an exact subforest of the host."""
+        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        for eid, lo, hi, v in self.segments:
+            if v >= i:
+                intervals.setdefault(eid, []).append((lo, hi))
+        pts = frozenset(p for p, v in self.point_valences.items() if v >= i)
+        return Subforest(self.forest, intervals, pts)
+
+    def vol_ge(self, i: int) -> Scalar:
+        return self.stratum_ge(i).volume()
+
+
+def _edge_sweep(spans: list[tuple[Scalar, Scalar]], extra: list[Scalar]):
+    """One sorted sweep along an edge.
+
+    `spans` are closed intervals on the edge, a single point x being the
+    span (x, x).  Returns the sorted distinct cuts (every span end and
+    extra value), the index of each cut, and per cut k the number of spans
+    covering the open piece (cuts[k], cuts[k+1]) and the number of spans
+    containing cuts[k] itself.
+    """
+    cuts = sorted_unique(extra + [x for iv in spans for x in iv])
+    index = {c: k for k, c in enumerate(cuts)}
+    n = len(cuts)
+    seg_diff = [0] * (n + 1)
+    pt_diff = [0] * (n + 1)
+    for lo, hi in spans:
+        i, j = index[lo], index[hi]
+        seg_diff[i] += 1
+        seg_diff[j] -= 1
+        pt_diff[i] += 1
+        pt_diff[j + 1] -= 1
+    seg_cov = list(itertools.accumulate(seg_diff[:n]))
+    pt_cov = list(itertools.accumulate(pt_diff[:n]))
+    return cuts, index, seg_cov, pt_cov
 
 
 def arc_band(host: MetricForest, name: str, p0: Point, p1: Point,

@@ -179,11 +179,3 @@ def leaves_at(system: BandSystem, x: Point, depth: int) -> list[LeafWord]:
         raise ValueError("depth must be >= 1")
     return [leaf for leaf in dotted_words(system, depth)
             if leaf.domain.contains(x)]
-
-
-def letter_lineage(letter: str) -> str:
-    """Map a label of a restricted band to its parent's label."""
-    inverted = letter.endswith("'")
-    name = letter[:-1] if inverted else letter
-    parent = name.rsplit(".", 1)[0]
-    return parent + ("'" if inverted else "")

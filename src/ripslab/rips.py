@@ -2,122 +2,36 @@
 
 One induction step replaces the support K by the set K' of points lying in
 at least two band domains, and replaces each band by its maximal
-restrictions between ordered pairs of components of K'.  Halting (K
-stabilizes, band set unchanged up to relabeling) is decided by exact set
-equality; a non-halting run with persistent triple overlap and shrinking
-band domains is reported as Levitt evidence, never as proof.
+restrictions between ordered pairs of components of K'.  K' is read off
+the system's valence stratification (`BandSystem.strata`, computed once
+per system), which also gives the vol(K^{>=3}) of each step record.
+Halting (K stabilizes, band set unchanged up to relabeling) is decided by
+exact set equality; a non-halting run with persistent triple overlap and
+shrinking band domains is reported as Levitt evidence, never as proof.
+
+A run numbers its steps from the one it starts at, and can write each
+system to <checkpoint>/step-<i>.bands; this module alone knows that
+layout, reads it back and finds the latest step of a resumed run.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import os
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .fileformat import BandsSyntaxError, parse_system, save_system
-from .forest import ZERO, ForestError, Point, Subforest, sorted_unique
-from .isometry import BandSystem, PartialIsometry, ValidationError
+from .forest import ZERO, ForestError, Subforest
+from .isometry import (BandSystem, PartialIsometry, ValenceStratification,
+                       ValidationError)
 from .scalar import FieldMismatch, Scalar, rational
 
 
-# ---------------------------------------------------------------------------
-# valence stratification
-
-
-class ValenceStratification:
-    """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)}.
-
-    Computed after cutting the support at every domain endpoint, so v is
-    constant on the open interior of each recorded segment.  A valence at
-    a cut point is never below that of the pieces beside it; a cut point
-    is listed in `point_valences` only where its valence exceeds both of
-    them, since elsewhere every stratum containing it also contains a
-    segment ending there.  Isolated points of the support are listed too.
-    """
-
-    def __init__(self, system: BandSystem):
-        self.system = system
-        host = system.forest
-        self._domains = domains = [e.domain for e in system.elements()]
-        spans: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        counts: dict[Point, int] = {}  # domains holding a vertex or lone point
-        for d in domains:
-            for eid, ivs in d.intervals.items():
-                spans.setdefault(eid, []).extend(ivs)
-            held = [Point(vertex=v) for v in d._interval_vertices()]
-            held.extend(d.points)
-            for p in held:
-                counts[p] = counts.get(p, 0) + 1
-                if not p.is_vertex:
-                    spans.setdefault(p.edge, []).append((p.offset, p.offset))
-
-        segments: list[tuple[str, Scalar, Scalar, int]] = []
-        point_valences: dict[Point, int] = {}
-        for eid, ivs in system.support.intervals.items():
-            cuts, index, seg_cov, pt_cov = _edge_sweep(
-                spans.get(eid, []), [x for iv in ivs for x in iv])
-            for lo, hi in ivs:
-                i, j = index[lo], index[hi]
-                for k in range(i, j):
-                    segments.append((eid, cuts[k], cuts[k + 1], seg_cov[k]))
-                for k in range(i, j + 1):
-                    p = host.point(eid, cuts[k])
-                    v = counts.get(p, 0) if p.is_vertex else pt_cov[k]
-                    if v > max(seg_cov[k - 1] if k > i else 0,
-                               seg_cov[k] if k < j else 0):
-                        point_valences[p] = v
-        for p in system.support.points:
-            point_valences[p] = counts.get(p, 0)
-
-        self.segments = tuple(segments)
-        self.point_valences = point_valences
-
-    def value(self, p: Point) -> int:
-        return sum(1 for d in self._domains if d.contains(p))
-
-    def stratum_ge(self, i: int) -> Subforest:
-        """K^{>=i} as an exact subforest of the host."""
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for eid, lo, hi, v in self.segments:
-            if v >= i:
-                intervals.setdefault(eid, []).append((lo, hi))
-        pts = frozenset(p for p, v in self.point_valences.items() if v >= i)
-        return Subforest(self.system.forest, intervals, pts)
-
-    def vol_ge(self, i: int) -> Scalar:
-        return self.stratum_ge(i).volume()
-
-
-def _edge_sweep(spans: list[tuple[Scalar, Scalar]], extra: list[Scalar]):
-    """One sorted sweep along an edge.
-
-    `spans` are closed intervals on the edge, a single point x being the
-    span (x, x).  Returns the sorted distinct cuts (every span end and
-    extra value), the index of each cut, and per cut k the number of spans
-    covering the open piece (cuts[k], cuts[k+1]) and the number of spans
-    containing cuts[k] itself.
-    """
-    cuts = sorted_unique(extra + [x for iv in spans for x in iv])
-    index = {c: k for k, c in enumerate(cuts)}
-    n = len(cuts)
-    seg_diff = [0] * (n + 1)
-    pt_diff = [0] * (n + 1)
-    for lo, hi in spans:
-        i, j = index[lo], index[hi]
-        seg_diff[i] += 1
-        seg_diff[j] -= 1
-        pt_diff[i] += 1
-        pt_diff[j + 1] -= 1
-    seg_cov = list(itertools.accumulate(seg_diff[:n]))
-    pt_cov = list(itertools.accumulate(pt_diff[:n]))
-    return cuts, index, seg_cov, pt_cov
-
-
 def valence(system: BandSystem) -> ValenceStratification:
-    return ValenceStratification(system)
+    return system.strata
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +47,7 @@ def overlap_set(system: BandSystem) -> Subforest:
     the domain of that same band's inverse is discarded.  Point overlaps
     between genuinely distinct bands are kept.
     """
-    K = ValenceStratification(system).stratum_ge(2)
+    K = system.strata.stratum_ge(2)
     els = system.elements()
     points = frozenset(
         p for p in K.points
@@ -222,9 +136,11 @@ def rips_step(system: BandSystem) -> BandSystem:
                       field=system.field)
 
 
-def lineage(name: str) -> str:
-    """Parent label of a band produced by rips_step."""
-    return name.rsplit(".", 1)[0]
+def lineage(label: str) -> str:
+    """Parent label of a band produced by rips_step, keeping the trailing
+    prime of an inverse."""
+    name = label.rstrip("'")
+    return name.rsplit(".", 1)[0] + label[len(name):]
 
 
 def same_system(s: BandSystem, t: BandSystem) -> bool:
@@ -262,7 +178,7 @@ class StepRecord:
 
 def _record(i: int, s: BandSystem) -> StepRecord:
     return StepRecord(i, s, s.support.volume(),
-                      ValenceStratification(s).vol_ge(3),
+                      s.strata.vol_ge(3),
                       s.max_domain_diameter(), len(s.bands), False)
 
 
@@ -288,30 +204,33 @@ def run(system: BandSystem, max_iter: int,
         checkpoint: Optional[str] = None, start: int = 0) -> RipsTrace:
     """Iterate rips_step until exact halt or the budget is exhausted.
 
-    With `checkpoint` set, every computed system is written to
-    <checkpoint>/step-<i>.bands in the standard text format; `start`
-    offsets the file numbering when resuming a previous run.
+    The records are numbered from `start`, the step a resumed run picks up
+    at.  With `checkpoint` set, every computed system is written to
+    <checkpoint>/step-<i>.bands in the standard text format.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    records: list[StepRecord] = []
 
-    def save(i: int, s: BandSystem):
+    def record(i: int, s: BandSystem):
+        records.append(_record(i, s))
         if checkpoint is not None:
             os.makedirs(checkpoint, exist_ok=True)
-            save_system(s, _step_path(checkpoint, i + start))
+            save_system(s, _step_path(checkpoint, i))
 
-    records = [_record(0, system)]
-    save(0, system)
+    record(start, system)
     cur = system
-    for i in range(max_iter):
+    for i in range(start + 1, start + max_iter + 1):
         nxt = rips_step(cur)
         if same_system(cur, nxt):
             records[-1] = replace(records[-1], halted=True)
             break
-        records.append(_record(i + 1, nxt))
-        save(i + 1, nxt)
+        record(i, nxt)
         cur = nxt
     return RipsTrace(tuple(records), max_iter)
+
+
+_STEP_FILE = re.compile(r"step-(\d+)\.bands")
 
 
 def _step_path(checkpoint: str, i: int) -> str:
@@ -319,15 +238,30 @@ def _step_path(checkpoint: str, i: int) -> str:
 
 
 class CheckpointError(Exception):
-    """A checkpoint file read back by a resumed run is not a valid system."""
+    """A checkpoint file read back by a resumed run is missing or is not a
+    valid system."""
 
 
 def _read_step(checkpoint: str, i: int) -> BandSystem:
     path = _step_path(checkpoint, i)
     try:
         return parse_system(path)
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc.strerror}") from exc
     except (BandsSyntaxError, ValidationError, FieldMismatch, ForestError) as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+
+
+def latest_checkpoint(checkpoint: str) -> Optional[tuple[int, BandSystem]]:
+    """The highest step number in the checkpoint directory and its system,
+    or None when there is none."""
+    if not os.path.isdir(checkpoint):
+        return None
+    steps = [int(m.group(1)) for m in map(_STEP_FILE.fullmatch,
+                                          os.listdir(checkpoint)) if m]
+    if not steps:
+        return None
+    return max(steps), _read_step(checkpoint, max(steps))
 
 
 @dataclass(frozen=True)
@@ -372,18 +306,16 @@ def classify(system: BandSystem, max_iter: int,
 
     A run resumed at step `start` is judged as the whole trajectory: the
     records of steps 0..start-1 are read back from the checkpoint files
-    (a missing one raises FileNotFoundError and an invalid one
-    CheckpointError, before anything runs), and the trace is indexed from
-    step 0, with `start + max_iter` steps.
+    (a missing or invalid one raises CheckpointError before anything
+    runs), and the trace is indexed from step 0, with `start + max_iter`
+    steps.
     """
     ratio = Fraction(diam_ratio_threshold)
     if not (0 < ratio < 1):
         raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
     earlier = tuple(_record(i, _read_step(checkpoint, i)) for i in range(start))
     resumed = run(system, max_iter, checkpoint=checkpoint, start=start)
-    trace = RipsTrace(earlier + tuple(replace(r, index=r.index + start)
-                                      for r in resumed.steps),
-                      start + max_iter)
+    trace = RipsTrace(earlier + resumed.steps, start + max_iter)
 
     def done(verdict):
         return Classification(verdict, trace.max_iter, ratio, trace)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -42,7 +41,7 @@ class DivisionByZero(ScalarError):
 
 
 class NotIrreducible(ScalarError):
-    """Raised by the optional irreducibility check of NumberField."""
+    """Raised by the irreducibility check of NumberField, on by default."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ class NumberField:
     determinations demand; refinement only ever shrinks it, so instances
     behave as immutable values."""
 
-    def __init__(self, minpoly: Iterable, lo, hi, check_irreducible: bool = False):
+    def __init__(self, minpoly: Iterable, lo, hi, check_irreducible: bool = True):
         poly = _poly(minpoly)
         if len(poly) < 2:
             raise ScalarError("defining polynomial must be nonconstant")
@@ -308,7 +307,7 @@ class NumberField:
         return f"NumberField({list(self.minpoly)}, {self._lo0}, {self._hi0})"
 
 
-def field_define(minpoly: Iterable, lo, hi, check_irreducible: bool = False) -> NumberField:
+def field_define(minpoly: Iterable, lo, hi, check_irreducible: bool = True) -> NumberField:
     """Construct the real number field Q(lambda) with the given data."""
     return NumberField(minpoly, lo, hi, check_irreducible=check_irreducible)
 
@@ -628,12 +627,3 @@ def rational(numerator, denominator=1) -> Scalar:
 
 ZERO = rational(0)
 ONE = rational(1)
-
-
-def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Named dispatch over the four field operations."""
-    ops = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "div": operator.truediv}
-    if op not in ops:
-        raise ScalarError(f"unknown operation {op!r}")
-    return ops[op](a, b)

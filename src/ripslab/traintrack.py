@@ -292,7 +292,8 @@ def _pf_field(mat) -> NumberField:
     coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
-    return field_define(coeffs, lo, hi)
+    # a factor from factor_list is irreducible already
+    return field_define(coeffs, lo, hi, check_irreducible=False)
 
 
 def _pf_eigenvector(mat, field: NumberField) -> tuple[Scalar, ...]:

@@ -111,7 +111,7 @@ def test_touching_intervals_merge():
     b = f.segment(f.point("e0", 1), f.point("e0", 2))
     u = a.union(b)
     assert u.intervals["e0"] == ((Q(0), Q(2)),)
-    assert u.is_connected
+    assert len(u.components()) == 1
 
 
 def test_refine_single_mark():

@@ -11,11 +11,10 @@ from ripslab.lamination import (
     dotted_words,
     inverse_label,
     leaves_at,
-    letter_lineage,
     limit_set,
     word_domain,
 )
-from ripslab.rips import rips_step
+from ripslab.rips import lineage, rips_step
 
 from oracles import brute_leaves_at, brute_word_domain
 
@@ -149,14 +148,14 @@ def test_leaf_word_str(e_surf):
 
 
 def test_letter_lineage():
-    assert letter_lineage("a.0_1") == "a"
-    assert letter_lineage("a.0_1'") == "a'"
-    assert letter_lineage("a") == "a"
+    assert lineage("a.0_1") == "a"
+    assert lineage("a.0_1'") == "a'"
+    assert lineage("a") == "a"
 
 
 def test_rips_equivariance(e_trim):
     s1 = rips_step(e_trim)
     for w1, d1 in admissible_words(s1, 2):
-        w0 = tuple(letter_lineage(x) for x in w1)
+        w0 = tuple(lineage(x) for x in w1)
         d0 = word_domain(e_trim, w0)
         assert d1.issubset(d0)

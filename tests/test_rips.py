@@ -10,8 +10,10 @@ from ripslab.isometry import BandSystem, arc_band
 from ripslab.rips import (
     Inconclusive,
     SurfaceType,
+    ValenceStratification,
     classify,
     is_reduced,
+    latest_checkpoint,
     lineage,
     overlap_set,
     rips_step,
@@ -271,6 +273,33 @@ def test_run_empty_system():
     trace = run(BandSystem(host, ()), 5)
     assert trace.halted
     assert trace.final.support.is_empty
+
+
+def test_run_stratifies_each_system_once(monkeypatch):
+    """Step i's record and the overlap set of step i + 1 read the same
+    stratification, so a run makes one per record."""
+    made = []
+    init = ValenceStratification.__init__
+
+    def counting(self, system):
+        made.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(ValenceStratification, "__init__", counting)
+    path = str(resources.files("ripslab") / "corpus" / "bk_itm.bands")
+    trace = run(parse_system(path), 30)
+    assert len(trace.steps) == 31 and not trace.halted
+    assert len(made) == 31
+
+
+def test_run_numbers_steps_from_start(e_trim, tmp_path):
+    trace = run(e_trim, 2, checkpoint=str(tmp_path), start=3)
+    assert [r.index for r in trace.steps] == [3, 4, 5]
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["step-3.bands", "step-4.bands", "step-5.bands"]
+    i, system = latest_checkpoint(str(tmp_path))
+    assert i == 5 and system.support == trace.final.support
+    assert latest_checkpoint(str(tmp_path / "none")) is None
 
 
 def test_lineage_through_steps(e_trim):

@@ -92,6 +92,13 @@ def test_irreducibility_check():
     field_define(TRIB, 1, 2, check_irreducible=True)
 
 
+def test_irreducibility_checked_by_default():
+    # x^2 - 1/4 = (x - 1/2)(x + 1/2): without the check, 2*L == 1 would be
+    # False while (2*L - 1).sign() == 0
+    with pytest.raises(scalar.NotIrreducible):
+        field_define([Fraction(-1, 4), 0, 1], 0, 1)
+
+
 def _random_element(rng, field):
     return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                           for _ in range(field.degree)])
@@ -141,9 +148,3 @@ def test_reduction_idempotent(coeffs):
 def test_rational_mode_matches_fraction(x, y):
     assert (rational(x) + rational(y)).as_fraction() == x + y
     assert (rational(x) * rational(y)).as_fraction() == x * y
-
-
-def test_arith_dispatch(trib):
-    lam = trib.gen
-    assert scalar.arith(lam, lam, "mul") == lam * lam
-    assert scalar.arith(rational(1), rational(2), "sub") == rational(-1)
