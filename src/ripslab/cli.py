@@ -358,13 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     wh.add_argument("--point")
     wh.add_argument("--direction")
 
-    pat = sub.add_parser("pattern")
-    pat.add_argument("file")
-    pat.add_argument("--depth", type=_positive_int, default=3)
-
-    k = sub.add_parser("k33")
-    k.add_argument("file")
-    k.add_argument("--depth", type=_positive_int, default=3)
+    for name in ("pattern", "k33"):
+        pat = sub.add_parser(name)
+        pat.add_argument("file")
+        pat.add_argument("--depth", type=_positive_int, default=3)
 
     t = sub.add_parser("tt")
     t.add_argument("action",

@@ -153,6 +153,14 @@ class MetricForest:
             return Point(vertex=e.v)
         return Point(edge=edge_id, offset=off)
 
+    def addresses(self, p: Point) -> list[tuple[str, Scalar]]:
+        """(edge, offset) of p on each edge holding it; a vertex no edge
+        meets is its own cell, at offset 0."""
+        if not p.is_vertex:
+            return [(p.edge, p.offset)]
+        return [(e.id, ZERO if e.u == p.vertex else e.length)
+                for e in self._adj[p.vertex]] or [(p.vertex, ZERO)]
+
     def component_of(self, p: Point) -> int:
         if p.is_vertex:
             return self._component[p.vertex]
@@ -368,19 +376,11 @@ class Relabeling:
         for eid, ivs in s.intervals.items():
             for lo, hi in ivs:
                 for slo, shi, nid in self._edge_map[eid]:
-                    a, b = _max(lo, slo), _min(hi, shi)
+                    a, b = max(lo, slo), min(hi, shi)
                     if (b - a).sign() > 0:
                         intervals.setdefault(nid, []).append((a - slo, b - slo))
         pts = frozenset(self.point(p) for p in s.points)
         return Subforest(self.new, intervals, pts)
-
-
-def _min(a: Scalar, b: Scalar) -> Scalar:
-    return a if a <= b else b
-
-
-def _max(a: Scalar, b: Scalar) -> Scalar:
-    return a if a >= b else b
 
 
 class Subforest:
@@ -418,18 +418,8 @@ class Subforest:
 
     def _covered(self, p: Point) -> bool:
         """True if p lies in some stored interval."""
-        if p.is_vertex:
-            for e in self.host._adj[p.vertex]:
-                ivs = self.intervals.get(e.id)
-                if not ivs:
-                    continue
-                if e.u == p.vertex and ivs[0][0].sign() == 0:
-                    return True
-                if e.v == p.vertex and ivs[-1][1] == e.length:
-                    return True
-            return False
-        ivs = self.intervals.get(p.edge, ())
-        return any(lo <= p.offset <= hi for lo, hi in ivs)
+        return any(lo <= x <= hi for eid, x in self.host.addresses(p)
+                   for lo, hi in self.intervals.get(eid, ()))
 
     def contains(self, p: Point) -> bool:
         return self._covered(p) or p in self.points
@@ -499,12 +489,13 @@ class Subforest:
         extra.update(Point(vertex=v) for v in shared)
         return Subforest(self.host, intervals, frozenset(extra))
 
-    def union(self, other: "Subforest") -> "Subforest":
+    def union(self, *others: "Subforest") -> "Subforest":
         intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for src in (self, other):
+        for src in (self, *others):
             for eid, ivs in src.intervals.items():
                 intervals.setdefault(eid, []).extend(ivs)
-        return Subforest(self.host, intervals, self.points | other.points)
+        return Subforest(self.host, intervals,
+                         self.points.union(*(o.points for o in others)))
 
     # -- structure --------------------------------------------------------
 

@@ -227,7 +227,7 @@ class ValenceStratification:
 
     def __init__(self, system: BandSystem):
         self.forest = host = system.forest
-        self._domains = domains = [e.domain for e in system.elements()]
+        domains = [e.domain for e in system.elements()]
         spans: dict[str, list[tuple[Scalar, Scalar]]] = {}
         counts: dict[Point, int] = {}  # domains holding a vertex or lone point
         for d in domains:
@@ -260,9 +260,6 @@ class ValenceStratification:
 
         self.segments = tuple(segments)
         self.point_valences = point_valences
-
-    def value(self, p: Point) -> int:
-        return sum(1 for d in self._domains if d.contains(p))
 
     def stratum_ge(self, i: int) -> Subforest:
         """K^{>=i} as an exact subforest of the host."""

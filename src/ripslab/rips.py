@@ -25,13 +25,9 @@ from typing import Optional
 
 from .fileformat import BandsSyntaxError, parse_system, save_system
 from .forest import ZERO, ForestError, Subforest
-from .isometry import (BandSystem, PartialIsometry, ValenceStratification,
-                       ValidationError)
+from .isometry import ValenceStratification  # noqa: F401  (re-exported)
+from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import FieldMismatch, Scalar, rational
-
-
-def valence(system: BandSystem) -> ValenceStratification:
-    return system.strata
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,8 @@ def _graph(x: Point, d: Direction, depth: int,
            edges: tuple[LeafWord, ...]) -> DirectionalWhiteheadGraph:
     """The graph on these edges, its 2 ends per edge grouped by the
     suffix-shift relation."""
-    ends: list[End] = []
-    for leaf in edges:
-        for side in (leaf.left, leaf.right):
-            if side not in ends:
-                ends.append(side)
+    ends = list(dict.fromkeys(side for leaf in edges
+                              for side in (leaf.left, leaf.right)))
     parent = list(range(len(ends)))
 
     def find(i):
@@ -149,12 +146,7 @@ def candidate_points(system: BandSystem) -> list[Point]:
            for v in sorted(system.forest.vertices)]
     for band in system.elements():
         pts.extend(band.domain.extremal_points())
-    seen, out = set(), []
-    for p in pts:
-        if p not in seen and system.support.contains(p):
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(p for p in pts if system.support.contains(p)))
 
 
 def _scan(system: BandSystem, depth: int
@@ -163,8 +155,6 @@ def _scan(system: BandSystem, depth: int
     the support at x, from one walk of the dotted words (a domain that
     extends into d contains x); most edges first, ties broken by the
     exact point order of point_key and then by the direction."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     leaves = dotted_words(system, depth)
     rows = [(x, d, tuple(leaf for leaf in leaves if leaf.domain.extends_in(d)))
             for x in candidate_points(system)

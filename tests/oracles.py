@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's enumeration and composition code
 paths.  Word domains are computed by backward recursion over per-band
-preimages (the fast path composes marker isometries forward); word lists
-come from exhaustive generation with no pruning; rose-map dynamics use
-naive substitution on letter strings.  Subforest intersection, the
-valence strata and the Rips overlap set keep their pairwise or
-subset-wise, point-probing forms here; the other forest/subforest set
+preimages (the fast path composes affine charts forward); word lists
+come from exhaustive generation with no pruning.  The marker-isometry
+word walk that the charts replaced is kept as `reference_walk`.
+Rose-map dynamics use naive substitution on letter strings.  Subforest
+intersection, the valence strata and the Rips overlap set keep their
+pairwise or subset-wise, point-probing forms here; the other forest/subforest set
 primitives are shared, as infrastructure.  The T±-pattern search keeps
 its per-row form: one directional Whitehead graph, and so one word walk,
 per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
@@ -21,6 +22,7 @@ import itertools
 from fractions import Fraction
 
 from ripslab.forest import Subforest
+from ripslab.isometry import PartialIsometry
 from ripslab.lamination import inverse_label
 from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
                             _poly, _pxgcd, _peval, count_roots)
@@ -193,6 +195,63 @@ def brute_word_domain(system, word):
     for letter in reversed(word):
         need = preimage(system.band(letter), need)
     return need.intersect(system.support)
+
+
+def brute_valence(system, p):
+    """The number of elements of A+- whose domain contains p."""
+    return sum(1 for a in system.elements() if a.domain.contains(p))
+
+
+def reference_compose(phi, a):
+    """The composition a after phi, or None when the domain dies: the
+    extremal points of phi^-1(range(phi) n dom(a)) mapped through both."""
+    if phi is None:
+        return a
+    j = phi.range.intersect(a.domain)
+    if j.is_empty:
+        return None
+    dom = phi.inverse().image_of(j)
+    corr = tuple((m, a.apply(phi.apply(m))) for m in dom.extremal_points())
+    rng = phi.host.hull([q for _, q in corr])
+    return PartialIsometry(phi.name, dom, rng, corr)
+
+
+def reference_walk(system, depth):
+    """(word, domain) of every admissible word of length <= depth, depth
+    first with the letters in `elements()` order, by marker composition."""
+    out = []
+
+    def rec(word, phi):
+        for a in system.elements():
+            if word and a.label == inverse_label(word[-1]):
+                continue
+            nxt = reference_compose(phi, a)
+            if nxt is not None:
+                out.append((word + (a.label,), nxt.domain))
+                if len(word) + 1 < depth:
+                    rec(word + (a.label,), nxt)
+
+    rec((), None)
+    return out
+
+
+def reference_dotted_words(system, depth):
+    """(left, right, domain) of the dotted words of the marker walk, every
+    pair of sides intersected."""
+    sides = [(w, d) for w, d in reference_walk(system, depth) if len(w) == depth]
+    return brute_dotted(system, depth, sides=sides)
+
+
+def pruned_brute_sides(system, depth):
+    """brute_sides, skipping extensions of words with empty domain (a
+    word's domain lies inside the domain of each of its prefixes)."""
+    level = [()]
+    for _ in range(depth):
+        level = [w + (a.label,) for w in level for a in system.elements()
+                 if not (w and a.label == inverse_label(w[-1]))]
+        level = [w for w in level
+                 if not brute_word_domain(system, w).is_empty]
+    return [(w, brute_word_domain(system, w)) for w in level]
 
 
 def all_reduced_words(system, depth):

@@ -1,9 +1,13 @@
 import importlib.resources as resources
+import os
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ripslab.fileformat import parse_system
+from ripslab.forest import Edge, MetricForest, Subforest
+from ripslab.isometry import BandSystem, PartialIsometry, arc_band
 from ripslab.lamination import (
     LeafWord,
     NotReduced,
@@ -15,7 +19,9 @@ from ripslab.lamination import (
     word_domain,
 )
 from ripslab.rips import lineage, rips_step
+from ripslab.scalar import rational as Q
 
+import oracles
 from oracles import brute_leaves_at, brute_word_domain
 
 
@@ -159,3 +165,170 @@ def test_rips_equivariance(e_trim):
         w0 = tuple(lineage(x) for x in w1)
         d0 = word_domain(e_trim, w0)
         assert d1.issubset(d0)
+
+
+# -- the chart walk against the marker walk and the brute domains ----------
+
+def check_walk(system, depth, brute=True):
+    """admissible_words, word_domain and dotted_words equal the marker
+    walk of the oracles and the backward preimage domains; with `brute`,
+    the dotted words also equal those paired from the pruned brute sides."""
+    words = admissible_words(system, depth)
+    assert words == oracles.reference_walk(system, depth)
+    for w, dom in words:
+        assert word_domain(system, w) == dom == brute_word_domain(system, w), w
+    got = [(leaf.left, leaf.right, leaf.domain)
+           for leaf in dotted_words(system, depth)]
+    assert got == oracles.reference_dotted_words(system, depth)
+    if brute:
+        sides = oracles.pruned_brute_sides(system, depth)
+        assert got == oracles.brute_dotted(system, depth, sides=sides)
+
+
+def step6():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return parse_system(os.path.join(root, "perfbench", "data",
+                                     "bk_itm_step6.bands"))
+
+
+@pytest.mark.parametrize("name", ["e_surf.bands", "e_trim.bands", "bk_itm.bands"])
+def test_walk_matches_oracles_on_corpus(name):
+    s = corpus(name)
+    for depth in range(1, 6):
+        check_walk(s, depth)
+
+
+def test_walk_matches_oracles_on_step6():
+    s = step6()
+    assert word_domain(s, ()) == s.support
+    for depth in range(1, 6):
+        check_walk(s, depth, brute=depth <= 3)
+
+
+def tripod():
+    """Legs c-a, b-c, c-d of length 2 (e2 runs toward the centre c) and an
+    isolated vertex z.  f reflects the arc e1:1 - c - e2:1 onto itself; h
+    sends e1 [1/2, 3/2] across c onto e2:3/2 - c - e3:1/2; g translates
+    e3 along itself from c, so dom(g) meets range(f) only at c; q sends
+    the lone point e3:3/2 to the vertex a, and p sends a to z."""
+    host = MetricForest(["c", "a", "b", "d", "z"],
+                        [Edge("e1", "c", "a", Q(2)), Edge("e2", "b", "c", Q(2)),
+                         Edge("e3", "c", "d", Q(2))])
+
+    def pt(eid, x):
+        return host.point(eid, Q(x))
+
+    a, z = host.vertex_point("a"), host.vertex_point("z")
+    bands = (arc_band(host, "f", pt("e1", 1), pt("e2", 1), pt("e2", 1), pt("e1", 1)),
+             arc_band(host, "h", pt("e1", F(1, 2)), pt("e1", F(3, 2)),
+                      pt("e2", F(3, 2)), pt("e3", F(1, 2))),
+             arc_band(host, "g", pt("e3", 0), pt("e3", 1), pt("e3", 1), pt("e3", 2)),
+             arc_band(host, "q", pt("e3", F(3, 2)), pt("e3", F(3, 2)), a, a),
+             arc_band(host, "p", a, a, z, z))
+    system = BandSystem(host, bands)
+    assert system.validate() == []
+    return system
+
+
+def test_tripod_word_domains():
+    s = tripod()
+    host = s.forest
+
+    def seg(eid, lo, hi):
+        return host.segment(host.point(eid, Q(lo)), host.point(eid, Q(hi)))
+
+    def point(p):
+        return Subforest(host, {}, frozenset([p]))
+
+    # range(f) meets dom(g) only at the shared vertex c, which f fixes
+    assert word_domain(s, "f g") == point(host.vertex_point("c"))
+    # the reflection: f sends e2:y to e1:2-y and e1:x to e2:2-x
+    assert word_domain(s, "f h") == seg("e2", 1, F(3, 2))
+    assert word_domain(s, "f h'") == seg("e1", 0, F(1, 2))
+    # the image of h crosses c: e1 [1, 3/2] lands on e3 [0, 1/2]
+    assert word_domain(s, "h g") == seg("e1", 1, F(3, 2))
+    assert word_domain(s, "g q p") == point(host.point("e3", F(1, 2)))
+    assert word_domain(s, "q p") == point(host.point("e3", F(3, 2)))
+    assert word_domain(s, "p' q'") == point(host.vertex_point("z"))
+    assert word_domain(s, []) == s.support
+
+
+def test_tripod_walk_matches_oracles():
+    s = tripod()
+    for depth in range(1, 4):
+        check_walk(s, depth)
+
+
+def test_dotted_words_meeting_at_a_vertex():
+    """The sides f' and g of a dotted word meet only at the vertex c."""
+    s = tripod()
+    leaves = {leaf.key(): leaf.domain for leaf in dotted_words(s, 1)}
+    assert leaves[(("f'",), ("g",))] == Subforest(
+        s.forest, {}, frozenset([s.forest.vertex_point("c")]))
+
+
+@st.composite
+def interval_systems(draw):
+    """A valid system of translation and flip bands over Q on one edge, or
+    on a path of two edges of drawn orientations; a band of length 0 is a
+    lone point.  Coordinates lie on a grid of quarters, so bands often end
+    at a vertex or touch each other."""
+    lengths = [draw(st.integers(1, 8)) for _ in range(draw(st.integers(1, 2)))]
+    forward = [draw(st.booleans()) for _ in lengths]
+    names = ["v0", "v1", "v2"][:len(lengths) + 1]
+    edges = [Edge(f"e{i}", *((names[i], names[i + 1]) if fw else
+                             (names[i + 1], names[i])), Q(n, 4))
+             for i, (n, fw) in enumerate(zip(lengths, forward))]
+    host = MetricForest(names, edges)
+
+    def at(k):
+        """The point k quarters along the path from v0."""
+        for n, fw, e in zip(lengths, forward, edges):
+            if k <= n:
+                return host.point(e.id, Q(k if fw else n - k, 4))
+            k -= n
+        raise AssertionError
+
+    total = sum(lengths)
+    vertices = [0, lengths[0], total]
+
+    def offset(lo, hi):
+        """A grid point in [lo, hi], drawn often at a vertex."""
+        return draw(st.sampled_from([k for k in vertices if lo <= k <= hi])
+                    | st.integers(lo, hi))
+
+    bands = []
+    for name in "abc"[:draw(st.integers(1, 3))]:
+        lo = offset(0, total)
+        n = offset(lo, total) - lo
+        to = offset(0, total - n) if draw(st.booleans()) else offset(n, total) - n
+        q0, q1 = at(to), at(to + n)
+        if draw(st.booleans()):
+            q0, q1 = q1, q0
+        bands.append(arc_band(host, name, at(lo), at(lo + n), q0, q1))
+    return BandSystem(host, tuple(bands))
+
+
+@settings(max_examples=50, deadline=None)
+@given(interval_systems(), st.integers(1, 3))
+def test_walk_fuzz(system, depth):
+    check_walk(system, depth)
+
+
+def test_walk_makes_no_apply_calls(monkeypatch):
+    """Only the band charts map points; the walk itself clips and adds."""
+    s = corpus("bk_itm.bands")
+    calls = []
+    apply = PartialIsometry.apply
+
+    def counted(self, p):
+        calls.append(p)
+        return apply(self, p)
+
+    monkeypatch.setattr(PartialIsometry, "apply", counted)
+    counts = []
+    for depth in (2, 6):
+        del calls[:]
+        dotted_words(s, depth)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -18,7 +18,6 @@ from ripslab.rips import (
     overlap_set,
     rips_step,
     run,
-    valence,
 )
 from ripslab.scalar import rational as Q
 
@@ -53,12 +52,22 @@ def seg(host, lo, hi):
 
 # -- valence ---------------------------------------------------------------
 
+def assert_valences(system, expected):
+    """Each point has the oracle's valence and lies in exactly the strata
+    K^{>=k} with k at most that valence."""
+    strata = system.strata
+    for p, n in expected:
+        assert oracles.brute_valence(system, p) == n, p
+        assert ([strata.stratum_ge(k).contains(p) for k in range(1, 5)]
+                == [n >= k for k in range(1, 5)]), p
+
+
 def test_valence_e_surf(e_surf):
     host = e_surf.forest
-    v = valence(e_surf)
-    for x, expected in ((Q(1, 2), 2), (Q(3, 2), 2), (Q(5, 2), 2),
-                        (Q(1), 3), (Q(2), 3), (Q(0), 2), (Q(3), 2)):
-        assert v.value(host.point("e0", x)) == expected
+    v = e_surf.strata
+    assert_valences(e_surf, [(host.point("e0", x), n) for x, n in (
+        (Q(1, 2), 2), (Q(3, 2), 2), (Q(5, 2), 2),
+        (Q(1), 3), (Q(2), 3), (Q(0), 2), (Q(3), 2))])
     ge3 = v.stratum_ge(3)
     assert ge3.volume() == Q(0)
     assert ge3.points == frozenset({host.point("e0", 1), host.point("e0", 2)})
@@ -67,23 +76,22 @@ def test_valence_e_surf(e_surf):
 def test_valence_single_band():
     host = line(3)
     sys = BandSystem(host, (shift(host, "a", 0, 1, 2),))
-    v = valence(sys)
-    assert v.value(host.point("e0", Q(1, 2))) == 1
-    assert v.value(host.point("e0", Q(3, 2))) == 0
-    assert v.value(host.point("e0", Q(5, 2))) == 1
-    assert v.stratum_ge(2).is_empty
+    assert_valences(sys, [(host.point("e0", Q(1, 2)), 1),
+                          (host.point("e0", Q(3, 2)), 0),
+                          (host.point("e0", Q(5, 2)), 1)])
+    assert sys.strata.stratum_ge(2).is_empty
 
 
 def test_valence_empty_bands():
     host = line(3)
     sys = BandSystem(host, ())
-    v = valence(sys)
+    v = sys.strata
     assert v.stratum_ge(1).is_empty
     assert v.stratum_ge(0) == host.whole()
 
 
 def test_strata_nested(e_surf):
-    v = valence(e_surf)
+    v = e_surf.strata
     for i in range(4):
         assert v.stratum_ge(i + 1).issubset(v.stratum_ge(i))
         assert v.vol_ge(i + 1) <= v.vol_ge(i)
@@ -193,7 +201,7 @@ def test_strata_match_oracle_on_corpus(name, steps):
     x = 2 in e_surf) are isolated points of K^{>=3}."""
     path = str(resources.files("ripslab") / "corpus" / name)
     for rec in run(parse_system(path), steps).steps:
-        strat = valence(rec.system)
+        strat = rec.system.strata
         for i in (1, 2, 3):
             assert (strat.stratum_ge(i)
                     == oracles.brute_stratum_ge(rec.system, i)), (rec.index, i)
@@ -205,7 +213,7 @@ def test_strata_match_oracle_with_vertex_point_domains():
     u, v = host.vertex_point("u"), host.vertex_point("v")
     s = BandSystem(host, (shift(host, "a", 0, 1, 1),
                           arc_band(host, "b", u, u, v, v)))
-    strat = valence(s)
+    strat = s.strata
     for i in (1, 2, 3):
         assert strat.stratum_ge(i) == oracles.brute_stratum_ge(s, i), i
     assert overlap_set(s) == Subforest(host, {}, frozenset([u]))
