@@ -1,12 +1,12 @@
 """Partial isometries between compact subtrees, and band systems.
 
-A partial isometry is stored by a finite marker correspondence (domain
-point -> range point) rather than by a formula: the markers include every
-extremal point of the domain, which pins the map on the whole subtree and
-survives refinement and restriction.  A band system couples a host forest
-with finitely many positively-labeled bands; inverses are derived, so the
-label set and its inverses never collide.  Its valence stratification is
-computed once, on first use, and kept on the system.
+A partial isometry is stored, serialized and validated as a finite marker
+correspondence (domain point -> range point) that includes every extremal
+point of the domain.  It maps through its chart, built once from the
+markers: pieces x -> x + t or x -> t - x, each from one edge into one edge.
+A band system couples a host forest with finitely many positively-labeled
+bands; inverses are derived, so the label set and its inverses never
+collide.  Its valence stratification is computed once, on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .forest import MetricForest, Point, Subforest, sorted_unique
+from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
 from .scalar import NumberField, Scalar
 
 
@@ -31,6 +31,76 @@ class ValidationError(IsometryError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+def _cell_point(host: MetricForest, cell: str, x: Scalar) -> Point:
+    return host.point(cell, x) if host.has_edge(cell) else Point(vertex=cell)
+
+
+def spans(s: Subforest) -> list[tuple[str, Scalar, Scalar]]:
+    """The closed spans (cell, lo, hi) covering s: its intervals, then each
+    lone point and vertex of s as (x, x) on every edge at it that no
+    interval reaches.  Two sets meet iff two of their spans on one cell do."""
+    out = [(eid, lo, hi) for eid, ivs in s.intervals.items() for lo, hi in ivs]
+    for p in [Point(vertex=v) for v in s._interval_vertices()] + list(s.points):
+        out += [(c, x, x) for c, x in s.host.addresses(p)
+                if not any(lo <= x <= hi for lo, hi in s.intervals.get(c, ()))]
+    return out
+
+
+def _span_set(host: MetricForest, pieces) -> Subforest:
+    """The set covered by closed spans (cell, lo, hi)."""
+    intervals, points = {}, set()
+    for cell, lo, hi in pieces:
+        if lo == hi:
+            points.add(_cell_point(host, cell, lo))
+        else:
+            intervals.setdefault(cell, []).append((lo, hi))
+    return Subforest(host, intervals, frozenset(points))
+
+
+def identity_chart(s: Subforest) -> list:
+    """The chart of the empty word on s.  The chart of a word is a list of
+    pieces (cell, tcell, flip, t, lo, hi): an interval of the cell sent
+    onto [lo, hi] of tcell by x -> x + t, or by x -> t - x when flip is set."""
+    return [(c, c, False, ZERO, lo, hi) for c, lo, hi in spans(s)]
+
+
+def extend_chart(chart: list, band: dict) -> list:
+    """The chart of a band (given by its chart) after a word chart: each
+    image is clipped against the band's domain on its cell and mapped on."""
+    out = []
+    for cell, tid, flip, t, lo, hi in chart:
+        for blo, bhi, nid, nflip, nt in band.get(tid, ()):
+            if blo <= hi and lo <= bhi:
+                a = lo if lo >= blo else blo
+                b = hi if hi <= bhi else bhi
+                out.append((cell, nid, not flip, nt - t, nt - b, nt - a) if nflip
+                           else (cell, nid, flip, t + nt, a + nt, b + nt))
+    return out
+
+
+def chart_domain(host: MetricForest, chart: list) -> Subforest:
+    return _span_set(host, [(cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
+                            for cell, _, flip, t, lo, hi in chart])
+
+
+def _map_point(host: MetricForest, chart: dict, p: Point) -> Point | None:
+    hit = extend_chart([(c, c, False, ZERO, x, x) for c, x in host.addresses(p)], chart)
+    return _cell_point(host, hit[0][1], hit[0][4]) if hit else None
+
+
+def _arc(path: list) -> list:
+    """The pieces (s0, s1, edge, flip, t) of a `MetricForest._path`: arc
+    length s in [s0, s1] lies on the edge at s + t, or at t - s if flip."""
+    out = []
+    for e, f, ft in path:
+        d = ft - f
+        flip = d.sign() < 0
+        n, s = -d if flip else d, out[-1][1] if out else ZERO
+        out.append((s, s + n, e, flip, f + s if flip else f - s) if out
+                   else (ZERO, n, e, flip, f))
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,27 +127,43 @@ class PartialIsometry:
             tuple((b, a) for a, b in self.correspondence),
             not self.inverted)
 
-    def apply(self, p: Point) -> Point:
-        if not self.domain.contains(p):
-            raise OutOfDomain(f"point {p!r} outside dom({self.label})")
+    @cached_property
+    def chart(self) -> dict[str, list]:
+        """The map, per cell (an edge, or a vertex no edge meets), as domain
+        pieces (lo, hi, tcell, flip, t) sent into tcell by x -> x + t, or by
+        t - x if flip, cut where the image passes a vertex; each vertex and
+        lone point of the domain is listed, as lo = hi, on every edge at it
+        that no interval reaches.  Built once from the markers: the arc from
+        the first marker to each other one is read beside its image arc."""
         host = self.host
-        for m, img in self.correspondence:
-            if m == p:
-                return img
-        for i, (mi, ii) in enumerate(self.correspondence):
-            for mj, ij in self.correspondence[i + 1:]:
-                dip = host.distance(mi, p)
-                dpj = host.distance(p, mj)
-                if dip + dpj == host.distance(mi, mj):
-                    return host.point_at(ii, ij, dip)
-        raise OutOfDomain(f"markers of {self.label} do not span {p!r}")
+        m0, i0 = self.correspondence[0]
+        chart: dict[str, list] = {}
+        for m, i in self.correspondence[1:]:
+            for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
+                    _arc(host._path(m0, m)[1]), _arc(host._path(i0, i)[1])):
+                a, b = max(s0, r0), min(s1, r1)
+                if a < b:
+                    piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (
+                        c, df != rf, rt + dt if df != rf else rt - dt)
+                    if piece not in chart.setdefault(e, []):
+                        chart[e].append(piece)
+        for cell, x, y in spans(self.domain):
+            if x == y:
+                q = _map_point(host, chart, _cell_point(host, cell, x)) or i0
+                c, z = host.addresses(q)[0]
+                chart.setdefault(cell, []).append((x, x, c, False, z - x))
+        return chart
+
+    def apply(self, p: Point) -> Point:
+        q = _map_point(self.host, self.chart, p)
+        if q is None:
+            raise OutOfDomain(f"point {p!r} outside dom({self.label})")
+        return q
 
     def image_of(self, s: Subforest) -> Subforest:
-        """Exact image of a subtree s (a subset of the domain)."""
-        if s.is_empty:
-            return Subforest.empty(self.host)
-        ext = s.extremal_points()
-        return self.host.hull([self.apply(p) for p in ext])
+        """Exact image of a subset s of the domain."""
+        pieces = extend_chart(identity_chart(s), self.chart)
+        return _span_set(self.host, [(c, lo, hi) for _, c, _, _, lo, hi in pieces])
 
     def restrict(self, d: Subforest) -> "PartialIsometry | None":
         """Maximal restriction of the map to domain `intersect` d."""
@@ -86,10 +172,8 @@ class PartialIsometry:
             return None
         if nd == self.domain:
             return self
-        markers = nd.extremal_points()
-        corr = tuple((m, self.apply(m)) for m in markers)
-        nr = self.host.hull([img for _, img in corr])
-        return PartialIsometry(self.name, nd, nr, corr, self.inverted)
+        corr = tuple((m, self.apply(m)) for m in nd.extremal_points())
+        return PartialIsometry(self.name, nd, self.image_of(nd), corr, self.inverted)
 
     def validate(self) -> list[str]:
         """All invariant violations, empty when the band is well formed."""
@@ -195,15 +279,8 @@ class BandSystem:
         return ValenceStratification(self)
 
     def max_domain_diameter(self) -> Scalar:
-        from .scalar import rational
-
-        best = rational(0)
-        for b in self.bands:
-            for s in (b.domain, b.range):
-                d = s.diameter()
-                if d > best:
-                    best = d
-        return best
+        """The largest band domain diameter (a range has its domain's)."""
+        return max((b.domain.diameter() for b in self.bands), default=ZERO)
 
     def summary(self) -> dict:
         return {
@@ -228,23 +305,23 @@ class ValenceStratification:
     def __init__(self, system: BandSystem):
         self.forest = host = system.forest
         domains = [e.domain for e in system.elements()]
-        spans: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        on_edge: dict[str, list[tuple[Scalar, Scalar]]] = {}
         counts: dict[Point, int] = {}  # domains holding a vertex or lone point
         for d in domains:
             for eid, ivs in d.intervals.items():
-                spans.setdefault(eid, []).extend(ivs)
+                on_edge.setdefault(eid, []).extend(ivs)
             held = [Point(vertex=v) for v in d._interval_vertices()]
             held.extend(d.points)
             for p in held:
                 counts[p] = counts.get(p, 0) + 1
                 if not p.is_vertex:
-                    spans.setdefault(p.edge, []).append((p.offset, p.offset))
+                    on_edge.setdefault(p.edge, []).append((p.offset, p.offset))
 
         segments: list[tuple[str, Scalar, Scalar, int]] = []
         point_valences: dict[Point, int] = {}
         for eid, ivs in system.support.intervals.items():
             cuts, index, seg_cov, pt_cov = _edge_sweep(
-                spans.get(eid, []), [x for iv in ivs for x in iv])
+                on_edge.get(eid, []), [x for iv in ivs for x in iv])
             for lo, hi in ivs:
                 i, j = index[lo], index[hi]
                 for k in range(i, j):

@@ -3,12 +3,11 @@
 Leaves are coded by reduced words over band labels (inverses carry a
 trailing prime).  A dotted word is a pair of one-sided words read
 outward from a basepoint; its domain is the exact set of admissible
-basepoints.  Words are walked with affine charts: a word's map is a list
-of pieces, each an interval of one edge sent into one edge by x -> x + t
-or x -> t - x, so reading one more band clips each piece's image against
-that band's domain on the same edge, with no path search.  All
-enumeration is depth-limited and every result carries its depth: whether
-a finite word extends to a bi-infinite leaf is never decided here.
+basepoints.  A word's map is a chart of `isometry`, so reading one more
+band clips each piece's image against that band's chart, with no path
+search.  All enumeration is depth-limited and every result carries its
+depth: whether a finite word extends to a bi-infinite leaf is never
+decided here.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .forest import ZERO, MetricForest, Point, Subforest
-from .isometry import BandSystem, PartialIsometry
-from .scalar import Scalar
+from .forest import Point, Subforest
+from .isometry import BandSystem, chart_domain, extend_chart, identity_chart, spans
 
 
 class LaminationError(Exception):
@@ -46,78 +44,14 @@ def check_reduced(word: Sequence[str]) -> None:
             raise NotReduced(f"cancellation {x} {y}")
 
 
-# A chart is a list of pieces (cell, tcell, flip, t, lo, hi): an interval
-# of the cell (an edge, or a vertex no edge meets) sent onto [lo, hi] of
-# tcell by x -> x + t, or by x -> t - x when flip is set.  A band's index
-# lists per cell the (lo, hi, tcell, flip, t) of its domain pieces there.
-
-
-def _point(host: MetricForest, cell: str, x: Scalar) -> Point:
-    return host.point(cell, x) if host.has_edge(cell) else Point(vertex=cell)
-
-
-def _spans(s: Subforest) -> list[tuple[str, Scalar, Scalar]]:
-    """The closed spans (cell, lo, hi) covering s: its intervals, then each
-    lone point and vertex of s as (x, x) on every edge at it that no
-    interval reaches.  Two sets meet iff two of their spans on one cell do."""
-    spans = [(eid, lo, hi) for eid, ivs in s.intervals.items() for lo, hi in ivs]
-    for p in [Point(vertex=v) for v in s._interval_vertices()] + list(s.points):
-        spans += [(c, x, x) for c, x in s.host.addresses(p)
-                  if not any(lo <= x <= hi for lo, hi in s.intervals.get(c, ()))]
-    return spans
-
-
-def _band_index(a: PartialIsometry) -> dict[str, list]:
-    """The index of a band, its domain cut where the image passes a vertex."""
-    host, index = a.host, {}
-    for cell, lo, hi in _spans(a.domain):
-        p, q = (a.apply(_point(host, cell, x)) for x in (lo, hi))
-        path = host._path(p, q)[1] or [(c, y, y) for c, y in host.addresses(p)[:1]]
-        for tid, f, g in path:
-            flip, y = g < f, lo + abs(g - f)
-            index.setdefault(cell, []).append(
-                (lo, y, tid, flip, f + lo if flip else f - lo))
-            lo = y
-    return index
-
-
-def _identity(s: Subforest) -> list:
-    return [(c, c, False, ZERO, lo, hi) for c, lo, hi in _spans(s)]
-
-
-def _extend(chart: list, index: dict) -> list:
-    """The chart of a band (by its index) after a chart: each image is
-    clipped against the band's domain on its cell and mapped on."""
-    out = []
-    for cell, tid, flip, t, lo, hi in chart:
-        for blo, bhi, nid, nflip, nt in index.get(tid, ()):
-            if blo <= hi and lo <= bhi:
-                a = lo if lo >= blo else blo
-                b = hi if hi <= bhi else bhi
-                out.append((cell, nid, not flip, nt - t, nt - b, nt - a) if nflip
-                           else (cell, nid, flip, t + nt, a + nt, b + nt))
-    return out
-
-
-def _chart_domain(host: MetricForest, chart: list) -> Subforest:
-    intervals, points = {}, set()
-    for cell, _, flip, t, lo, hi in chart:
-        lo, hi = (t - hi, t - lo) if flip else (lo - t, hi - t)
-        if lo == hi:
-            points.add(_point(host, cell, lo))
-        else:
-            intervals.setdefault(cell, []).append((lo, hi))
-    return Subforest(host, intervals, frozenset(points))
-
-
 def word_domain(system: BandSystem, w: WordLike) -> Subforest:
     """Exact set of basepoints from which the word can be read."""
     word = _as_word(w)
     check_reduced(word)
-    chart = _identity(system.support)
+    chart = identity_chart(system.support)
     for letter in word:
-        chart = chart and _extend(chart, _band_index(system.band(letter)))
-    return _chart_domain(system.forest, chart)
+        chart = chart and extend_chart(chart, system.band(letter).chart)
+    return chart_domain(system.forest, chart)
 
 
 @dataclass(frozen=True)
@@ -147,26 +81,26 @@ def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], lis
     """Depth-first enumeration of admissible words with their charts."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bands = [(a.label, _band_index(a)) for a in system.elements()]
+    bands = [(a.label, a.chart) for a in system.elements()]
 
     def rec(word, chart):
-        for letter, index in bands:
+        for letter, band in bands:
             if word and letter == inverse_label(word[-1]):
                 continue
-            nxt = _extend(chart, index)
+            nxt = extend_chart(chart, band)
             if nxt:
                 ext = word + (letter,)
                 yield ext, nxt
                 if len(ext) < depth:
                     yield from rec(ext, nxt)
 
-    yield from rec((), _identity(system.support))
+    yield from rec((), identity_chart(system.support))
 
 
 def admissible_words(system: BandSystem, depth: int
                      ) -> list[tuple[tuple[str, ...], Subforest]]:
     """All reduced words of length <= depth with nonempty domain."""
-    return [(w, _chart_domain(system.forest, chart))
+    return [(w, chart_domain(system.forest, chart))
             for w, chart in _walk(system, depth)]
 
 
@@ -186,8 +120,8 @@ def dotted_words(system: BandSystem, depth: int) -> list[LeafWord]:
     sides = []
     for w, chart in _walk(system, depth):
         if len(w) == depth:
-            dom = _chart_domain(system.forest, chart)
-            sides.append((w, dom, _spans(dom)))
+            dom = chart_domain(system.forest, chart)
+            sides.append((w, dom, spans(dom)))
     out = []
     for i, (u, du, fu) in enumerate(sides):
         for v, dv, fv in sides[i:]:

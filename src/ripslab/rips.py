@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fileformat import BandsSyntaxError, parse_system, save_system
-from .forest import ZERO, ForestError, Subforest
+from .forest import ForestError, Subforest
 from .isometry import ValenceStratification  # noqa: F401  (re-exported)
 from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import FieldMismatch, Scalar, rational
@@ -56,7 +56,6 @@ class _ComponentLocator:
 
     def __init__(self, K: Subforest, comps: list[Subforest]):
         self.K = K
-        self.host = K.host
         self.starts = {eid: [lo for lo, _ in ivs]
                        for eid, ivs in K.intervals.items()}
         self.interval_comp: dict[tuple[str, tuple], int] = {}
@@ -77,14 +76,6 @@ class _ComponentLocator:
                 return self.interval_comp[(eid, self.K.intervals[eid][k])]
         raise ValueError("escapes K'")  # pragma: no cover
 
-    def _locate_point(self, p) -> int:
-        if p in self.point_comp:
-            return self.point_comp[p]
-        if not p.is_vertex:
-            return self._find([(p.edge, p.offset)])
-        return self._find([(e.id, ZERO if e.u == p.vertex else e.length)
-                           for e in self.host._adj[p.vertex]])
-
     def split(self, sub: Subforest) -> dict[int, Subforest]:
         """Decompose sub (a subset of K') by component of K'."""
         pieces: dict[int, dict[str, list]] = {}
@@ -94,11 +85,12 @@ class _ComponentLocator:
                 ci = self._find([(eid, lo)])
                 pieces.setdefault(ci, {}).setdefault(eid, []).append((lo, hi))
         for p in sub.points:
-            ci = self._locate_point(p)
+            ci = (self.point_comp[p] if p in self.point_comp
+                  else self._find(self.K.host.addresses(p)))
             pts.setdefault(ci, set()).add(p)
         out = {}
         for ci in set(pieces) | set(pts):
-            out[ci] = Subforest(self.host, pieces.get(ci, {}),
+            out[ci] = Subforest(self.K.host, pieces.get(ci, {}),
                                 frozenset(pts.get(ci, set())))
         return out
 
@@ -112,22 +104,18 @@ def rips_step(system: BandSystem) -> BandSystem:
     with the pair, so lineage is always recoverable.
     """
     K = overlap_set(system)
-    comps = K.components()
-    locator = _ComponentLocator(K, comps)
+    locator = _ComponentLocator(K, K.components())
     new_bands: list[PartialIsometry] = []
     for a in system.bands:
+        inv = a.inverse()
         dparts = locator.split(a.domain.intersect(K))
         rparts = locator.split(a.range.intersect(K))
         for ci, d0 in sorted(dparts.items()):
             for cj, r0 in sorted(rparts.items()):
-                pre = a.inverse().image_of(r0)
-                dom = d0.intersect(pre)
-                if dom.is_empty:
-                    continue
-                r = a.restrict(dom)
-                new_bands.append(PartialIsometry(
-                    f"{a.name}.{ci}_{cj}", r.domain, r.range,
-                    r.correspondence))
+                dom = d0.intersect(inv.image_of(r0))
+                if not dom.is_empty:
+                    new_bands.append(replace(a.restrict(dom),
+                                             name=f"{a.name}.{ci}_{cj}"))
     return BandSystem(system.forest, tuple(new_bands), support=K,
                       field=system.field)
 

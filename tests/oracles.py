@@ -1,10 +1,13 @@
 """Independent brute-force oracles, written before the fast implementations.
 
 These deliberately avoid the library's enumeration and composition code
-paths.  Word domains are computed by backward recursion over per-band
-preimages (the fast path composes affine charts forward); word lists
-come from exhaustive generation with no pruning.  The marker-isometry
-word walk that the charts replaced is kept as `reference_walk`.
+paths.  A band maps points and subtrees here through its markers, by
+interpolating between marker pairs (`marker_apply`, `marker_image_of`),
+never through its chart.  Word domains are computed by backward recursion
+over per-band preimages (the fast path composes affine charts forward);
+word lists come from exhaustive generation with no pruning.  The
+marker-isometry word walk that the charts replaced is kept as
+`reference_walk`.
 Rose-map dynamics use naive substitution on letter strings.  Subforest
 intersection, the valence strata and the Rips overlap set keep their
 pairwise or subset-wise, point-probing forms here; the other forest/subforest set
@@ -22,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from ripslab.forest import Subforest
-from ripslab.isometry import PartialIsometry
+from ripslab.isometry import OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
 from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
                             _poly, _pxgcd, _peval, count_roots)
@@ -179,13 +182,39 @@ def brute_stratum_ge(system, i):
     return Subforest(system.forest, intervals, frozenset(points))
 
 
+# --- band maps through the markers ------------------------------------------
+
+def marker_apply(band, p):
+    """The image of a domain point p, interpolated between the markers: a
+    pair of markers whose arc passes through p, and the point at the same
+    distance along the arc of their images."""
+    if not band.domain.contains(p):
+        raise OutOfDomain(f"point {p!r} outside dom({band.label})")
+    host = band.host
+    for m, img in band.correspondence:
+        if m == p:
+            return img
+    for i, (mi, ii) in enumerate(band.correspondence):
+        for mj, ij in band.correspondence[i + 1:]:
+            dip = host.distance(mi, p)
+            if dip + host.distance(p, mj) == host.distance(mi, mj):
+                return host.point_at(ii, ij, dip)
+    raise OutOfDomain(f"markers of {band.label} do not span {p!r}")
+
+
+def marker_image_of(band, s):
+    """The image of a subtree s of the domain: the hull of the marker images
+    of its extremal points."""
+    return band.host.hull([marker_apply(band, p) for p in s.extremal_points()])
+
+
 def preimage(band, target):
     """Exact preimage of a subforest under a band, component by component."""
     hit = band.range.intersect(target)
     back = band.inverse()
     acc = Subforest.empty(band.host)
     for comp in hit.components():
-        acc = acc.union(back.image_of(comp))
+        acc = acc.union(marker_image_of(back, comp))
     return acc
 
 
@@ -210,8 +239,9 @@ def reference_compose(phi, a):
     j = phi.range.intersect(a.domain)
     if j.is_empty:
         return None
-    dom = phi.inverse().image_of(j)
-    corr = tuple((m, a.apply(phi.apply(m))) for m in dom.extremal_points())
+    dom = marker_image_of(phi.inverse(), j)
+    corr = tuple((m, marker_apply(a, marker_apply(phi, m)))
+                 for m in dom.extremal_points())
     rng = phi.host.hull([q for _, q in corr])
     return PartialIsometry(phi.name, dom, rng, corr)
 

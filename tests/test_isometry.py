@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ripslab.forest import Edge, MetricForest
+import oracles
+from ripslab.forest import Edge, MetricForest, Point
 from ripslab.isometry import (
     BandSystem,
     IsometryError,
@@ -12,7 +14,9 @@ from ripslab.isometry import (
     ValidationError,
     arc_band,
 )
+from ripslab.rips import run
 from ripslab.scalar import rational as Q
+from test_lamination import corpus, interval_systems, tripod
 
 
 @pytest.fixture()
@@ -171,3 +175,104 @@ def test_band_system_support_violation(line3):
     small = line3.segment(line3.point("e0", 0), line3.point("e0", 2))
     sys = BandSystem(line3, (a,), support=small)
     assert any("support" in v for v in sys.validate())
+
+
+# -- the chart against the marker oracles -----------------------------------
+
+def sample_points(host, s, rng, n):
+    """The vertices, lone points and interval ends of s, and n random
+    points on each of its intervals, on a grid of sixteenths."""
+    pts = [Point(vertex=v) for v in host.vertices if s.contains(Point(vertex=v))]
+    pts += list(s.points)
+    for eid, ivs in s.intervals.items():
+        for lo, hi in ivs:
+            pts += [host.point(eid, x) for x in (lo, hi)]
+            pts += [host.point(eid, lo + (hi - lo) * Q(rng.randint(0, 16), 16))
+                    for _ in range(n)]
+    return pts
+
+
+def marker_restrict(band, s):
+    """The restriction to a subtree s of the domain, through the markers."""
+    if s == band.domain:
+        return band
+    corr = tuple((m, oracles.marker_apply(band, m)) for m in s.extremal_points())
+    return PartialIsometry(band.name, s, oracles.marker_image_of(band, s), corr,
+                           band.inverted)
+
+
+def zigzag(system):
+    """The same maps on the host cut at every marker, with every other new
+    edge reversed: coordinates in which images cross vertices and a
+    translation's pieces flip."""
+    marks = [p for b in system.bands for pair in b.correspondence for p in pair]
+    cut, relabel = system.forest.refine(marks)
+    flipped = {e.id for e in cut.edges[1::2]}
+    host = MetricForest(cut.vertices, [Edge(e.id, e.v, e.u, e.length)
+                                       if e.id in flipped else e for e in cut.edges])
+
+    def point(p):
+        q = relabel.point(p)
+        if q.is_vertex or q.edge not in flipped:
+            return q
+        return host.point(q.edge, host.edge_of(q.edge).length - q.offset)
+
+    bands = []
+    for b in system.bands:
+        corr = tuple((point(m), point(i)) for m, i in b.correspondence)
+        bands.append(PartialIsometry(b.name, host.hull([m for m, _ in corr]),
+                                     host.hull([i for _, i in corr]), corr))
+    out = BandSystem(host, tuple(bands))
+    assert out.validate() == []
+    return out
+
+
+def check_chart(band, rng, n=4):
+    """apply on points of the host, image_of and restrict on sub-arcs of the
+    domain agree with the marker interpolation of the oracles."""
+    host = band.host
+    for p in sample_points(host, host.whole(), rng, n):
+        if band.domain.contains(p):
+            assert band.apply(p) == oracles.marker_apply(band, p), (band, p)
+        else:
+            with pytest.raises(OutOfDomain):
+                band.apply(p)
+    pts = sample_points(host, band.domain, rng, n)
+    for _ in range(2 * n):
+        s = host.segment(rng.choice(pts), rng.choice(pts))
+        assert band.image_of(s) == oracles.marker_image_of(band, s), (band, s)
+        assert band.restrict(s) == marker_restrict(band, s), (band, s)
+    assert band.image_of(band.domain) == band.range
+    assert band.restrict(band.domain) is band
+
+
+@pytest.mark.parametrize("name", ["e_surf.bands", "e_trim.bands", "bk_itm.bands"])
+def test_chart_matches_markers_on_corpus(name):
+    rng = random.Random(5)
+    for system in (corpus(name), zigzag(corpus(name))):
+        for band in system.elements():
+            check_chart(band, rng)
+
+
+@pytest.mark.parametrize("name", ["bk_itm.bands", "e_trim.bands"])
+def test_chart_matches_markers_along_runs(name):
+    rng = random.Random(6)
+    for rec in run(corpus(name), 10).steps:
+        for system in (rec.system, zigzag(rec.system)):
+            for band in system.elements():
+                check_chart(band, rng, n=1)
+
+
+def test_chart_matches_markers_on_tripod():
+    """Several edges, a flip, an image across a vertex, a lone point and a
+    lone vertex."""
+    rng = random.Random(7)
+    for band in tripod().elements():
+        check_chart(band, rng, n=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(interval_systems(), st.randoms(use_true_random=False))
+def test_chart_fuzz(system, rng):
+    for band in system.elements():
+        check_chart(band, rng)

@@ -316,7 +316,8 @@ def test_walk_fuzz(system, depth):
 
 
 def test_walk_makes_no_apply_calls(monkeypatch):
-    """Only the band charts map points; the walk itself clips and adds."""
+    """The walk clips and adds on charts built from the markers: no point
+    is mapped through a band, at any depth."""
     s = corpus("bk_itm.bands")
     calls = []
     apply = PartialIsometry.apply
@@ -331,4 +332,4 @@ def test_walk_makes_no_apply_calls(monkeypatch):
         del calls[:]
         dotted_words(s, depth)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [0, 0]

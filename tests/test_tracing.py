@@ -24,8 +24,13 @@ rips.classify(parse_system(BANDS), 3)
 rec.end()
 bucket = rec.buckets[0]
 for name in ("rips.run", "rips.rips_step", "rips.overlap_set",
-             "rips.valence", "rips.same_system"):
+             "rips.valence", "rips.same_system", "isometry.image_of",
+             "isometry.restrict"):
     assert bucket[name + ".calls"] > 0, name
+# rips_step itself must call the wrapped image_of and restrict (restrict
+# calling image_of is not enough), or rips.pair_yield silently reads 0
+for name in ("isometry.image_of", "isometry.restrict"):
+    assert bucket[name + ".in_step"] > 0, name
 # a field system: internal fast paths of the scalar layer must not bypass
 # the wrapped methods and silently zero a counter
 rec.begin()
