@@ -186,6 +186,8 @@ def parse_system_text(text: str) -> BandSystem:
         if head == "band":
             if not rest or not re.fullmatch(r"[A-Za-z0-9_.\-]+", rest):
                 raise BandsSyntaxError(no, f"bad band label {rest!r}")
+            if any(name == rest for _, name, _ in band_sections):
+                raise BandsSyntaxError(no, f"duplicate band label {rest!r}")
             band_sections.append((no, rest, []))
             section = "band"
             continue
@@ -244,9 +246,11 @@ def parse_system_text(text: str) -> BandSystem:
                 eid = parts[0]
                 if not forest.has_edge(eid):
                     raise BandsSyntaxError(no, f"unknown edge {eid!r}")
-                intervals.setdefault(eid, []).append(
-                    (parse_scalar(parts[1], field, no),
-                     parse_scalar(parts[2], field, no)))
+                lo, hi = (parse_scalar(x, field, no) for x in parts[1:])
+                if not 0 <= lo < hi <= forest.edge_of(eid).length:
+                    raise BandsSyntaxError(
+                        no, f"interval needs 0 <= lo < hi <= length of {eid}")
+                intervals.setdefault(eid, []).append((lo, hi))
             elif head == "point":
                 pts.add(parse_point(rest, no))
             else:

@@ -101,7 +101,6 @@ class MetricForest:
         self._component: dict[str, int] = {}
         self._parent: dict[str, tuple[str, Edge] | None] = {}
         self._depth: dict[str, int] = {}
-        self._dist_root: dict[str, Scalar] = {}
         comp = 0
         for root in self.vertices:
             if root in self._component:
@@ -110,7 +109,6 @@ class MetricForest:
             self._component[root] = comp
             self._parent[root] = None
             self._depth[root] = 0
-            self._dist_root[root] = ZERO
             while stack:
                 cur = stack.pop()
                 for e in self._adj[cur]:
@@ -122,7 +120,6 @@ class MetricForest:
                     self._component[nxt] = comp
                     self._parent[nxt] = (cur, e)
                     self._depth[nxt] = self._depth[cur] + 1
-                    self._dist_root[nxt] = self._dist_root[cur] + e.length
                     stack.append(nxt)
             comp += 1
         self.n_components = comp
@@ -168,11 +165,6 @@ class MetricForest:
 
     # -- distances and paths ----------------------------------------------
 
-    def _vertex_dist(self, u: str, v: str) -> Scalar:
-        lca = self._lca(u, v)
-        return (self._dist_root[u] + self._dist_root[v]
-                - self._dist_root[lca] - self._dist_root[lca])
-
     def _lca(self, u: str, v: str) -> str:
         while self._depth[u] > self._depth[v]:
             u = self._parent[u][0]
@@ -205,41 +197,34 @@ class MetricForest:
             raise DifferentComponents("points lie in different trees")
         return self._path(p, q)[0]
 
-    def _endpoint_candidates(self, p: Point) -> list[tuple[str, Scalar]]:
-        """(vertex, distance from p) for the exits of p's cell."""
-        if p.is_vertex:
-            return [(p.vertex, ZERO)]
-        e = self._edge[p.edge]
-        return [(e.u, p.offset), (e.v, e.length - p.offset)]
+    def _origin(self, p: Point) -> str:
+        return p.vertex if p.is_vertex else self._edge[p.edge].u
 
     def _path(self, p: Point, q: Point) -> tuple[Scalar, list[tuple[str, Scalar, Scalar]]]:
-        """Exact distance and traversal pieces (edge_id, from_off, to_off)."""
+        """Exact distance and traversal pieces (edge_id, from_off, to_off):
+        the vertex path between the origins of p's and q's cells, with a
+        first or last step along p's or q's own edge cut at that point."""
         if (not p.is_vertex and not q.is_vertex and p.edge == q.edge):
-            lo, hi = p.offset, q.offset
-            return abs(hi - lo), [(p.edge, p.offset, q.offset)]
-        best = None
-        for w1, d1 in self._endpoint_candidates(p):
-            for w2, d2 in self._endpoint_candidates(q):
-                total = d1 + self._vertex_dist(w1, w2) + d2
-                if best is None or total < best[0]:
-                    best = (total, w1, w2)
-        total, w1, w2 = best
+            return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
         pieces: list[tuple[str, Scalar, Scalar]] = []
+        total = ZERO
+        for fv, e, _ in self._vertex_path(self._origin(p), self._origin(q)):
+            pieces.append((e.id, ZERO, e.length) if fv == e.u else (e.id, e.length, ZERO))
+            total = total + e.length
         if not p.is_vertex:
-            e = self._edge[p.edge]
-            target = ZERO if w1 == e.u else e.length
-            if p.offset != target:
-                pieces.append((p.edge, p.offset, target))
-        for fv, e, tv in self._vertex_path(w1, w2):
-            if fv == e.u:
-                pieces.append((e.id, ZERO, e.length))
+            if pieces and pieces[0][0] == p.edge:  # the arc leaves p's edge at its end v
+                pieces[0] = (p.edge, p.offset, pieces[0][2])
+                total = total - p.offset
             else:
-                pieces.append((e.id, e.length, ZERO))
+                pieces.insert(0, (p.edge, p.offset, ZERO))
+                total = total + p.offset
         if not q.is_vertex:
-            e = self._edge[q.edge]
-            start = ZERO if w2 == e.u else e.length
-            if q.offset != start:
-                pieces.append((q.edge, start, q.offset))
+            if pieces and pieces[-1][0] == q.edge:  # the arc enters q's edge at its end v
+                pieces[-1] = (q.edge, pieces[-1][1], q.offset)
+                total = total - q.offset
+            else:
+                pieces.append((q.edge, ZERO, q.offset))
+                total = total + q.offset
         return total, pieces
 
     def point_at(self, p: Point, q: Point, dist: Scalar) -> Point:

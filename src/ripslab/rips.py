@@ -1,13 +1,14 @@
 """The Rips Machine: exact induction on band systems.
 
 One induction step replaces the support K by the set K' of points lying in
-at least two band domains, and replaces each band by its maximal
-restrictions between ordered pairs of components of K'.  K' is read off
-the system's valence stratification (`BandSystem.strata`, computed once
-per system), which also gives the vol(K^{>=3}) of each step record.
-Halting (K stabilizes, band set unchanged up to relabeling) is decided by
-exact set equality; a non-halting run with persistent triple overlap and
-shrinking band domains is reported as Levitt evidence, never as proof.
+at least two band domains, and replaces each band a by its maximal
+restrictions between ordered pairs of components of K': the components
+of D = K' n a^-1(K' n range(a)).  K' is read off the system's valence
+stratification (`BandSystem.strata`, computed once per system), which
+also gives the vol(K^{>=3}) of each step record.  Halting (K stabilizes,
+band set unchanged up to relabeling) is decided by exact set equality;
+`judge` reports a non-halting trace with persistent triple overlap and
+shrinking band domains as Levitt evidence, never as proof.
 
 A run numbers its steps from the one it starts at, and can write each
 system to <checkpoint>/step-<i>.bands; this module alone knows that
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fileformat import BandsSyntaxError, parse_system, save_system
-from .forest import ForestError, Subforest
+from .forest import ForestError, Point, Subforest
 from .isometry import ValenceStratification  # noqa: F401  (re-exported)
 from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import FieldMismatch, Scalar, rational
@@ -51,71 +52,52 @@ def overlap_set(system: BandSystem) -> Subforest:
     return Subforest(system.forest, K.intervals, points)
 
 
-class _ComponentLocator:
-    """Maps subsets of K' to the components of K' containing them."""
+def _component_index(K: Subforest):
+    """The map sending a point of K to the index of its component in
+    `K.components()`: isolated points and whole intervals by dict, any
+    other point by bisecting the interval starts of the edges holding it."""
+    index: dict = {}
+    for ci, C in enumerate(K.components()):
+        index.update((p, ci) for p in C.points)
+        index.update(((eid, iv), ci) for eid, ivs in C.intervals.items()
+                     for iv in ivs)
+    starts = {eid: [lo for lo, _ in ivs] for eid, ivs in K.intervals.items()}
 
-    def __init__(self, K: Subforest, comps: list[Subforest]):
-        self.K = K
-        self.starts = {eid: [lo for lo, _ in ivs]
-                       for eid, ivs in K.intervals.items()}
-        self.interval_comp: dict[tuple[str, tuple], int] = {}
-        self.point_comp: dict = {}
-        for ci, C in enumerate(comps):
-            for eid, ivs in C.intervals.items():
-                for iv in ivs:
-                    self.interval_comp[(eid, iv)] = ci
-            for p in C.points:
-                self.point_comp[p] = ci
+    def component(p: Point) -> int:
+        if p in index:
+            return index[p]
+        for eid, x in K.host.addresses(p):
+            k = bisect.bisect_right(starts.get(eid, ()), x) - 1
+            if k >= 0 and x <= K.intervals[eid][k][1]:
+                return index[(eid, K.intervals[eid][k])]
+        raise ValueError(f"{p!r} escapes K'")  # pragma: no cover
 
-    def _find(self, cells: list[tuple[str, Scalar]]) -> int:
-        """Component of the first K' interval that contains one of the
-        (edge, offset) cells, found by bisecting the interval starts."""
-        for eid, x in cells:
-            k = bisect.bisect_right(self.starts.get(eid, ()), x) - 1
-            if k >= 0 and x <= self.K.intervals[eid][k][1]:
-                return self.interval_comp[(eid, self.K.intervals[eid][k])]
-        raise ValueError("escapes K'")  # pragma: no cover
-
-    def split(self, sub: Subforest) -> dict[int, Subforest]:
-        """Decompose sub (a subset of K') by component of K'."""
-        pieces: dict[int, dict[str, list]] = {}
-        pts: dict[int, set] = {}
-        for eid, ivs in sub.intervals.items():
-            for lo, hi in ivs:
-                ci = self._find([(eid, lo)])
-                pieces.setdefault(ci, {}).setdefault(eid, []).append((lo, hi))
-        for p in sub.points:
-            ci = (self.point_comp[p] if p in self.point_comp
-                  else self._find(self.K.host.addresses(p)))
-            pts.setdefault(ci, set()).add(p)
-        out = {}
-        for ci in set(pieces) | set(pts):
-            out[ci] = Subforest(self.K.host, pieces.get(ci, {}),
-                                frozenset(pts.get(ci, set())))
-        return out
+    return component
 
 
 def rips_step(system: BandSystem) -> BandSystem:
-    """One Rips Machine step: restrict to K' by ordered component pairs.
+    """One Rips Machine step: each band a becomes its restrictions to the
+    components of D = K' n a^-1(K' n range(a)).
 
-    Each new band is the maximal restriction of a parent band a with
-    domain inside a component C of K' and range inside a component C'
-    (self-pairs C = C' included); its label is the parent label extended
-    with the pair, so lineage is always recoverable.
+    dom(a) is a subtree (`validate` requires the markers to span it), so
+    for components C_i, C_j of K' each dom(a) n C_i n a^-1(C_j) is one;
+    these sets are disjoint and closed with union D, so they are exactly
+    its components.  A new band's label extends its parent's with (i, j),
+    read off its first marker and that marker's image, so lineage is
+    always recoverable; the new bands of a parent are ordered by (i, j).
     """
     K = overlap_set(system)
-    locator = _ComponentLocator(K, K.components())
+    component = _component_index(K)
     new_bands: list[PartialIsometry] = []
     for a in system.bands:
-        inv = a.inverse()
-        dparts = locator.split(a.domain.intersect(K))
-        rparts = locator.split(a.range.intersect(K))
-        for ci, d0 in sorted(dparts.items()):
-            for cj, r0 in sorted(rparts.items()):
-                dom = d0.intersect(inv.image_of(r0))
-                if not dom.is_empty:
-                    new_bands.append(replace(a.restrict(dom),
-                                             name=f"{a.name}.{ci}_{cj}"))
+        D = K.intersect(a.inverse().image_of(a.range.intersect(K)))
+        pieces = []
+        for C in D.components():
+            b = a.restrict(C)
+            m, i = b.correspondence[0]
+            pieces.append((component(m), component(i), b))
+        for ci, cj, b in sorted(pieces, key=lambda t: t[:2]):
+            new_bands.append(replace(b, name=f"{a.name}.{ci}_{cj}"))
     return BandSystem(system.forest, tuple(new_bands), support=K,
                       field=system.field)
 
@@ -282,11 +264,18 @@ class Classification:
     trace: RipsTrace
 
 
+def _threshold(diam_ratio_threshold) -> Fraction:
+    ratio = Fraction(diam_ratio_threshold)
+    if not (0 < ratio < 1):
+        raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
+    return ratio
+
+
 def classify(system: BandSystem, max_iter: int,
              diam_ratio_threshold: Fraction = Fraction(1, 2),
              checkpoint: Optional[str] = None, start: int = 0) -> Classification:
-    """Run the machine and read a verdict off its trace; `checkpoint`
-    and `start` are passed to `run`.
+    """Run the machine and judge its trace; `checkpoint` and `start` are
+    passed to `run`.
 
     A run resumed at step `start` is judged as the whole trajectory: the
     records of steps 0..start-1 are read back from the checkpoint files
@@ -294,12 +283,20 @@ def classify(system: BandSystem, max_iter: int,
     runs), and the trace is indexed from step 0, with `start + max_iter`
     steps.
     """
-    ratio = Fraction(diam_ratio_threshold)
-    if not (0 < ratio < 1):
-        raise ValueError("diam_ratio_threshold must lie strictly in (0, 1)")
+    _threshold(diam_ratio_threshold)
     earlier = tuple(_record(i, _read_step(checkpoint, i)) for i in range(start))
     resumed = run(system, max_iter, checkpoint=checkpoint, start=start)
-    trace = RipsTrace(earlier + resumed.steps, start + max_iter)
+    return judge(RipsTrace(earlier + resumed.steps, start + max_iter),
+                 diam_ratio_threshold)
+
+
+def judge(trace: RipsTrace,
+          diam_ratio_threshold: Fraction = Fraction(1, 2)) -> Classification:
+    """The verdict on a given trace: SurfaceType if it halted, else
+    LevittEvidence if vol(K^{>=3}) stayed positive and the final max
+    domain diameter fell below the threshold times the initial one, else
+    Inconclusive with the reason."""
+    ratio = _threshold(diam_ratio_threshold)
 
     def done(verdict):
         return Classification(verdict, trace.max_iter, ratio, trace)

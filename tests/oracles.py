@@ -7,7 +7,10 @@ never through its chart.  Word domains are computed by backward recursion
 over per-band preimages (the fast path composes affine charts forward);
 word lists come from exhaustive generation with no pruning.  The
 marker-isometry word walk that the charts replaced is kept as
-`reference_walk`.
+`reference_walk`.  The Rips step keeps its per-(C_i, C_j) definition
+(`reference_rips_step`), and forest arcs the best-of-four search over the
+exit vertices of both cells (`reference_path`), with its own depth-first
+vertex paths.
 Rose-map dynamics use naive substitution on letter strings.  Subforest
 intersection, the valence strata and the Rips overlap set keep their
 pairwise or subset-wise, point-probing forms here; the other forest/subforest set
@@ -22,10 +25,11 @@ are dumb and separately derived.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
-from ripslab.forest import Subforest
-from ripslab.isometry import OutOfDomain, PartialIsometry
+from ripslab.forest import ZERO, Subforest
+from ripslab.isometry import BandSystem, OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
 from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
                             _poly, _pxgcd, _peval, count_roots)
@@ -120,6 +124,60 @@ class RefScalar:
                 and (RefScalar(None, (Fraction(hi),)) - self).sign() >= 0)
 
 
+# --- paths -----------------------------------------------------------------
+
+def brute_vertex_path(host, u, v):
+    """Oriented edge steps (from, edge, to) of the path from vertex u to
+    vertex v, by depth-first search over every edge; None if there is none."""
+    stack, seen = [(u, [])], {u}
+    while stack:
+        w, path = stack.pop()
+        if w == v:
+            return path
+        for e in host.edges:
+            if w in (e.u, e.v):
+                x = e.v if w == e.u else e.u
+                if x not in seen:
+                    seen.add(x)
+                    stack.append((x, path + [(w, e, x)]))
+    return None
+
+
+def reference_path(host, p, q):
+    """(distance, pieces) of the arc from p to q, as `MetricForest._path`
+    gives them: the shortest of the routes through an exit vertex of p's
+    cell and one of q's, each vertex-to-vertex leg summed edge by edge."""
+    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
+        return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
+
+    def exits(x):
+        if x.is_vertex:
+            return [(x.vertex, ZERO)]
+        e = host.edge_of(x.edge)
+        return [(e.u, x.offset), (e.v, e.length - x.offset)]
+
+    best = None
+    for w1, d1 in exits(p):
+        for w2, d2 in exits(q):
+            steps = brute_vertex_path(host, w1, w2)
+            total = d1 + d2
+            for _, e, _ in steps:
+                total = total + e.length
+            if best is None or total < best[0]:
+                best = (total, w1, w2, steps)
+    total, w1, w2, steps = best
+    pieces = []
+    if not p.is_vertex:
+        e = host.edge_of(p.edge)
+        pieces.append((p.edge, p.offset, ZERO if w1 == e.u else e.length))
+    for fv, e, _ in steps:
+        pieces.append((e.id, ZERO, e.length) if fv == e.u else (e.id, e.length, ZERO))
+    if not q.is_vertex:
+        e = host.edge_of(q.edge)
+        pieces.append((q.edge, ZERO if w2 == e.u else e.length, q.offset))
+    return total, pieces
+
+
 # --- subforest set algebra and the overlap set ------------------------------
 
 def brute_intersect(a, b):
@@ -208,6 +266,15 @@ def marker_image_of(band, s):
     return band.host.hull([marker_apply(band, p) for p in s.extremal_points()])
 
 
+def marker_restrict(band, s):
+    """The restriction to a subtree s of the domain, through the markers."""
+    if s == band.domain:
+        return band
+    corr = tuple((m, marker_apply(band, m)) for m in s.extremal_points())
+    return PartialIsometry(band.name, s, marker_image_of(band, s), corr,
+                           band.inverted)
+
+
 def preimage(band, target):
     """Exact preimage of a subforest under a band, component by component."""
     hit = band.range.intersect(target)
@@ -229,6 +296,26 @@ def brute_word_domain(system, word):
 def brute_valence(system, p):
     """The number of elements of A+- whose domain contains p."""
     return sum(1 for a in system.elements() if a.domain.contains(p))
+
+
+def reference_rips_step(system):
+    """One Rips step by its definition: each band a restricted, for every
+    ordered pair (C_i, C_j) of components of K', to
+    dom(a) n C_i n a^-1(C_j) where that is not empty, and labelled with
+    the pair."""
+    K = brute_overlap_set(system)
+    comps = K.components()
+    bands = []
+    for a in system.bands:
+        back = [preimage(a, cj) for cj in comps]
+        for i, ci in enumerate(comps):
+            part = brute_intersect(a.domain, ci)
+            for j, pre in enumerate(back):
+                dom = brute_intersect(part, pre)
+                if not dom.is_empty:
+                    bands.append(replace(marker_restrict(a, dom),
+                                         name=f"{a.name}.{i}_{j}"))
+    return BandSystem(system.forest, tuple(bands), support=K, field=system.field)
 
 
 def reference_compose(phi, a):

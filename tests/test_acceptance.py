@@ -103,7 +103,7 @@ def test_criterion_3_levitt_evidence_vs_pinned_transcript():
         assert rec.vol_ge3 > 0
     half = trace.steps[0].max_diameter / 2
     assert trace.steps[-1].max_diameter < half
-    result = rips.classify(s, 30)
+    result = rips.judge(trace)
     assert isinstance(result.verdict, rips.LevittEvidence)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

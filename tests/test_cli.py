@@ -218,6 +218,39 @@ def test_validate_reducible_field_is_input_error(tmp_path):
     assert run_cli("validate", str(path))[0] == 2
 
 
+TREE = "tree\nvertex u\nvertex v\nedge e0 u v 1\n"
+BAND = "band a\nmap e0:0 -> e0:1/2\n"
+
+
+@pytest.mark.parametrize("text", [
+    TREE + BAND + "band a\nmap e0:0 -> e0:1/4\n",
+    TREE + "support\ninterval e0 0 2\n" + BAND,
+    TREE + "support\ninterval e0 0 1\ninterval e0 1/2 1/2\n" + BAND,
+], ids=["repeated-band", "interval-past-edge", "empty-interval"])
+def test_parsed_input_errors_exit_2(tmp_path, capsys, text):
+    """A repeated band label and an interval that is empty or leaves its
+    edge are rejected at their line, not left to fail later."""
+    path = tmp_path / "bad.bands"
+    path.write_text(text)
+    for argv in (("validate",), ("rips", "classify")):
+        assert run_cli(*argv, str(path))[0] == 2, argv
+        assert ": line " in capsys.readouterr().err
+
+
+def test_resume_from_checkpoint_repeating_a_label_is_input_error(tmp_path):
+    bands = corpus("e_trim.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    latest = ck / "step-2.bands"
+    text = latest.read_text()
+    band = text[text.index("band "):]
+    latest.write_text(text + band[:band.index("\n", band.index("map"))] + "\n")
+    for action in ("run", "classify"):
+        assert run_cli("rips", action, "--resume",
+                       "--checkpoint", str(ck), bands)[0] == 2, action
+
+
 def test_resume_requires_checkpoint():
     code, _ = run_cli("rips", "run", "--resume", corpus("e_trim.bands"))
     assert code == 1

@@ -15,6 +15,8 @@ from ripslab.forest import (
 )
 from ripslab.isometry import BandSystem
 from ripslab.scalar import field_define, rational as Q
+from test_isometry import sample_points, zigzag
+from test_lamination import corpus, tripod as tripod_system
 
 
 def interval_forest(length=3):
@@ -325,3 +327,49 @@ def test_crowded_points_come_out_in_exact_order(base):
     lines = [ln for ln in text.splitlines() if ln.startswith("point ")]
     assert lines == [f"point e0:{scalar_str(x)}" for x in xs[1::2]]
     assert parse_system_text(text).support == union
+
+
+# -- arcs against the best-of-four search -------------------------------------
+
+def check_paths(host, points):
+    """(distance, pieces) of the arc between every two points of one tree
+    agree with the oracle's search over the exit vertices of both cells."""
+    for p in points:
+        for q in points:
+            if host.component_of(p) == host.component_of(q):
+                assert host._path(p, q) == oracles.reference_path(host, p, q), (p, q)
+
+
+def test_path_matches_oracle_on_tripod_and_zigzag_hosts():
+    rng = random.Random(8)
+    hosts = [tripod_system().forest] + [zigzag(corpus(name)).forest for name in
+                                 ("e_surf.bands", "e_trim.bands", "bk_itm.bands")]
+    for host in hosts:
+        check_paths(host, sample_points(host, host.whole(), rng, 2))
+
+
+@st.composite
+def random_forests(draw):
+    """(forest, points): each new vertex hangs off an earlier one by an edge
+    of drawn orientation and length, or starts a new tree (an isolated
+    vertex unless a later one hangs off it); the points are the vertices
+    and drawn offsets on each edge."""
+    names = [f"v{k}" for k in range(draw(st.integers(1, 8)))]
+    edges = []
+    for k, name in enumerate(names[1:], start=1):
+        if draw(st.integers(0, 4)):
+            other = names[draw(st.integers(0, k - 1))]
+            ends = (other, name) if draw(st.booleans()) else (name, other)
+            edges.append(Edge(f"e{k}", *ends, Q(draw(st.integers(1, 8)), 4)))
+    host = MetricForest(names, edges)
+    points = [host.vertex_point(v) for v in names]
+    for e in edges:
+        points += [host.point(e.id, e.length * Q(draw(st.integers(1, 7)), 8))
+                   for _ in range(2)]
+    return host, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_forests())
+def test_path_matches_oracle_on_random_forests(forest):
+    check_paths(*forest)

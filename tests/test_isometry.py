@@ -192,15 +192,6 @@ def sample_points(host, s, rng, n):
     return pts
 
 
-def marker_restrict(band, s):
-    """The restriction to a subtree s of the domain, through the markers."""
-    if s == band.domain:
-        return band
-    corr = tuple((m, oracles.marker_apply(band, m)) for m in s.extremal_points())
-    return PartialIsometry(band.name, s, oracles.marker_image_of(band, s), corr,
-                           band.inverted)
-
-
 def zigzag(system):
     """The same maps on the host cut at every marker, with every other new
     edge reversed: coordinates in which images cross vertices and a
@@ -241,7 +232,7 @@ def check_chart(band, rng, n=4):
     for _ in range(2 * n):
         s = host.segment(rng.choice(pts), rng.choice(pts))
         assert band.image_of(s) == oracles.marker_image_of(band, s), (band, s)
-        assert band.restrict(s) == marker_restrict(band, s), (band, s)
+        assert band.restrict(s) == oracles.marker_restrict(band, s), (band, s)
     assert band.image_of(band.domain) == band.range
     assert band.restrict(band.domain) is band
 

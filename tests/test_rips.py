@@ -2,6 +2,7 @@ import importlib.resources as resources
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from ripslab.fileformat import parse_system
@@ -13,13 +14,17 @@ from ripslab.rips import (
     ValenceStratification,
     classify,
     is_reduced,
+    judge,
     latest_checkpoint,
     lineage,
     overlap_set,
     rips_step,
     run,
+    same_system,
 )
 from ripslab.scalar import rational as Q
+from test_isometry import zigzag
+from test_lamination import corpus, interval_systems, step6, tripod
 
 
 def line(length):
@@ -219,6 +224,37 @@ def test_strata_match_oracle_with_vertex_point_domains():
     assert overlap_set(s) == Subforest(host, {}, frozenset([u]))
 
 
+def check_steps(system, steps=8):
+    """rips_step against its per-(C_i, C_j) definition, on the system and
+    on each step after it, up to `steps` steps or the halt."""
+    for _ in range(steps):
+        got, want = rips_step(system), oracles.reference_rips_step(system)
+        assert got.support == want.support
+        assert ([(b.name, b.domain, b.range, b.correspondence) for b in got.bands]
+                == [(b.name, b.domain, b.range, b.correspondence)
+                    for b in want.bands])
+        if same_system(system, got):
+            return
+        system = got
+
+
+@pytest.mark.parametrize("name", ["e_surf.bands", "e_trim.bands", "bk_itm.bands"])
+def test_step_matches_oracle_on_corpus(name):
+    check_steps(corpus(name))
+    check_steps(zigzag(corpus(name)))
+
+
+def test_step_matches_oracle_on_tripod_and_step6():
+    check_steps(tripod())
+    check_steps(step6())
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_systems())
+def test_step_fuzz(system):
+    check_steps(system)
+
+
 # -- reducedness -----------------------------------------------------------
 
 def test_is_reduced_e_surf(e_surf):
@@ -340,6 +376,18 @@ def test_classify_inconclusive_on_budget():
     assert isinstance(c.verdict, Inconclusive)
 
 
-def test_classify_rejects_bad_ratio(e_surf):
+def test_classify_rejects_bad_ratio(e_surf, monkeypatch):
+    trace = run(e_surf, 5)
+    with pytest.raises(ValueError):
+        judge(trace, Fraction(3, 2))
+    # classify rejects the ratio before it runs anything
+    monkeypatch.setattr("ripslab.rips.run", None)
     with pytest.raises(ValueError):
         classify(e_surf, 5, Fraction(3, 2))
+
+
+def test_judge_reads_a_given_trace(e_trim):
+    """judge on a trace already run gives what classify gives."""
+    trace = run(e_trim, 3)
+    for ratio in (Fraction(1, 10), Fraction(1, 2)):
+        assert judge(trace, ratio) == classify(e_trim, 3, ratio)

@@ -34,9 +34,16 @@ for name in ("isometry.image_of", "isometry.restrict"):
 # a field system: internal fast paths of the scalar layer must not bypass
 # the wrapped methods and silently zero a counter
 rec.begin()
-rips.classify(parse_system(FIELD_BANDS), 3)
+result = rips.classify(parse_system(FIELD_BANDS), 3)
 rec.end()
 bucket = rec.buckets[1]
+# rips_step maps once per band through image_of, never once per pair of
+# components of K'; every record is stepped but the last of a run that
+# did not halt
+steps = result.trace.steps
+stepped = sum(r.bands for r in (steps if result.trace.halted else steps[:-1]))
+assert bucket["isometry.image_of.in_step"] == stepped, (
+    bucket["isometry.image_of.in_step"], stepped)
 for name in ("scalar.sign", "scalar.compare", "scalar.arith",
              "scalar.enclosure"):
     assert bucket[name + ".calls"] > 0, name
