@@ -6,10 +6,13 @@ a vertex or at an exact offset along an edge; closed subsets that are
 finite unions of subtrees are represented canonically by
 :class:`Subforest` (per-edge closed intervals plus isolated points), so
 set equality -- the Rips halting test -- is representation equality.
+Every order is decided by comparing two values, which reads their cached
+enclosures, never by building their difference to read its sign.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -142,7 +145,7 @@ class MetricForest:
         e = self._edge[edge_id]
         off = _scal(offset)
         s = off.sign()
-        if s < 0 or (off - e.length).sign() > 0:
+        if s < 0 or off > e.length:
             raise ForestError(f"offset outside edge {edge_id}")
         if s == 0:
             return Point(vertex=e.u)
@@ -362,7 +365,7 @@ class Relabeling:
             for lo, hi in ivs:
                 for slo, shi, nid in self._edge_map[eid]:
                     a, b = max(lo, slo), min(hi, shi)
-                    if (b - a).sign() > 0:
+                    if a < b:
                         intervals.setdefault(nid, []).append((a - slo, b - slo))
         pts = frozenset(self.point(p) for p in s.points)
         return Subforest(self.new, intervals, pts)
@@ -434,8 +437,8 @@ class Subforest:
         return out
 
     def intersect(self, other: "Subforest") -> "Subforest":
-        """Set intersection by a linear merge of the sorted interval lists
-        of each shared edge.
+        """Set intersection: on each shared edge, each interval of the
+        shorter list is bisected into the longer one, at output cost.
 
         Besides the overlap intervals, the result keeps the isolated
         points of the intersection: same-edge touch points, vertices
@@ -450,23 +453,19 @@ class Subforest:
             olist = other.intervals.get(eid)
             if not olist:
                 continue
+            if len(olist) < len(ivs):
+                ivs, olist = olist, ivs
             pieces = []
-            i = j = 0
-            while i < len(ivs) and j < len(olist):
-                lo, hi = ivs[i]
-                olo, ohi = olist[j]
-                a = lo if lo >= olo else olo
-                c = hi._compare(ohi)
-                b = hi if c <= 0 else ohi
-                s = b._compare(a)
-                if s > 0:
-                    pieces.append((a, b))
-                elif s == 0:
-                    # the two intervals touch at one interior point
-                    extra.add(Point(edge=eid, offset=hi if c < 0 else lo))
-                if c <= 0:
-                    i += 1
-                if c >= 0:
+            for lo, hi in ivs:
+                j = bisect.bisect_left(olist, lo, key=lambda iv: iv[1])
+                while j < len(olist) and olist[j][0] <= hi:
+                    olo, ohi = olist[j]
+                    a = lo if lo >= olo else olo
+                    b = hi if hi <= ohi else ohi
+                    if a < b:
+                        pieces.append((a, b))
+                    else:  # the two intervals touch at one interior point
+                        extra.add(Point(edge=eid, offset=a))
                     j += 1
             if pieces:
                 intervals[eid] = pieces
@@ -593,6 +592,9 @@ class Subforest:
 
     def diameter(self) -> Scalar:
         """Max distance between extremal points (0 for points/empty)."""
+        ivs = [iv for v in self.intervals.values() for iv in v]
+        if len(ivs) == 1 and not self.points:
+            return ivs[0][1] - ivs[0][0]
         ext = self.extremal_points()
         best = ZERO
         for i in range(len(ext)):
@@ -653,7 +655,7 @@ def sorted_unique(xs: Iterable[Scalar]) -> list[Scalar]:
 
 
 def _merge(ivs: list[tuple[Scalar, Scalar]]) -> list[tuple[Scalar, Scalar]]:
-    ivs = sorted((iv for iv in ivs if (iv[1] - iv[0]).sign() > 0),
+    ivs = sorted((iv for iv in ivs if iv[0] < iv[1]),
                  key=lambda iv: iv[0])
     out: list[tuple[Scalar, Scalar]] = []
     for lo, hi in ivs:

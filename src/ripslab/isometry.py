@@ -2,8 +2,10 @@
 
 A partial isometry is stored, serialized and validated as a finite marker
 correspondence (domain point -> range point) that includes every extremal
-point of the domain.  It maps through its chart, built once from the
-markers: pieces x -> x + t or x -> t - x, each from one edge into one edge.
+point of the domain.  It maps through its chart: pieces x -> x + t or
+x -> t - x, each from one edge into one edge.  Only a parsed band (or one
+built by `arc_band`) reads its chart off the markers: a restriction keeps
+its parent's chart, clipped, and an inverse inverts its forward chart.
 A band system couples a host forest with finitely many positively-labeled
 bands; inverses are derived, so the label set and its inverses never
 collide.  Its valence stratification is computed once, on first use.
@@ -12,7 +14,7 @@ collide.  Its valence stratification is computed once, on first use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
@@ -103,6 +105,48 @@ def _arc(path: list) -> list:
     return out
 
 
+def _marker_chart(band: "PartialIsometry") -> dict[str, list]:
+    """The interval pieces of a band's chart, from its markers: the arc
+    from the first marker to each other one read beside its image arc."""
+    host, (m0, i0) = band.host, band.correspondence[0]
+    chart: dict[str, list] = {}
+    for m, i in band.correspondence[1:]:
+        for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
+                _arc(host._path(m0, m)[1]), _arc(host._path(i0, i)[1])):
+            a, b = max(s0, r0), min(s1, r1)
+            if a < b:
+                piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (
+                    c, df != rf, rt + dt if df != rf else rt - dt)
+                if piece not in chart.setdefault(e, []):
+                    chart[e].append(piece)
+    return chart
+
+
+def _inverse_chart(chart: dict) -> dict[str, list]:
+    """The interval pieces of a chart's inverse: x -> x + t on [lo, hi]
+    inverts to y -> y - t on [lo + t, hi + t], x -> t - x to itself."""
+    out: dict[str, list] = {}
+    for cell, pieces in chart.items():
+        for lo, hi, c, flip, t in pieces:
+            if lo != hi:
+                out.setdefault(c, []).append((t - hi, t - lo, cell, True, t) if flip
+                                             else (lo + t, hi + t, cell, False, -t))
+    return out
+
+
+def _clip(host: MetricForest, chart: dict, s: Subforest) -> tuple[dict, Subforest]:
+    """The chart restricted to a subset s of its domain, each piece clipped
+    to each span of s on its cell, and the image of s."""
+    out, image = {}, []
+    for cell, lo, hi in spans(s):
+        for blo, bhi, c, flip, t in chart.get(cell, ()):
+            if blo <= hi and lo <= bhi:
+                a, b = lo if lo >= blo else blo, hi if hi <= bhi else bhi
+                out.setdefault(cell, []).append((a, b, c, flip, t))
+                image.append((c, t - b, t - a) if flip else (c, a + t, b + t))
+    return out, _span_set(host, image)
+
+
 @dataclass(frozen=True)
 class PartialIsometry:
     """An isometry from one compact subtree of the host onto another."""
@@ -112,6 +156,9 @@ class PartialIsometry:
     range: Subforest
     correspondence: tuple[tuple[Point, Point], ...]
     inverted: bool = False
+    # fields, so that `dataclasses.replace` keeps the chart and its source
+    _chart: dict | None = field(default=None, compare=False, repr=False)
+    _forward: PartialIsometry | None = field(default=None, compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -125,34 +172,25 @@ class PartialIsometry:
         return PartialIsometry(
             self.name, self.range, self.domain,
             tuple((b, a) for a, b in self.correspondence),
-            not self.inverted)
+            not self.inverted, _forward=self)
 
-    @cached_property
+    @property
     def chart(self) -> dict[str, list]:
         """The map, per cell (an edge, or a vertex no edge meets), as domain
         pieces (lo, hi, tcell, flip, t) sent into tcell by x -> x + t, or by
         t - x if flip, cut where the image passes a vertex; each vertex and
         lone point of the domain is listed, as lo = hi, on every edge at it
-        that no interval reaches.  Built once from the markers: the arc from
-        the first marker to each other one is read beside its image arc."""
-        host = self.host
-        m0, i0 = self.correspondence[0]
-        chart: dict[str, list] = {}
-        for m, i in self.correspondence[1:]:
-            for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
-                    _arc(host._path(m0, m)[1]), _arc(host._path(i0, i)[1])):
-                a, b = max(s0, r0), min(s1, r1)
-                if a < b:
-                    piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (
-                        c, df != rf, rt + dt if df != rf else rt - dt)
-                    if piece not in chart.setdefault(e, []):
-                        chart[e].append(piece)
-        for cell, x, y in spans(self.domain):
-            if x == y:
-                q = _map_point(host, chart, _cell_point(host, cell, x)) or i0
-                c, z = host.addresses(q)[0]
-                chart.setdefault(cell, []).append((x, x, c, False, z - x))
-        return chart
+        that no interval reaches.  Computed once, unless given."""
+        if self._chart is None:
+            host, fwd = self.host, self._forward
+            chart = _marker_chart(self) if fwd is None else _inverse_chart(fwd.chart)
+            for cell, x, y in spans(self.domain):
+                if x == y:
+                    q = _map_point(host, chart, _cell_point(host, cell, x))
+                    c, z = host.addresses(q or self.correspondence[0][1])[0]
+                    chart.setdefault(cell, []).append((x, x, c, False, z - x))
+            object.__setattr__(self, "_chart", chart)
+        return self._chart
 
     def apply(self, p: Point) -> Point:
         q = _map_point(self.host, self.chart, p)
@@ -162,18 +200,18 @@ class PartialIsometry:
 
     def image_of(self, s: Subforest) -> Subforest:
         """Exact image of a subset s of the domain."""
-        pieces = extend_chart(identity_chart(s), self.chart)
-        return _span_set(self.host, [(c, lo, hi) for _, c, _, _, lo, hi in pieces])
+        return _clip(self.host, self.chart, s)[1]
 
     def restrict(self, d: Subforest) -> "PartialIsometry | None":
-        """Maximal restriction of the map to domain `intersect` d."""
+        """Maximal restriction of the map to domain `intersect` d, charted."""
         nd = self.domain.intersect(d)
         if nd.is_empty:
             return None
         if nd == self.domain:
             return self
-        corr = tuple((m, self.apply(m)) for m in nd.extremal_points())
-        return PartialIsometry(self.name, nd, self.image_of(nd), corr, self.inverted)
+        chart, image = _clip(self.host, self.chart, nd)
+        corr = tuple((m, _map_point(self.host, chart, m)) for m in nd.extremal_points())
+        return PartialIsometry(self.name, nd, image, corr, self.inverted, _chart=chart)
 
     def validate(self) -> list[str]:
         """All invariant violations, empty when the band is well formed."""

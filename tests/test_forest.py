@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +12,9 @@ from ripslab.fileformat import parse_system_text, scalar_str, serialize_system
 from ripslab.forest import (
     DifferentComponents,
     Edge,
+    ForestError,
     MetricForest,
+    Point,
     Subforest,
 )
 from ripslab.isometry import BandSystem
@@ -373,3 +377,89 @@ def random_forests(draw):
 @given(random_forests())
 def test_path_matches_oracle_on_random_forests(forest):
     check_paths(*forest)
+
+
+# -- exact decisions within 10^-12 of an edge end or of each other -------------
+
+# an edge length and a gap below 10^-12: L^60 is about 1.3 * 10^-16
+NEAR = [(Q(1, 3), Q(1, 10**20)), (L, functools.reduce(operator.mul, [L] * 60))]
+
+
+@pytest.mark.parametrize("length, eps", NEAR, ids=["Q", "bk"])
+def test_point_decides_edge_ends_exactly(length, eps):
+    host = MetricForest(["u", "v"], [Edge("e0", "u", "v", length)])
+    for bad in (length + eps, -eps):
+        with pytest.raises(ForestError):
+            host.point("e0", bad)
+    assert host.point("e0", length) == host.vertex_point("v")
+    assert host.point("e0", length - eps) == Point(edge="e0", offset=length - eps)
+    assert host.point("e0", eps) == Point(edge="e0", offset=eps)
+
+
+@pytest.mark.parametrize("length, eps", NEAR, ids=["Q", "bk"])
+def test_merge_drops_only_empty_intervals(length, eps):
+    host = MetricForest(["u", "v"], [Edge("e0", "u", "v", 2 * length)])
+    x = length
+    assert Subforest(host, {"e0": [(x, x)]}).is_empty
+    assert Subforest(host, {"e0": [(x, x), (x, x + eps)]}).intervals == {
+        "e0": ((x, x + eps),)}
+    apart = Subforest(host, {"e0": [(x + eps, 2 * x), (0 * x, x)]})
+    assert apart.intervals == {"e0": ((0 * x, x), (x + eps, 2 * x))}
+    touching = Subforest(host, {"e0": [(x, 2 * x), (x - eps, x)]})
+    assert touching.intervals == {"e0": ((x - eps, 2 * x),)}
+    cut, relabel = host.refine([host.point("e0", x)])
+    assert relabel.subforest(Subforest(host, {"e0": [(x - eps, x + eps)]})) == \
+        Subforest(cut, {"e0_s0": [(x - eps, x)], "e0_s1": [(0 * x, eps)]})
+
+
+@pytest.mark.parametrize("length, eps", NEAR, ids=["Q", "bk"])
+def test_one_interval_diameter_matches_extremal_search(length, eps):
+    host = tripod_forest(length, length + eps, 1 + length)
+    sets = [Subforest(host, {"l2": [(length, length + eps)]}),
+            Subforest(host, {"l1": [(0 * eps, eps)]}),
+            host.segment(host.point("l4", length), host.vertex_point("t4")),
+            host.whole(),
+            host.segment(host.point("l1", eps), host.point("l2", eps))]
+    for s in sets:
+        ext = s.extremal_points()
+        brute = max(host.distance(p, q) for p, q in combinations(ext, 2))
+        assert s.diameter() == brute, s
+    assert sets[0].diameter() == eps
+
+
+# -- a long interval list against a short one ----------------------------------
+
+def _fine_grids(grids, parts=6):
+    """Each edge grid cut into `parts` equal steps between grid points."""
+    return {eid: [x + (y - x) * Q(k, parts) for x, y in zip(g, g[1:])
+                  for k in range(parts)] + [g[-1]] for eid, g in grids.items()}
+
+
+@st.composite
+def lopsided_pairs(draw, host, grids, pts):
+    """On one edge, 8-16 disjoint intervals of a fine grid, and 1-2
+    intervals of the same grid, each with up to two isolated points."""
+    fine = _fine_grids(grids)
+    eid = draw(st.sampled_from(sorted(fine)))
+    g = fine[eid]
+    n = draw(st.integers(8, 16))
+    ends = sorted(draw(st.lists(st.integers(0, len(g) - 1), min_size=2 * n,
+                                max_size=2 * n, unique=True)))
+    many = [(g[i], g[j]) for i, j in zip(ends[::2], ends[1::2])]
+    few = []
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = sorted(draw(st.lists(st.integers(0, len(g) - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        few.append((g[i], g[j]))
+    return [Subforest(host, {eid: ivs}, frozenset(
+        draw(st.lists(st.sampled_from(pts), max_size=2)))) for ivs in (many, few)]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lopsided_intersect_matches_oracle(name, data):
+    a, b = data.draw(lopsided_pairs(*HOSTS[name]))
+    assert len(next(iter(a.intervals.values()))) >= 8
+    assert a.intersect(b) == oracles.brute_intersect(a, b)
+    assert b.intersect(a) == oracles.brute_intersect(b, a)

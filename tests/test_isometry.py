@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ripslab import isometry
 from ripslab.forest import Edge, MetricForest, Point
 from ripslab.isometry import (
     BandSystem,
@@ -252,6 +253,21 @@ def test_chart_matches_markers_along_runs(name):
         for system in (rec.system, zigzag(rec.system)):
             for band in system.elements():
                 check_chart(band, rng, n=1)
+
+
+@pytest.mark.parametrize("name", ["bk_itm.bands", "e_trim.bands", "tripod"])
+def test_carried_and_inverse_charts_match_markers(name, monkeypatch):
+    """Along a 10-step run every band keeps the chart clipped from its
+    parent's and every inverse inverts its band's chart: once the first
+    system's charts are read off its markers, no chart is."""
+    system = tripod() if name == "tripod" else corpus(name)
+    for band in system.bands:
+        band.chart
+    monkeypatch.setattr(isometry, "_marker_chart", None)
+    rng = random.Random(8)
+    for rec in run(system, 10).steps:
+        for band in rec.system.elements():
+            check_chart(band, rng, n=1)
 
 
 def test_chart_matches_markers_on_tripod():

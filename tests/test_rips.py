@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from ripslab import isometry
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
 from ripslab.isometry import BandSystem, arc_band
@@ -334,6 +335,24 @@ def test_run_stratifies_each_system_once(monkeypatch):
     trace = run(parse_system(path), 30)
     assert len(trace.steps) == 31 and not trace.halted
     assert len(made) == 31
+
+
+def test_run_reads_charts_off_markers_only_for_parsed_bands(monkeypatch):
+    """Restrictions keep their parent's chart through renaming and inverses
+    invert their forward chart, so a run builds one chart from markers per
+    parsed band."""
+    built = []
+    marker_chart = isometry._marker_chart
+
+    def counting(band):
+        built.append(band.label)
+        return marker_chart(band)
+
+    monkeypatch.setattr(isometry, "_marker_chart", counting)
+    system = parse_system(str(resources.files("ripslab") / "corpus" / "bk_itm.bands"))
+    trace = run(system, 30)
+    assert len(trace.steps) == 31 and not trace.halted
+    assert sorted(built) == sorted(b.label for b in system.bands)
 
 
 def test_run_numbers_steps_from_start(e_trim, tmp_path):
