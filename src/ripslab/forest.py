@@ -19,6 +19,13 @@ from typing import Iterable, Sequence
 from .scalar import Scalar, ScalarLike, rational
 
 ZERO = rational(0)
+_NO_VERTICES: frozenset[str] = frozenset()
+
+
+def in_intervals(ivs: Sequence[tuple[Scalar, Scalar]], x: Scalar) -> bool:
+    """True if x lies in one of the sorted disjoint closed intervals ivs."""
+    j = bisect.bisect_left(ivs, x, key=lambda iv: iv[1])
+    return j < len(ivs) and ivs[j][0] <= x
 
 
 class ForestError(Exception):
@@ -379,7 +386,7 @@ class Subforest:
     components are first-class.
     """
 
-    __slots__ = ("host", "intervals", "points", "_hash")
+    __slots__ = ("host", "intervals", "points", "_hash", "_vertices")
 
     def __init__(self, host: MetricForest,
                  intervals: dict[str, Iterable[tuple[Scalar, Scalar]]],
@@ -396,7 +403,7 @@ class Subforest:
             if not self._covered(p):
                 kept.append(p)
         self.points = frozenset(kept)
-        self._hash = None
+        self._hash = self._vertices = None
 
     @classmethod
     def empty(cls, host: MetricForest) -> "Subforest":
@@ -406,8 +413,8 @@ class Subforest:
 
     def _covered(self, p: Point) -> bool:
         """True if p lies in some stored interval."""
-        return any(lo <= x <= hi for eid, x in self.host.addresses(p)
-                   for lo, hi in self.intervals.get(eid, ()))
+        return any(in_intervals(self.intervals.get(eid, ()), x)
+                   for eid, x in self.host.addresses(p))
 
     def contains(self, p: Point) -> bool:
         return self._covered(p) or p in self.points
@@ -425,16 +432,18 @@ class Subforest:
 
     # -- set algebra ------------------------------------------------------
 
-    def _interval_vertices(self) -> set[str]:
-        """Vertices reached by an interval end (offset 0 or the edge length)."""
-        out = set()
-        for eid, ivs in self.intervals.items():
-            e = self.host._edge[eid]
-            if ivs[0][0].sign() == 0:
-                out.add(e.u)
-            if ivs[-1][1] == e.length:
-                out.add(e.v)
-        return out
+    def _interval_vertices(self) -> frozenset[str]:
+        """Vertices reached by an interval end (0 or the edge length), kept."""
+        if self._vertices is None:
+            out = set()
+            for eid, ivs in self.intervals.items():
+                e = self.host._edge[eid]
+                if ivs[0][0].sign() == 0:
+                    out.add(e.u)
+                if ivs[-1][1] == e.length:
+                    out.add(e.v)
+            self._vertices = frozenset(out) if out else _NO_VERTICES
+        return self._vertices
 
     def intersect(self, other: "Subforest") -> "Subforest":
         """Set intersection: on each shared edge, each interval of the

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
+from .forest import ZERO, MetricForest, Point, Subforest, in_intervals, sorted_unique
 from .scalar import NumberField, Scalar
 
 
@@ -46,7 +46,7 @@ def spans(s: Subforest) -> list[tuple[str, Scalar, Scalar]]:
     out = [(eid, lo, hi) for eid, ivs in s.intervals.items() for lo, hi in ivs]
     for p in [Point(vertex=v) for v in s._interval_vertices()] + list(s.points):
         out += [(c, x, x) for c, x in s.host.addresses(p)
-                if not any(lo <= x <= hi for lo, hi in s.intervals.get(c, ()))]
+                if not in_intervals(s.intervals.get(c, ()), x)]
     return out
 
 

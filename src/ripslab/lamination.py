@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .forest import Point, Subforest
-from .isometry import BandSystem, chart_domain, extend_chart, identity_chart, spans
+from .forest import MetricForest, Point, Subforest
+from .isometry import (BandSystem, _cell_point, _span_set, chart_domain,
+                       extend_chart, identity_chart, spans)
 
 
 class LaminationError(Exception):
@@ -77,17 +78,50 @@ class LimitSetApprox:
     subforest: Subforest
 
 
+def _drop_covered(host: MetricForest, chart: list) -> list:
+    """The chart without its point pieces whose image an interval piece's
+    image covers (a band lists a vertex on every edge at it, so an image
+    can reach one twice); a chart is injective, so no domain point is lost."""
+    if all(p[4] != p[5] for p in chart):
+        return chart
+    image = _span_set(host, [(tc, lo, hi) for _, tc, _, _, lo, hi in chart if lo != hi])
+    return [p for p in chart if p[4] != p[5]
+            or not image.contains(_cell_point(host, p[1], p[4]))]
+
+
+def _meeting(sets: list[Subforest], keys: list) -> set[tuple[int, int]]:
+    """The index pairs i < j of the sets that meet and whose keys differ,
+    from one sorted sweep over their closed spans on each cell."""
+    cells: dict[str, list] = {}
+    for i, s in enumerate(sets):
+        for c, lo, hi in spans(s):
+            cells.setdefault(c, []).append((lo, hi, i))
+    pairs = set()
+    for row in cells.values():
+        row.sort(key=lambda span: span[0])
+        active: list = []
+        for lo, hi, i in row:
+            active = [(h, j) for h, j in active if h >= lo]
+            pairs.update((min(i, j), max(i, j)) for _, j in active if keys[i] != keys[j])
+            active.append((hi, i))
+    return pairs
+
+
 def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], list]]:
-    """Depth-first enumeration of admissible words with their charts."""
+    """Depth-first enumeration of admissible words with their charts.  A
+    letter x is tried after y only if dom(x) meets range(y) = dom(y')."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bands = [(a.label, a.chart) for a in system.elements()]
+    els = system.elements()
+    bands = [(a.label, a.chart) for a in els]
+    meet = _meeting([a.domain for a in els], [a.label for a in els])
+    follow = {inverse_label(a.label): [b for j, b in enumerate(bands)
+                                       if (min(i, j), max(i, j)) in meet]
+              for i, a in enumerate(els)}
 
     def rec(word, chart):
-        for letter, band in bands:
-            if word and letter == inverse_label(word[-1]):
-                continue
-            nxt = extend_chart(chart, band)
+        for letter, band in follow[word[-1]] if word else bands:
+            nxt = _drop_covered(system.forest, extend_chart(chart, band))
             if nxt:
                 ext = word + (letter,)
                 yield ext, nxt
@@ -104,32 +138,19 @@ def admissible_words(system: BandSystem, depth: int
             for w, chart in _walk(system, depth)]
 
 
-def _meets(su: list, sv: list) -> bool:
-    return any(c == d and lo <= ohi and olo <= hi
-               for c, lo, hi in su for d, olo, ohi in sv)
-
-
 def dotted_words(system: BandSystem, depth: int) -> list[LeafWord]:
     """Admissible dotted words of side-length depth, up to reversal.
 
     A pair of one-sided words is admissible when both domains meet and
     their first letters differ (so the two rays leave the dot along
     distinct bands and the full word is reduced across the dot).  Only
-    the pairs whose spans meet are intersected.
+    the pairs of sides that `_meeting` finds are intersected.
     """
-    sides = []
-    for w, chart in _walk(system, depth):
-        if len(w) == depth:
-            dom = chart_domain(system.forest, chart)
-            sides.append((w, dom, spans(dom)))
-    out = []
-    for i, (u, du, fu) in enumerate(sides):
-        for v, dv, fv in sides[i:]:
-            if u[0] != v[0] and _meets(fu, fv):
-                dom = du.intersect(dv)
-                out.append(LeafWord(u, v, dom) if u <= v else LeafWord(v, u, dom))
-    out.sort(key=LeafWord.key)
-    return out
+    sides = [(w, chart_domain(system.forest, chart))
+             for w, chart in _walk(system, depth) if len(w) == depth]
+    pairs = _meeting([dom for _, dom in sides], [w[0] for w, _ in sides])
+    return sorted((LeafWord(*sorted((u, v)), du.intersect(dv)) for (u, du), (v, dv)
+                   in ((sides[i], sides[j]) for i, j in pairs)), key=LeafWord.key)
 
 
 def limit_set(system: BandSystem, depth: int) -> LimitSetApprox:

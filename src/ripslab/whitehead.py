@@ -234,11 +234,11 @@ def detect_pattern(system: BandSystem, depth: int):
         if len(edges) < 2:
             break
         g = _graph(x, d, depth, edges)
+        cls = {end: k for k, ends in enumerate(g.end_classes) for end in ends}
         for i in range(len(g.edges)):
             for j in range(i + 1, len(g.edges)):
                 l1, l2 = g.edges[i], g.edges[j]
-                ends = {g.class_of(l1.left), g.class_of(l1.right),
-                        g.class_of(l2.left), g.class_of(l2.right)}
+                ends = {cls[l1.left], cls[l1.right], cls[l2.left], cls[l2.right]}
                 if len(ends) < 3:
                     continue
                 b = _point_on_side(system, l1, x, d, 1, 2)

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ripslab import lamination
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
-from ripslab.isometry import BandSystem, PartialIsometry, arc_band
+from ripslab.isometry import BandSystem, PartialIsometry, _cell_point, arc_band, chart_domain
 from ripslab.lamination import (
     LeafWord,
     NotReduced,
+    _walk,
     admissible_words,
     dotted_words,
     inverse_label,
@@ -20,6 +22,7 @@ from ripslab.lamination import (
 )
 from ripslab.rips import lineage, rips_step
 from ripslab.scalar import rational as Q
+from ripslab.whitehead import wh_scan
 
 import oracles
 from oracles import brute_leaves_at, brute_word_domain
@@ -333,3 +336,96 @@ def test_walk_makes_no_apply_calls(monkeypatch):
         dotted_words(s, depth)
         counts.append(len(calls))
     assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("system", [step6, tripod])
+def test_walk_tries_a_letter_only_where_its_domain_meets_the_last_range(
+        monkeypatch, system):
+    """After a word ending in y the walk extends by x only if dom(x) meets
+    range(y) (tested here by intersecting): one extend_chart per such
+    (word, letter), on bk_itm_step6 far fewer than per reduced extension."""
+    s = system()
+    els = s.elements()
+    meets = {(y.label, x.label) for y in els for x in els
+             if x.label != inverse_label(y.label) and not y.range.intersect(x.domain).is_empty}
+    words = [w for w, _ in admissible_words(s, 3)]
+    expected = len(els) + sum((w[-1], x.label) in meets for w in words for x in els)
+    calls = []
+    extend = lamination.extend_chart
+    monkeypatch.setattr(lamination, "extend_chart",
+                        lambda chart, band: calls.append(band) or extend(chart, band))
+    assert admissible_words(s, 4) == oracles.reference_walk(s, 4)
+    assert len(calls) == expected
+    if system is step6:
+        assert expected * 5 < len(els) + len(words) * (len(els) - 1)
+
+
+# -- the walk and the sweep against the oracles -----------------------------
+
+SYSTEMS = {"bk_itm": lambda: corpus("bk_itm.bands"),
+           "e_trim": lambda: corpus("e_trim.bands"),
+           "bk_itm_step6": step6, "tripod": tripod}
+
+
+def dotted(system, depth):
+    return [(leaf.left, leaf.right, leaf.domain) for leaf in dotted_words(system, depth)]
+
+
+def scan_rows(system, depth):
+    return sorted((repr(x), (d.edge, d.toward), n) for x, d, n in wh_scan(system, depth))
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_walk_and_dotted_words_match_the_oracles(name):
+    """At depths 2, 4 and 5 the words, the dotted words and (at depth 2)
+    the scan rows equal the oracles'."""
+    s = SYSTEMS[name]()
+    for depth in (2, 4, 5):
+        assert admissible_words(s, depth) == oracles.reference_walk(s, depth)
+        got = dotted(s, depth)
+        assert got == oracles.reference_dotted_words(s, depth)
+        if depth == 2:
+            assert got == oracles.brute_dotted(s, depth)
+            assert scan_rows(s, depth) == sorted(oracles.brute_wh_scan(s, depth))
+
+
+@pytest.mark.parametrize("depth", [6, 7, 8])
+def test_sweep_pairs_as_all_pairs_on_bk_itm(depth):
+    s = corpus("bk_itm.bands")
+    sides = [(w, dom) for w, dom in admissible_words(s, depth) if len(w) == depth]
+    assert dotted(s, depth) == oracles.brute_dotted(s, depth, sides=sides)
+
+
+@pytest.mark.parametrize("name", ["tripod", "bk_itm.bands", "e_trim.bands"])
+def test_sweep_pairs_as_all_pairs_where_spans_touch(name):
+    """On hosts whose sides meet only at one point of an edge or at a
+    vertex (the tripod, and corpus systems in zigzag coordinates), the
+    sweep pairs the sides as testing every pair does."""
+    from test_isometry import zigzag  # test_isometry imports this module
+
+    s = tripod() if name == "tripod" else zigzag(corpus(name))
+    at_vertex = 0
+    for depth in range(1, 5):
+        sides = [(w, dom) for w, dom in admissible_words(s, depth) if len(w) == depth]
+        got = dotted(s, depth)
+        assert got == oracles.brute_dotted(s, depth, sides=sides)
+        at_vertex += sum(len(dom.intervals) != 1 for _, _, dom in got)
+    assert at_vertex  # some domains are lone points or cross a vertex
+
+
+def test_word_charts_carry_no_covered_point_pieces():
+    """No point piece of a word's chart has its domain point inside an
+    interval piece of the same chart, though the tripod's bands list the
+    vertex c on each edge at it; the domains still equal the marker walk."""
+    s = tripod()
+    host = s.forest
+    points = 0
+    for depth in (3, 5):
+        for w, chart in _walk(s, depth):
+            cover = chart_domain(host, [p for p in chart if p[4] != p[5]])
+            pts = [_cell_point(host, c, t - lo if f else lo - t)
+                   for c, _, f, t, lo, hi in chart if lo == hi]
+            assert not any(cover.contains(p) for p in pts), w
+            points += len(pts)
+    assert points
+    check_walk(s, 5, brute=False)

@@ -5,7 +5,8 @@ import pytest
 
 from ripslab.fileformat import parse_system, parse_system_text
 from ripslab.forest import Direction, point_key
-from ripslab.lamination import LeafWord, limit_set
+from ripslab import lamination
+from ripslab.lamination import LeafWord, admissible_words, leaves_at, limit_set
 from ripslab.rips import classify
 from ripslab.scalar import Scalar
 from ripslab.whitehead import (
@@ -237,3 +238,26 @@ def test_no_order_or_decision_reads_a_decimal(monkeypatch, e_trim, bk_itm):
         wh_scan(system, depth)
         detect_pattern(system, depth)
         limit_set(system, depth)
+
+
+def test_each_read_walks_once(monkeypatch):
+    """Every reader at depth 4 extends as many charts as one
+    admissible_words at depth 4: one walk per read, none repeated."""
+    calls = []
+    extend = lamination.extend_chart
+
+    def counted(chart, band):
+        calls.append(band)
+        return extend(chart, band)
+
+    monkeypatch.setattr(lamination, "extend_chart", counted)
+    s = corpus("bk_itm.bands")
+    x, d, _ = wh_scan(s, 4)[0]
+    counts = []
+    for read in (lambda: admissible_words(s, 4), lambda: wh_scan(s, 4),
+                 lambda: detect_pattern(s, 4), lambda: limit_set(s, 4),
+                 lambda: leaves_at(s, x, 4), lambda: directional_whitehead(s, x, d, 4)):
+        del calls[:]
+        read()
+        counts.append(len(calls))
+    assert counts[0] and counts == counts[:1] * 6
