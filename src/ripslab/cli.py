@@ -294,13 +294,15 @@ def _cmd_tt(args, out):
         vec = ", ".join(scalar_str(x) for x in td.eigenvector)
         out.write(f"eigenvector: ({vec})\n")
         return 0
+    try:
+        p, mp = traintrack.rotationless_power(m)
+    except traintrack.VanishingIterate as exc:
+        raise InputError(str(exc)) from exc
     if args.action == "rotationless":
         rot = traintrack.is_rotationless(m)
-        p, _ = traintrack.rotationless_power(m)
         out.write(f"rotationless: {'yes' if rot else 'no'}\n")
         out.write(f"power: {p}\n")
         return 0
-    p, mp = traintrack.rotationless_power(m)
     g = traintrack.stable_whitehead_graph(mp, args.budget)
     out.write(f"power: {p}\n")
     out.write(f"vertices: {' '.join(g.vertices)}\n")

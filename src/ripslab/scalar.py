@@ -5,16 +5,16 @@ Every length, offset and coordinate in the rest of the package is a
 algebraic number lambda, reduced modulo its defining polynomial.  A scalar
 holds integer coefficients over one positive common denominator, in lowest
 terms, so arithmetic, equality and hashing are integer operations;
-``Fraction`` polynomials remain only in parsing, the inverse, the exact
-zero test and Sturm root counting.  Sign determination is exact: an
-algebraic zero test (polynomial gcd with the defining polynomial)
-guarantees termination, and interval refinement of the isolating interval
-only accelerates the nonzero case.  No floating point is used anywhere.
+``Fraction`` polynomials remain only in parsing, the inverse and the
+irreducibility check.  The defining polynomial is irreducible over Q,
+checked once when the field is built, so a reduced element vanishes at
+lambda only if it is 0 and is rational only if it is a constant.  The sign
+of any other element is exact: refining the isolating interval ends with
+bounds of one sign.  No decision is taken on a float.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -41,7 +41,7 @@ class DivisionByZero(ScalarError):
 
 
 class NotIrreducible(ScalarError):
-    """Raised by the irreducibility check of NumberField, on by default."""
+    """The defining polynomial factors over Q, so Q[x]/(p) is no field."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,12 @@ def poly_str(coeffs: Sequence) -> str:
 
 
 class NumberField:
-    """Q(lambda) for lambda the unique real root of a monic polynomial over
-    Q inside an isolating interval.  The interval is refined lazily as sign
-    determinations demand; refinement only ever shrinks it, so instances
-    behave as immutable values."""
+    """Q(lambda) for lambda the unique real root of a monic irreducible
+    polynomial over Q in an isolating interval, refined lazily as signs
+    demand; refinement only shrinks it, so instances behave as immutable
+    values.  ``check_irreducible=False`` skips the irreducibility check on
+    the caller's promise that the polynomial is irreducible (a factor from
+    a factorization over Q, say); zero tests and signs rest on it."""
 
     def __init__(self, minpoly: Iterable, lo, hi, check_irreducible: bool = True):
         poly = _poly(minpoly)
@@ -206,7 +208,6 @@ class NumberField:
         self.minpoly: Poly = poly
         self._lo0, self._hi0 = lo, hi
         self._lo, self._hi = lo, hi
-        self._exact: Fraction | None = None  # set if lambda turns out rational
         self._rev = 0           # bumped on refine; invalidates cached bounds
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
         if check_irreducible and not self._is_irreducible():
@@ -217,9 +218,6 @@ class NumberField:
         den = math.lcm(1, *(c.denominator for r in rows for c in r))
         self._red = (den, [[c.numerator * (den // c.denominator) for c in r]
                            for r in rows])
-        if len(poly) == 2:
-            # linear polynomial: lambda is the rational -poly[0]
-            self._exact = self._lo = self._hi = -poly[0]
 
     def _is_irreducible(self) -> bool:
         p, n = self.minpoly, self.degree
@@ -250,16 +248,10 @@ class NumberField:
 
     def refine(self) -> None:
         """Halve the isolating interval, keeping the root."""
-        if self._exact is not None:
-            return
         lo, hi = self._lo, self._hi
         mid = (lo + hi) / 2
-        vm = _peval(self.minpoly, mid)
-        if vm == 0:
-            # the isolated root is exactly mid (reducible/trusted mode)
-            self._exact = self._lo = self._hi = mid
-            return
-        if _peval(self.minpoly, lo) * vm < 0:
+        # mid is the root only in degree 1, where it stays the upper bound
+        if _peval(self.minpoly, lo) * _peval(self.minpoly, mid) <= 0:
             self._hi = mid
         else:
             self._lo = mid
@@ -270,7 +262,7 @@ class NumberField:
         """Dyadic integer bounds (prec, L, H) with L/2^prec <= root <= H/2^prec."""
         if self._fp is None:
             width = self._hi - self._lo
-            inv_width = width.denominator // max(width.numerator, 1)
+            inv_width = width.denominator // width.numerator
             prec = max(64, inv_width.bit_length() + 32)
             L = (self._lo.numerator << prec) // self._lo.denominator
             H = -((-self._hi.numerator << prec) // self._hi.denominator)
@@ -428,27 +420,12 @@ class Scalar:
         return Scalar._coerce(other) / self
 
     def _inverse(self) -> "Scalar":
-        f = self.field
-        assert f is not None
-        modulus = f.minpoly
-        b = self.coeffs
-        while True:
-            g, s = _pxgcd(b, modulus)
-            if len(g) == 1:
-                # g is monic, hence the constant 1: s*b == 1 (mod modulus)
-                return f.element(s)
-            # reducible modulus: g is a nontrivial common factor
-            if count_roots(g, f._lo, f._hi) > 0:
-                raise DivisionByZero("scalar is zero at the isolated root")
-            modulus = _pdivmod(modulus, g)[0]
-            b = _pmod(b, modulus)
+        # the minimal polynomial is irreducible, so the gcd is 1
+        return self.field.element(_pxgcd(self.coeffs, self.field.minpoly)[1])
 
     def is_zero(self) -> bool:
-        f = self.field
-        if not self.num or f is None:
-            return not self.num
-        g = _pgcd(self.coeffs, f.minpoly)
-        return len(g) > 1 and count_roots(g, f._lo, f._hi) > 0
+        """Exact, as the minimal polynomial divides no nonzero reduced element."""
+        return not self.num
 
     def as_fraction(self) -> Fraction:
         if len(self.num) > 1:
@@ -470,14 +447,6 @@ class Scalar:
             vhi += c
         return prec, vlo, vhi
 
-    def _exact_value(self) -> Fraction | None:
-        """The value as a Fraction if it is rational by representation or
-        because lambda is; None otherwise."""
-        f = self.field
-        if len(self.num) <= 1 or f is None:
-            return self.as_fraction()
-        return _peval(self.coeffs, f._exact) if f._exact is not None else None
-
     def enclosure(self) -> tuple[float, float]:
         """A rigorous floating interval containing the exact value: for a
         rational, the correctly rounded quotient widened by one ulp, cached
@@ -494,8 +463,6 @@ class Scalar:
         if len(num) == 1 or f is None:
             x = num[0] / self.den  # int division rounds correctly
             enc, rev = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)), None
-        elif f._exact is not None:
-            return rational(self._exact_value()).enclosure()
         else:
             prec, vlo, vhi = self._fixed()
             enc = (_dyadic_float(vlo // self.den, prec, False),
@@ -506,26 +473,20 @@ class Scalar:
         return enc
 
     def sign(self) -> int:
-        """-1, 0 or +1; exact.  The cached enclosure decides almost every
-        call; the exact (gcd-based) zero test runs only when the enclosure
-        keeps straddling zero, so true zeros stay exact and nonzeros fast."""
+        """-1, 0 or +1; exact.  A nonconstant element is not 0, so refining
+        ends with bounds of one sign: the cached enclosure decides most calls,
+        and the integer bounds of `_fixed`, which never underflow, the rest."""
         num, f = self.num, self.field
         if not num:
             return 0
         if len(num) == 1 or f is None:
             return 1 if num[0] > 0 else -1
-        if f._exact is not None:
-            return rational(self._exact_value()).sign()
-        for attempt in itertools.count():
-            lo, hi = self.enclosure()
-            if lo > 0 or hi < 0:
-                return 1 if lo > 0 else -1
-            if attempt == 2 and self.is_zero():
-                return 0
+        lo, hi = self.enclosure()
+        while not (lo > 0 or hi < 0):
             for _ in range(8):
                 f.refine()
-            if f._exact is not None:
-                return self.sign()
+            _, lo, hi = self._fixed()
+        return 1 if lo > 0 else -1
 
     # comparisons ----------------------------------------------------------
 
@@ -588,20 +549,18 @@ class Scalar:
         if digits < 1:
             raise ScalarError("digits must be >= 1")
         scale = 10 ** digits
-        while (v := self._exact_value()) is None:
-            # n = floor(value * scale + 1/2) once both bounds agree on it
-            prec, lo, hi = self._fixed()
-            den = self.den << (prec + 1)
-            n, nhi = ((2 * x * scale + (self.den << prec)) // den for x in (lo, hi))
-            if n == nhi:
-                break
-            # guard against an exact tie: the value on the boundary
-            if (self - rational(2 * n + 1, 2 * scale)).is_zero():
-                n += 1
-                break
-            self.field.refine()
+        if len(self.num) <= 1 or self.field is None:
+            n = math.floor(self.as_fraction() * scale + Fraction(1, 2))
         else:
-            n = math.floor(v * scale + Fraction(1, 2))
+            # an irrational value is never a tie, so both bounds come to
+            # agree on n = floor(value * scale + 1/2)
+            while True:
+                prec, lo, hi = self._fixed()
+                den = self.den << (prec + 1)
+                n, nhi = ((2 * x * scale + (self.den << prec)) // den for x in (lo, hi))
+                if n == nhi:
+                    break
+                self.field.refine()
         whole, frac = divmod(abs(n), scale)
         return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
 

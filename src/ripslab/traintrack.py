@@ -46,6 +46,10 @@ class NotRotationless(TrainTrackError):
     pass
 
 
+class VanishingIterate(TrainTrackError):
+    """An iterate sends a generator to the identity: no automorphism."""
+
+
 def inv_letter(c: str) -> str:
     return c.lower() if c.isupper() else c.upper()
 
@@ -93,8 +97,11 @@ class RoseMap:
             raise ValueError("power must be >= 1")
         images = dict(self.images)
         inverses = dict(self.inverse_images) if self.inverse_images else None
-        for _ in range(power - 1):
-            images = {g: self.apply(images[g]) for g in self.generators}
+        for k in range(2, power + 1):
+            for g in self.generators:
+                images[g] = self.apply(images[g])
+                if not images[g]:
+                    raise VanishingIterate(f"f^{k}({g}) reduces to the identity")
             if inverses is not None:
                 step = RoseMap(self.generators, dict(inverses))
                 inverses = {g: step.apply(self.inverse_images[g])
@@ -289,6 +296,8 @@ def _pf_field(mat) -> NumberField:
     if best is None:
         raise TrainTrackError("no real eigenvalue")
     lo, hi, poly = best
+    if lo == hi:  # a rational root: its linear factor has no other root
+        lo, hi = lo - 1, hi + 1
     coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -358,6 +359,51 @@ def test_tt_swg_matches_oracle():
     _, edges = brute_stable_whitehead(m3.images, 6)
     for u, v in edges:
         assert f"edge: {u} {v}" in text
+
+
+def test_tt_pf_integer_eigenvalue(tmp_path):
+    # charpoly (x - 2)(x^2 + x + 1): sympy isolates the root 2 exactly
+    path = tmp_path / "int.map"
+    path.write_text("map a -> ab; b -> acc; c -> a\n")
+    code, text = run_cli("tt", "pf", str(path))
+    assert code == 0
+    assert "minpoly: -2 + 1*x^1" in text
+    assert "lambda ~= 2.000000" in text
+    assert "eigenvector: (2, 1, 1)" in text
+
+
+@pytest.mark.parametrize("action", ["rotationless", "swg"])
+def test_tt_iterate_to_identity_is_input_error(tmp_path, capsys, action):
+    path = tmp_path / "vanish.map"
+    path.write_text("map a -> b; b -> ac; c -> B\n")  # f^2(b) = bB
+    assert run_cli("tt", action, str(path))[0] == 2
+    assert "f^2(b) reduces to the identity" in capsys.readouterr().err
+
+
+def test_tt_mutated_maps_exit_0_1_or_2(tmp_path):
+    """Exit-code contract: every tt action on a corpus map with 1-3
+    characters deleted, inserted or replaced ends in 0, 1 or 2."""
+    rng = random.Random(15)
+    chars = "abcdABC->;:# \n1inverse"
+    sources = [(resources.files("ripslab") / "corpus" / name).read_text()
+               for name in ("fibonacci.map", "tribonacci.map")]
+    path = tmp_path / "mutant.map"
+    bad = []
+    for _ in range(100):
+        text = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.choice(["delete", "insert", "replace"])
+            if op != "insert" and i < len(text):
+                del text[i]
+            if op != "delete":
+                text.insert(i, rng.choice(chars))
+        path.write_text("".join(text))
+        for action in ("check", "matrix", "pf", "rotationless", "swg"):
+            code, _ = run_cli("tt", action, str(path), "--budget", "3")
+            if code not in (0, 1, 2):
+                bad.append((action, "".join(text)))
+    assert not bad
 
 
 def test_cli_import_does_not_load_sympy():
