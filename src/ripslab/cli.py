@@ -56,24 +56,6 @@ def _ratio(text: str) -> Fraction:
     return value
 
 
-def emit_dot(graph) -> str:
-    """DOT text for any graph object produced by the analysis modules."""
-    if hasattr(graph, "to_dot"):
-        return graph.to_dot()
-    if isinstance(graph, whitehead.DirectionalWhiteheadGraph):
-        lines = ["graph directional_whitehead {"]
-        for i, cls in enumerate(graph.end_classes):
-            label = " ".join(min(cls))
-            lines.append(f'  "v{i}" [label="{label}"];')
-        for leaf in graph.edges:
-            u = graph.class_of(leaf.left)
-            v = graph.class_of(leaf.right)
-            lines.append(f'  "v{u}" -- "v{v}" [label="{leaf}"];')
-        lines.append("}")
-        return "\n".join(lines)
-    raise TypeError(f"no DOT rendering for {type(graph).__name__}")
-
-
 def _load_system(path: str):
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
@@ -227,7 +209,7 @@ def _cmd_wh(args, out):
     except whitehead.InvalidDirection as exc:
         raise InputError(str(exc)) from exc
     out.write(g.summary() + "\n")
-    out.write(emit_dot(g) + "\n")
+    out.write(g.to_dot() + "\n")
     return 0
 
 
@@ -255,11 +237,7 @@ def _cmd_k33(args, out):
     if isinstance(result, whitehead.NotFound):
         out.write(f"pattern: not found (depth {result.depth})\n")
         return 0
-    cert = whitehead.k33_certificate(result)
-    bad = cert.validate()
-    if bad:
-        raise RuntimeError("; ".join(bad))
-    out.write(emit_dot(cert) + "\n")
+    out.write(whitehead.k33_certificate(result).to_dot() + "\n")
     return 0
 
 
@@ -296,7 +274,7 @@ def _cmd_tt(args, out):
         return 0
     try:
         p, mp = traintrack.rotationless_power(m)
-    except traintrack.VanishingIterate as exc:
+    except (traintrack.VanishingIterate, traintrack.NotRotationless) as exc:
         raise InputError(str(exc)) from exc
     if args.action == "rotationless":
         rot = traintrack.is_rotationless(m)
@@ -308,7 +286,7 @@ def _cmd_tt(args, out):
     out.write(f"vertices: {' '.join(g.vertices)}\n")
     for u, v in g.edges:
         out.write(f"edge: {u} {v}\n")
-    out.write(emit_dot(g) + "\n")
+    out.write(g.to_dot() + "\n")
     return 0
 
 

@@ -6,13 +6,16 @@ a vertex or at an exact offset along an edge; closed subsets that are
 finite unions of subtrees are represented canonically by
 :class:`Subforest` (per-edge closed intervals plus isolated points), so
 set equality -- the Rips halting test -- is representation equality.
-Every order is decided by comparing two values, which reads their cached
+This module alone reads that form: components, membership, germs and
+the closed-span view (`Subforest.spans`, `from_spans`) that the charts
+of other modules read are all derived from it here.  Every order is decided by comparing two values, which reads their cached
 enclosures, never by building their difference to read its sign.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,12 +23,20 @@ from .scalar import Scalar, ScalarLike, rational
 
 ZERO = rational(0)
 _NO_VERTICES: frozenset[str] = frozenset()
+_END = operator.itemgetter(1)
 
 
-def in_intervals(ivs: Sequence[tuple[Scalar, Scalar]], x: Scalar) -> bool:
-    """True if x lies in one of the sorted disjoint closed intervals ivs."""
-    j = bisect.bisect_left(ivs, x, key=lambda iv: iv[1])
-    return j < len(ivs) and ivs[j][0] <= x
+def _reaching(ivs: Sequence[tuple[Scalar, Scalar]], x: Scalar) -> int:
+    """Index of the first of the sorted disjoint closed intervals ivs
+    whose end is >= x: the one holding x, if any holds it."""
+    return bisect.bisect_left(ivs, x, key=_END)
+
+
+def _interval_at(ivs: Sequence[tuple[Scalar, Scalar]], x: Scalar):
+    """The interval of the sorted disjoint closed intervals ivs holding x,
+    or None."""
+    j = _reaching(ivs, x)
+    return ivs[j] if j < len(ivs) and ivs[j][0] <= x else None
 
 
 class ForestError(Exception):
@@ -160,6 +171,11 @@ class MetricForest:
             return Point(vertex=e.v)
         return Point(edge=edge_id, offset=off)
 
+    def cell_point(self, cell: str, x: Scalar) -> Point:
+        """The point at offset x of a cell: an edge, or a vertex no edge
+        meets (at offset 0)."""
+        return self.point(cell, x) if cell in self._edge else Point(vertex=cell)
+
     def addresses(self, p: Point) -> list[tuple[str, Scalar]]:
         """(edge, offset) of p on each edge holding it; a vertex no edge
         meets is its own cell, at offset 0."""
@@ -205,12 +221,12 @@ class MetricForest:
     def distance(self, p: Point, q: Point) -> Scalar:
         if self.component_of(p) != self.component_of(q):
             raise DifferentComponents("points lie in different trees")
-        return self._path(p, q)[0]
+        return self.path(p, q)[0]
 
     def _origin(self, p: Point) -> str:
         return p.vertex if p.is_vertex else self._edge[p.edge].u
 
-    def _path(self, p: Point, q: Point) -> tuple[Scalar, list[tuple[str, Scalar, Scalar]]]:
+    def path(self, p: Point, q: Point) -> tuple[Scalar, list[tuple[str, Scalar, Scalar]]]:
         """Exact distance and traversal pieces (edge_id, from_off, to_off):
         the vertex path between the origins of p's and q's cells, with a
         first or last step along p's or q's own edge cut at that point."""
@@ -239,7 +255,7 @@ class MetricForest:
 
     def point_at(self, p: Point, q: Point, dist: Scalar) -> Point:
         """The point on the arc [p, q] at exact distance `dist` from p."""
-        total, pieces = self._path(p, q)
+        total, pieces = self.path(p, q)
         if dist.sign() < 0 or dist > total:
             raise ForestError("distance outside the arc")
         acc = ZERO
@@ -264,7 +280,7 @@ class MetricForest:
 
     def direction_towards(self, p: Point, q: Point) -> Direction:
         """The germ at p of the arc [p, q]; requires p != q."""
-        _, pieces = self._path(p, q)
+        _, pieces = self.path(p, q)
         if not pieces:
             raise ForestError("no direction from a point to itself")
         eid, f, t = pieces[0]
@@ -277,7 +293,7 @@ class MetricForest:
             raise DifferentComponents("points lie in different trees")
         if p == q:
             return Subforest(self, {}, frozenset([p]))
-        _, pieces = self._path(p, q)
+        _, pieces = self.path(p, q)
         intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
         for eid, f, t in pieces:
             lo, hi = (f, t) if t > f else (t, f)
@@ -381,9 +397,10 @@ class Relabeling:
 class Subforest:
     """A closed finite union of subtrees of a host forest, canonical form.
 
-    Stored as maximal disjoint closed intervals per edge plus isolated
-    points not covered by any interval.  Degenerate (single point)
-    components are first-class.
+    Stored as maximal disjoint closed intervals per edge, sorted, plus
+    isolated points not covered by any interval.  Degenerate (single
+    point) components are first-class.  Only an edge's first interval
+    can reach its origin vertex, and only its last one its far vertex.
     """
 
     __slots__ = ("host", "intervals", "points", "_hash", "_vertices")
@@ -398,26 +415,38 @@ class Subforest:
             if merged:
                 canon[eid] = tuple(merged)
         self.intervals = canon
-        kept = []
-        for p in points:
-            if not self._covered(p):
-                kept.append(p)
-        self.points = frozenset(kept)
+        self.points = frozenset(p for p in points if self.interval_at(p) is None)
         self._hash = self._vertices = None
 
     @classmethod
     def empty(cls, host: MetricForest) -> "Subforest":
         return cls(host, {}, frozenset())
 
+    @classmethod
+    def from_spans(cls, host: MetricForest,
+                   spans: Iterable[tuple[str, Scalar, Scalar]]) -> "Subforest":
+        """The set covered by closed spans (cell, lo, hi)."""
+        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        points = set()
+        for cell, lo, hi in spans:
+            if lo == hi:
+                points.add(host.cell_point(cell, lo))
+            else:
+                intervals.setdefault(cell, []).append((lo, hi))
+        return cls(host, intervals, frozenset(points))
+
     # -- membership -------------------------------------------------------
 
-    def _covered(self, p: Point) -> bool:
-        """True if p lies in some stored interval."""
-        return any(in_intervals(self.intervals.get(eid, ()), x)
-                   for eid, x in self.host.addresses(p))
+    def interval_at(self, p: Point) -> tuple[str, tuple[Scalar, Scalar]] | None:
+        """(edge, interval) of a stored interval holding p, or None."""
+        for eid, x in self.host.addresses(p):
+            iv = _interval_at(self.intervals.get(eid, ()), x)
+            if iv is not None:
+                return eid, iv
+        return None
 
     def contains(self, p: Point) -> bool:
-        return self._covered(p) or p in self.points
+        return self.interval_at(p) is not None or p in self.points
 
     @property
     def is_empty(self) -> bool:
@@ -430,20 +459,33 @@ class Subforest:
                 total = total + (hi - lo)
         return total
 
-    # -- set algebra ------------------------------------------------------
-
-    def _interval_vertices(self) -> frozenset[str]:
+    def interval_vertices(self) -> frozenset[str]:
         """Vertices reached by an interval end (0 or the edge length), kept."""
         if self._vertices is None:
-            out = set()
-            for eid, ivs in self.intervals.items():
-                e = self.host._edge[eid]
-                if ivs[0][0].sign() == 0:
-                    out.add(e.u)
-                if ivs[-1][1] == e.length:
-                    out.add(e.v)
-            self._vertices = frozenset(out) if out else _NO_VERTICES
+            self._vertices = frozenset(v for _, _, v in self._vertex_ends()) or _NO_VERTICES
         return self._vertices
+
+    def _vertex_ends(self) -> Iterable[tuple[str, int, str]]:
+        """(edge, interval index, vertex) of each interval end at a vertex."""
+        for eid, ivs in self.intervals.items():
+            e = self.host._edge[eid]
+            if ivs[0][0].sign() == 0:
+                yield eid, 0, e.u
+            if ivs[-1][1] == e.length:
+                yield eid, len(ivs) - 1, e.v
+
+    def spans(self) -> list[tuple[str, Scalar, Scalar]]:
+        """The closed spans (cell, lo, hi) covering the set: its intervals,
+        then each lone point and vertex of it as (x, x) on every edge at it
+        that no interval reaches.  Two sets meet iff two of their spans on
+        one cell do."""
+        out = [(eid, lo, hi) for eid, ivs in self.intervals.items() for lo, hi in ivs]
+        for p in [Point(vertex=v) for v in self.interval_vertices()] + list(self.points):
+            out += [(c, x, x) for c, x in self.host.addresses(p)
+                    if _interval_at(self.intervals.get(c, ()), x) is None]
+        return out
+
+    # -- set algebra ------------------------------------------------------
 
     def intersect(self, other: "Subforest") -> "Subforest":
         """Set intersection: on each shared edge, each interval of the
@@ -466,7 +508,7 @@ class Subforest:
                 ivs, olist = olist, ivs
             pieces = []
             for lo, hi in ivs:
-                j = bisect.bisect_left(olist, lo, key=lambda iv: iv[1])
+                j = _reaching(olist, lo)
                 while j < len(olist) and olist[j][0] <= hi:
                     olo, ohi = olist[j]
                     a = lo if lo >= olo else olo
@@ -478,7 +520,7 @@ class Subforest:
                     j += 1
             if pieces:
                 intervals[eid] = pieces
-        shared = self._interval_vertices() & other._interval_vertices()
+        shared = self.interval_vertices() & other.interval_vertices()
         extra.update(Point(vertex=v) for v in shared)
         return Subforest(self.host, intervals, frozenset(extra))
 
@@ -493,49 +535,28 @@ class Subforest:
     # -- structure --------------------------------------------------------
 
     def components(self) -> list["Subforest"]:
-        """Connected components, canonically ordered."""
-        nodes: list[tuple] = []
-        for eid, ivs in self.intervals.items():
-            for lo, hi in ivs:
-                nodes.append(("i", eid, lo, hi))
-        for p in self.points:
-            nodes.append(("p", p))
-        parent = list(range(len(nodes)))
+        """Connected components, canonically ordered: intervals are joined
+        through the vertices they reach, and each isolated point is one."""
+        parent: dict[tuple[str, int], tuple[str, int]] = {}
 
         def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
+            while parent.get(i, i) != i:
                 i = parent[i]
             return i
 
-        def union(i, j):
-            parent[find(i)] = find(j)
-
-        anchor: dict[Point, int] = {}
-        for idx, node in enumerate(nodes):
-            if node[0] == "i":
-                eid, lo, hi = node[1], node[2], node[3]
-                for off in (lo, hi):
-                    p = self.host.point(eid, off)
-                    if p.is_vertex:
-                        if p in anchor:
-                            union(idx, anchor[p])
-                        else:
-                            anchor[p] = idx
-        comps: dict[int, list] = {}
-        for idx, node in enumerate(nodes):
-            comps.setdefault(find(idx), []).append(node)
-        out = []
-        for members in comps.values():
-            intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-            pts = set()
-            for node in members:
-                if node[0] == "i":
-                    intervals.setdefault(node[1], []).append((node[2], node[3]))
-                else:
-                    pts.add(node[1])
-            out.append(Subforest(self.host, intervals, frozenset(pts)))
-        out.sort(key=lambda s: s._sort_key())
+        at: dict[str, tuple[str, int]] = {}
+        for eid, k, v in self._vertex_ends():
+            if v in at:
+                parent[find((eid, k))] = find(at[v])
+            else:
+                at[v] = (eid, k)
+        groups: dict[tuple[str, int], dict[str, list]] = {}
+        for eid, ivs in self.intervals.items():
+            for k, iv in enumerate(ivs):
+                groups.setdefault(find((eid, k)), {}).setdefault(eid, []).append(iv)
+        out = [Subforest(self.host, ivs) for ivs in groups.values()]
+        out.extend(Subforest(self.host, {}, frozenset([p])) for p in self.points)
+        out.sort(key=Subforest._sort_key)
         return out
 
     def _sort_key(self):
@@ -548,11 +569,6 @@ class Subforest:
     @property
     def is_point(self) -> bool:
         return not self.intervals and len(self.points) == 1
-
-    def single_point(self) -> Point:
-        if not self.is_point:
-            raise ForestError("not a degenerate subtree")
-        return next(iter(self.points))
 
     def end_counts(self) -> dict[Point, int]:
         """Number of interval ends at each point, that is the number of
@@ -574,11 +590,7 @@ class Subforest:
 
     def germ_directions(self, p: Point) -> list[Direction]:
         """Directions at p pointing into the set with positive overlap."""
-        out = []
-        for d in self.host.directions_at(p):
-            if self.extends_in(d):
-                out.append(d)
-        return out
+        return [d for d in self.host.directions_at(p) if self.extends_in(d)]
 
     def extends_in(self, d: Direction) -> bool:
         """True if the set contains a nondegenerate segment leaving
@@ -586,18 +598,13 @@ class Subforest:
         base = d.base
         e = self.host.edge_of(d.edge)
         if base.is_vertex:
-            off = ZERO if (d.toward == 1) else e.length
+            off = ZERO if d.toward == 1 else e.length
+        elif base.edge != d.edge:
+            return False
         else:
-            if base.edge != d.edge:
-                return False
             off = base.offset
-        ivs = self.intervals.get(d.edge, ())
-        for lo, hi in ivs:
-            if d.toward == 1 and lo <= off < hi:
-                return True
-            if d.toward == -1 and lo < off <= hi:
-                return True
-        return False
+        iv = _interval_at(self.intervals.get(d.edge, ()), off)
+        return iv is not None and (off < iv[1] if d.toward == 1 else iv[0] < off)
 
     def diameter(self) -> Scalar:
         """Max distance between extremal points (0 for points/empty)."""

@@ -3,9 +3,10 @@
 A partial isometry is stored, serialized and validated as a finite marker
 correspondence (domain point -> range point) that includes every extremal
 point of the domain.  It maps through its chart: pieces x -> x + t or
-x -> t - x, each from one edge into one edge.  Only a parsed band (or one
-built by `arc_band`) reads its chart off the markers: a restriction keeps
-its parent's chart, clipped, and an inverse inverts its forward chart.
+x -> t - x, each from one edge into one edge; a set is mapped span by
+span (`Subforest.spans`).  Only a parsed band (or one built by
+`arc_band`) reads its chart off the markers: a restriction keeps its
+parent's chart, clipped, and an inverse inverts its forward chart.
 A band system couples a host forest with finitely many positively-labeled
 bands; inverses are derived, so the label set and its inverses never
 collide.  Its valence stratification is computed once, on first use.
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .forest import ZERO, MetricForest, Point, Subforest, in_intervals, sorted_unique
+from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
 from .scalar import NumberField, Scalar
 
 
@@ -35,37 +36,11 @@ class ValidationError(IsometryError):
         self.violations = violations
 
 
-def _cell_point(host: MetricForest, cell: str, x: Scalar) -> Point:
-    return host.point(cell, x) if host.has_edge(cell) else Point(vertex=cell)
-
-
-def spans(s: Subforest) -> list[tuple[str, Scalar, Scalar]]:
-    """The closed spans (cell, lo, hi) covering s: its intervals, then each
-    lone point and vertex of s as (x, x) on every edge at it that no
-    interval reaches.  Two sets meet iff two of their spans on one cell do."""
-    out = [(eid, lo, hi) for eid, ivs in s.intervals.items() for lo, hi in ivs]
-    for p in [Point(vertex=v) for v in s._interval_vertices()] + list(s.points):
-        out += [(c, x, x) for c, x in s.host.addresses(p)
-                if not in_intervals(s.intervals.get(c, ()), x)]
-    return out
-
-
-def _span_set(host: MetricForest, pieces) -> Subforest:
-    """The set covered by closed spans (cell, lo, hi)."""
-    intervals, points = {}, set()
-    for cell, lo, hi in pieces:
-        if lo == hi:
-            points.add(_cell_point(host, cell, lo))
-        else:
-            intervals.setdefault(cell, []).append((lo, hi))
-    return Subforest(host, intervals, frozenset(points))
-
-
 def identity_chart(s: Subforest) -> list:
     """The chart of the empty word on s.  The chart of a word is a list of
     pieces (cell, tcell, flip, t, lo, hi): an interval of the cell sent
     onto [lo, hi] of tcell by x -> x + t, or by x -> t - x when flip is set."""
-    return [(c, c, False, ZERO, lo, hi) for c, lo, hi in spans(s)]
+    return [(c, c, False, ZERO, lo, hi) for c, lo, hi in s.spans()]
 
 
 def extend_chart(chart: list, band: dict) -> list:
@@ -83,17 +58,18 @@ def extend_chart(chart: list, band: dict) -> list:
 
 
 def chart_domain(host: MetricForest, chart: list) -> Subforest:
-    return _span_set(host, [(cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
-                            for cell, _, flip, t, lo, hi in chart])
+    return Subforest.from_spans(host, [
+        (cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
+        for cell, _, flip, t, lo, hi in chart])
 
 
 def _map_point(host: MetricForest, chart: dict, p: Point) -> Point | None:
     hit = extend_chart([(c, c, False, ZERO, x, x) for c, x in host.addresses(p)], chart)
-    return _cell_point(host, hit[0][1], hit[0][4]) if hit else None
+    return host.cell_point(hit[0][1], hit[0][4]) if hit else None
 
 
 def _arc(path: list) -> list:
-    """The pieces (s0, s1, edge, flip, t) of a `MetricForest._path`: arc
+    """The pieces (s0, s1, edge, flip, t) of a `MetricForest.path`: arc
     length s in [s0, s1] lies on the edge at s + t, or at t - s if flip."""
     out = []
     for e, f, ft in path:
@@ -112,7 +88,7 @@ def _marker_chart(band: "PartialIsometry") -> dict[str, list]:
     chart: dict[str, list] = {}
     for m, i in band.correspondence[1:]:
         for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
-                _arc(host._path(m0, m)[1]), _arc(host._path(i0, i)[1])):
+                _arc(host.path(m0, m)[1]), _arc(host.path(i0, i)[1])):
             a, b = max(s0, r0), min(s1, r1)
             if a < b:
                 piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (
@@ -138,13 +114,13 @@ def _clip(host: MetricForest, chart: dict, s: Subforest) -> tuple[dict, Subfores
     """The chart restricted to a subset s of its domain, each piece clipped
     to each span of s on its cell, and the image of s."""
     out, image = {}, []
-    for cell, lo, hi in spans(s):
+    for cell, lo, hi in s.spans():
         for blo, bhi, c, flip, t in chart.get(cell, ()):
             if blo <= hi and lo <= bhi:
                 a, b = lo if lo >= blo else blo, hi if hi <= bhi else bhi
                 out.setdefault(cell, []).append((a, b, c, flip, t))
                 image.append((c, t - b, t - a) if flip else (c, a + t, b + t))
-    return out, _span_set(host, image)
+    return out, Subforest.from_spans(host, image)
 
 
 @dataclass(frozen=True)
@@ -184,9 +160,9 @@ class PartialIsometry:
         if self._chart is None:
             host, fwd = self.host, self._forward
             chart = _marker_chart(self) if fwd is None else _inverse_chart(fwd.chart)
-            for cell, x, y in spans(self.domain):
+            for cell, x, y in self.domain.spans():
                 if x == y:
-                    q = _map_point(host, chart, _cell_point(host, cell, x))
+                    q = _map_point(host, chart, host.cell_point(cell, x))
                     c, z = host.addresses(q or self.correspondence[0][1])[0]
                     chart.setdefault(cell, []).append((x, x, c, False, z - x))
             object.__setattr__(self, "_chart", chart)
@@ -348,7 +324,7 @@ class ValenceStratification:
         for d in domains:
             for eid, ivs in d.intervals.items():
                 on_edge.setdefault(eid, []).extend(ivs)
-            held = [Point(vertex=v) for v in d._interval_vertices()]
+            held = [Point(vertex=v) for v in d.interval_vertices()]
             held.extend(d.points)
             for p in held:
                 counts[p] = counts.get(p, 0) + 1

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .forest import MetricForest, Point, Subforest
-from .isometry import (BandSystem, _cell_point, _span_set, chart_domain,
-                       extend_chart, identity_chart, spans)
+from .isometry import BandSystem, chart_domain, extend_chart, identity_chart
 
 
 class LaminationError(Exception):
@@ -84,9 +83,10 @@ def _drop_covered(host: MetricForest, chart: list) -> list:
     can reach one twice); a chart is injective, so no domain point is lost."""
     if all(p[4] != p[5] for p in chart):
         return chart
-    image = _span_set(host, [(tc, lo, hi) for _, tc, _, _, lo, hi in chart if lo != hi])
+    image = Subforest.from_spans(host, [(tc, lo, hi) for _, tc, _, _, lo, hi in chart
+                                        if lo != hi])
     return [p for p in chart if p[4] != p[5]
-            or not image.contains(_cell_point(host, p[1], p[4]))]
+            or not image.contains(host.cell_point(p[1], p[4]))]
 
 
 def _meeting(sets: list[Subforest], keys: list) -> set[tuple[int, int]]:
@@ -94,7 +94,7 @@ def _meeting(sets: list[Subforest], keys: list) -> set[tuple[int, int]]:
     from one sorted sweep over their closed spans on each cell."""
     cells: dict[str, list] = {}
     for i, s in enumerate(sets):
-        for c, lo, hi in spans(s):
+        for c, lo, hi in s.spans():
             cells.setdefault(c, []).append((lo, hi, i))
     pairs = set()
     for row in cells.values():

@@ -17,7 +17,6 @@ layout, reads it back and finds the latest step of a resumed run.
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
 from dataclasses import dataclass, replace
@@ -55,22 +54,15 @@ def overlap_set(system: BandSystem) -> Subforest:
 def _component_index(K: Subforest):
     """The map sending a point of K to the index of its component in
     `K.components()`: isolated points and whole intervals by dict, any
-    other point by bisecting the interval starts of the edges holding it."""
+    other point through the interval of K holding it."""
     index: dict = {}
     for ci, C in enumerate(K.components()):
         index.update((p, ci) for p in C.points)
         index.update(((eid, iv), ci) for eid, ivs in C.intervals.items()
                      for iv in ivs)
-    starts = {eid: [lo for lo, _ in ivs] for eid, ivs in K.intervals.items()}
 
     def component(p: Point) -> int:
-        if p in index:
-            return index[p]
-        for eid, x in K.host.addresses(p):
-            k = bisect.bisect_right(starts.get(eid, ()), x) - 1
-            if k >= 0 and x <= K.intervals[eid][k][1]:
-                return index[(eid, K.intervals[eid][k])]
-        raise ValueError(f"{p!r} escapes K'")  # pragma: no cover
+        return index[p] if p in index else index[K.interval_at(p)]
 
     return component
 

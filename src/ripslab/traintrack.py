@@ -109,14 +109,6 @@ class RoseMap:
         return RoseMap(self.generators, images, inverses)
 
 
-def compose(outer: RoseMap, inner: RoseMap) -> RoseMap:
-    """The map x -> outer(inner(x)); generators must agree."""
-    if outer.generators != inner.generators:
-        raise TrainTrackError("generator mismatch")
-    return RoseMap(outer.generators,
-                   {g: outer.apply(inner.images[g]) for g in outer.generators})
-
-
 def parse_map(text: str) -> RoseMap:
     """Parse `map a -> ab; b -> a` with an optional `inverse` section.
 
@@ -381,13 +373,6 @@ class DirectionMap:
     orbits: tuple[tuple[tuple[str, ...], int], ...]
     fixed: tuple[str, ...]
 
-    def periodic_directions(self) -> dict[str, int]:
-        out = {}
-        for orbit, period in self.orbits:
-            for d in orbit:
-                out[d] = period
-        return out
-
 
 def direction_dynamics(m: RoseMap) -> DirectionMap:
     dirs = m.directions()
@@ -425,7 +410,8 @@ def rotationless_power(m: RoseMap) -> tuple[int, RoseMap]:
     p = lcm(*(period for _, period in dm.orbits))
     mp = m.iterate(p)
     if not is_rotationless(mp):
-        raise TrainTrackError("rotationless power failed its re-check")
+        raise NotRotationless(f"f^{p} is not rotationless: cancellation makes its"
+                              f" direction map differ from Df^{p}")
     return p, mp
 
 
@@ -485,17 +471,15 @@ def _word_turns(m: RoseMap, power_budget: int) -> set[frozenset]:
     return turns
 
 
-def check_train_track(m: RoseMap, power_budget: Optional[int] = None):
+def check_train_track(m: RoseMap):
     """Certify the train-track property on the rose.
 
     A turn is illegal when some Df-iterate collapses it; since Df acts
-    on 2n directions, 2n iterations decide legality, so the default
-    budget is exact rather than heuristic.  Returns (True, None) or
+    on 2n directions, 2n iterations decide legality, and the turns are
+    collected from f^k(e) for k <= 2n.  Returns (True, None) or
     (False, (turn, iteration)).
     """
-    if power_budget is None:
-        power_budget = 2 * m.rank
-    for pair in sorted(taken_turns(m, power_budget),
+    for pair in sorted(taken_turns(m, 2 * m.rank),
                        key=lambda p: tuple(sorted(p))):
         d1, d2 = sorted(pair)
         for j in range(1, 2 * m.rank + 1):

@@ -124,6 +124,16 @@ class DirectionalWhiteheadGraph:
             lines.append(f"  edge {leaf}")
         return "\n".join(lines)
 
+    def to_dot(self) -> str:
+        lines = ["graph directional_whitehead {"]
+        for i, cls in enumerate(self.end_classes):
+            lines.append(f'  "v{i}" [label="{" ".join(min(cls))}"];')
+        for leaf in self.edges:
+            u, v = self.class_of(leaf.left), self.class_of(leaf.right)
+            lines.append(f'  "v{u}" -- "v{v}" [label="{leaf}"];')
+        lines.append("}")
+        return "\n".join(lines)
+
 
 def directional_whitehead(system: BandSystem, x: Point, d: Direction,
                           depth: int) -> DirectionalWhiteheadGraph:

@@ -13,8 +13,10 @@ exit vertices of both cells (`reference_path`), with its own depth-first
 vertex paths.
 Rose-map dynamics use naive substitution on letter strings.  Subforest
 intersection, the valence strata and the Rips overlap set keep their
-pairwise or subset-wise, point-probing forms here; the other forest/subforest set
-primitives are shared, as infrastructure.  The T±-pattern search keeps
+pairwise or subset-wise, point-probing forms here, and subforest components
+and germs the union-find and linear-scan forms that the canonical-form
+reads replaced (`reference_components`, `reference_extends_in`); the
+other forest/subforest set primitives are shared, as infrastructure.  The T±-pattern search keeps
 its per-row form: one directional Whitehead graph, and so one word walk,
 per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
 scalar arithmetic that the integer-coefficient `Scalar` replaced, with a
@@ -28,7 +30,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from ripslab.forest import ZERO, Subforest
+from ripslab.forest import ZERO, Subforest, point_key
 from ripslab.isometry import BandSystem, OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
 from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
@@ -240,6 +242,72 @@ def brute_stratum_ge(system, i):
     return Subforest(system.forest, intervals, frozenset(points))
 
 
+def reference_components(s):
+    """Connected components of a subforest by union-find over its intervals
+    and isolated points, joining two intervals whenever an end of each is
+    the same vertex; ordered by the least interval start (as an edge
+    point, even at offset 0) or isolated point of each."""
+    host = s.host
+    nodes = [("i", eid, lo, hi) for eid, ivs in s.intervals.items() for lo, hi in ivs]
+    nodes += [("p", p) for p in s.points]
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    anchor = {}
+    for idx, node in enumerate(nodes):
+        if node[0] == "i":
+            for off in node[2:]:
+                p = host.point(node[1], off)
+                if p.is_vertex:
+                    if p in anchor:
+                        parent[find(idx)] = find(anchor[p])
+                    else:
+                        anchor[p] = idx
+    comps = {}
+    for idx, node in enumerate(nodes):
+        comps.setdefault(find(idx), []).append(node)
+    out = []
+    for members in comps.values():
+        intervals, pts = {}, set()
+        for node in members:
+            if node[0] == "i":
+                intervals.setdefault(node[1], []).append((node[2], node[3]))
+            else:
+                pts.add(node[1])
+        out.append(Subforest(host, intervals, frozenset(pts)))
+
+    def key(c):
+        keys = [(1, eid, ivs[0][0]) for eid, ivs in c.intervals.items()]
+        return min(keys + [point_key(p) for p in c.points])
+
+    return sorted(out, key=key)
+
+
+def reference_extends_in(s, d):
+    """Whether s holds a nondegenerate segment leaving d.base along d: a
+    linear scan of the intervals on d's edge."""
+    e = s.host.edge_of(d.edge)
+    if d.base.is_vertex:
+        off = ZERO if d.toward == 1 else e.length
+    elif d.base.edge != d.edge:
+        return False
+    else:
+        off = d.base.offset
+    for lo, hi in s.intervals.get(d.edge, ()):
+        if d.toward == 1 and lo <= off < hi or d.toward == -1 and lo < off <= hi:
+            return True
+    return False
+
+
+def reference_germ_directions(s, p):
+    """The directions at p into which s extends, by `reference_extends_in`."""
+    return [d for d in s.host.directions_at(p) if reference_extends_in(s, d)]
+
+
 # --- band maps through the markers ------------------------------------------
 
 def marker_apply(band, p):
@@ -280,7 +348,7 @@ def preimage(band, target):
     hit = band.range.intersect(target)
     back = band.inverse()
     acc = Subforest.empty(band.host)
-    for comp in hit.components():
+    for comp in reference_components(hit):
         acc = acc.union(marker_image_of(back, comp))
     return acc
 
@@ -304,7 +372,7 @@ def reference_rips_step(system):
     dom(a) n C_i n a^-1(C_j) where that is not empty, and labelled with
     the pair."""
     K = brute_overlap_set(system)
-    comps = K.components()
+    comps = reference_components(K)
     bands = []
     for a in system.bands:
         back = [preimage(a, cj) for cj in comps]
@@ -433,7 +501,7 @@ def brute_wh_edges(system, x, d, depth, dotted=None):
     if dotted is None:
         dotted = brute_dotted(system, depth)
     return sorted((lo, hi) for lo, hi, dom in dotted
-                  if dom.contains(x) and dom.extends_in(d))
+                  if dom.contains(x) and reference_extends_in(dom, d))
 
 
 def brute_wh_scan(system, depth):
@@ -441,10 +509,10 @@ def brute_wh_scan(system, depth):
     dotted = brute_dotted(system, depth)
     rows = []
     for x in brute_candidates(system):
-        for comp in system.support.components():
+        for comp in reference_components(system.support):
             if not comp.contains(x):
                 continue
-            for d in comp.germ_directions(x):
+            for d in reference_germ_directions(comp, x):
                 n = len(brute_wh_edges(system, x, d, depth, dotted))
                 rows.append((repr(x), (d.edge, d.toward), n))
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))

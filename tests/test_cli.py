@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ripslab import rips
-from ripslab.cli import _subforest_str, emit_dot, main
+from ripslab.cli import _subforest_str, main
 from ripslab.fileformat import parse_system
 from ripslab.forest import Subforest
 from ripslab.traintrack import parse_map, rotationless_power, \
@@ -372,12 +372,20 @@ def test_tt_pf_integer_eigenvalue(tmp_path):
     assert "eigenvector: (2, 1, 1)" in text
 
 
-@pytest.mark.parametrize("action", ["rotationless", "swg"])
-def test_tt_iterate_to_identity_is_input_error(tmp_path, capsys, action):
+VANISH = ("map a -> b; b -> ac; c -> B", "f^2(b) reduces to the identity")  # f^2(b) = bB
+# Df has period 2, but cancellation in f^2 gives its directions period 3
+CANCEL = ("map a -> CB; b -> A; c -> aB", "f^2 is not rotationless")
+
+
+@pytest.mark.parametrize("action, text, message", [
+    ("rotationless", *VANISH), ("swg", *VANISH),
+    ("rotationless", *CANCEL), ("swg", *CANCEL),
+], ids=["rotationless", "swg", "rotationless-cancelling", "swg-cancelling"])
+def test_tt_iterate_to_identity_is_input_error(tmp_path, capsys, action, text, message):
     path = tmp_path / "vanish.map"
-    path.write_text("map a -> b; b -> ac; c -> B\n")  # f^2(b) = bB
+    path.write_text(text + "\n")
     assert run_cli("tt", action, str(path))[0] == 2
-    assert "f^2(b) reduces to the identity" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_tt_mutated_maps_exit_0_1_or_2(tmp_path):
@@ -448,17 +456,12 @@ def test_emit_dot_empty_whitehead():
     x = s.forest.point("e0", F(11, 20))
     d = s.forest.directions_at(x)[0]
     g = directional_whitehead(s, x, d, 2)
-    dot = emit_dot(g)
+    dot = g.to_dot()
     assert " -- " not in dot and dot.startswith("graph")
 
 
 def test_emit_dot_swg():
     trib = parse_map("a->ab; b->ac; c->a")
     _, m3 = rotationless_power(trib)
-    dot = emit_dot(stable_whitehead_graph(m3, 6))
+    dot = stable_whitehead_graph(m3, 6).to_dot()
     assert dot.count(" -- ") == 3
-
-
-def test_emit_dot_rejects_unknown():
-    with pytest.raises(TypeError):
-        emit_dot(42)

@@ -11,6 +11,7 @@ import oracles
 from ripslab.fileformat import parse_system_text, scalar_str, serialize_system
 from ripslab.forest import (
     DifferentComponents,
+    Direction,
     Edge,
     ForestError,
     MetricForest,
@@ -108,7 +109,7 @@ def test_intersect_at_single_point(tripod):
     b = tripod.segment(tripod.vertex_point("t4"), tripod.vertex_point("c"))
     c = a.intersect(b)
     assert c.is_point
-    assert c.single_point() == tripod.vertex_point("c")
+    assert c.points == {tripod.vertex_point("c")}
 
 
 def test_touching_intervals_merge():
@@ -341,7 +342,7 @@ def check_paths(host, points):
     for p in points:
         for q in points:
             if host.component_of(p) == host.component_of(q):
-                assert host._path(p, q) == oracles.reference_path(host, p, q), (p, q)
+                assert host.path(p, q) == oracles.reference_path(host, p, q), (p, q)
 
 
 def test_path_matches_oracle_on_tripod_and_zigzag_hosts():
@@ -463,3 +464,54 @@ def test_lopsided_intersect_matches_oracle(name, data):
     assert len(next(iter(a.intervals.values()))) >= 8
     assert a.intersect(b) == oracles.brute_intersect(a, b)
     assert b.intersect(a) == oracles.brute_intersect(b, a)
+
+
+# -- components and germs against the union-find and linear-scan oracles -------
+
+def forest_with_lone_vertex():
+    """Two trees and a vertex no edge meets; the vertex b ends f0 and f1
+    and starts f3, so intervals reach it from both ends of edges."""
+    return MetricForest(["a", "b", "c", "d", "x", "y", "z"],
+                        [Edge("f0", "a", "b", Q(1)), Edge("f1", "c", "b", Q(2)),
+                         Edge("f2", "y", "x", Q(1)), Edge("f3", "b", "d", Q(1))])
+
+
+STRUCTURE_HOSTS = {**HOSTS, "forest/Q": _grid_host(forest_with_lone_vertex(), Q_GRID)}
+
+
+def check_structure(s, pts):
+    """components(), extends_in and germ_directions agree with the oracles,
+    at every given point and along every edge in both senses."""
+    assert s.components() == oracles.reference_components(s)
+    for p in pts:
+        assert s.germ_directions(p) == oracles.reference_germ_directions(s, p)
+        for e in s.host.edges:
+            for toward in (1, -1):
+                d = Direction(p, e.id, toward)
+                assert s.extends_in(d) == oracles.reference_extends_in(s, d), d
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_HOSTS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_structure_matches_oracle(name, data):
+    host, grids, pts = STRUCTURE_HOSTS[name]
+    check_structure(data.draw(grid_subforests(host, grids, pts)), pts)
+
+
+def test_structure_at_shared_vertices_and_lone_points():
+    host, _, pts = STRUCTURE_HOSTS["forest/Q"]
+    b, z, mid = host.vertex_point("b"), host.vertex_point("z"), host.point("f0", Q(1, 2))
+    star = Subforest(host, {"f0": [(Q(1, 2), Q(1))], "f1": [(Q(0), Q(1, 2)), (Q(1), Q(2))],
+                            "f3": [(Q(0), Q(1, 2))]})
+    cases = [
+        (host.whole(), 3),  # two trees and the lone vertex
+        (star, 2),  # three edges reach b: f0 and f1 at their ends, f3 at its start
+        (Subforest(host, {}, frozenset([b, z, mid])), 3),  # points only
+        (Subforest(host, {"f2": [(Q(0), Q(1))]}, frozenset([z])), 2),
+        (Subforest.empty(host), 0),
+    ]
+    for s, n in cases:
+        assert len(s.components()) == n
+        check_structure(s, pts)
+    assert [d.edge for d in star.germ_directions(b)] == ["f0", "f1", "f3"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ripslab import lamination
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
-from ripslab.isometry import BandSystem, PartialIsometry, _cell_point, arc_band, chart_domain
+from ripslab.isometry import BandSystem, PartialIsometry, arc_band, chart_domain
 from ripslab.lamination import (
     LeafWord,
     NotReduced,
@@ -57,7 +57,7 @@ def test_word_domain_composition(e_surf):
     # b after a: need a(x) in [0,1], i.e. x + 1 <= 1.
     d = word_domain(e_surf, "a b")
     assert d.is_point
-    assert d.single_point() == e_surf.forest.point("e0", 0)
+    assert d.points == {e_surf.forest.point("e0", 0)}
 
 
 def test_word_domain_empty(e_surf):
@@ -423,7 +423,7 @@ def test_word_charts_carry_no_covered_point_pieces():
     for depth in (3, 5):
         for w, chart in _walk(s, depth):
             cover = chart_domain(host, [p for p in chart if p[4] != p[5]])
-            pts = [_cell_point(host, c, t - lo if f else lo - t)
+            pts = [host.cell_point(c, t - lo if f else lo - t)
                    for c, _, f, t, lo, hi in chart if lo == hi]
             assert not any(cover.contains(p) for p in pts), w
             points += len(pts)
