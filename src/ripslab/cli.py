@@ -241,8 +241,22 @@ def _cmd_k33(args, out):
     return 0
 
 
+def _check_inverse(m) -> None:
+    """A given inverse section must invert the map; if it does not, name
+    the first generator that a composition does not fix."""
+    if m.inverse_images is None:
+        return
+    ok, transcript = traintrack.verify_automorphism(m)
+    if not ok:
+        gens = [g for g in m.generators for _ in range(2)]
+        g, line = next((g, line) for g, line in zip(gens, transcript)
+                       if not line.endswith(f" = {g}"))
+        raise InputError(f"inverse section does not invert the map at {g}: {line}")
+
+
 def _cmd_tt(args, out):
     m = _load_map(args.file)
+    _check_inverse(m)
     for w in m.warnings:
         out.write(f"warning: {w}\n")
     if args.action == "check":

@@ -408,13 +408,27 @@ class Subforest:
     def __init__(self, host: MetricForest,
                  intervals: dict[str, Iterable[tuple[Scalar, Scalar]]],
                  points: frozenset[Point] = frozenset()):
-        self.host = host
         canon: dict[str, tuple[tuple[Scalar, Scalar], ...]] = {}
         for eid in sorted(intervals):
             merged = _merge(list(intervals[eid]))
             if merged:
                 canon[eid] = tuple(merged)
-        self.intervals = canon
+        self._set(host, canon, points)
+
+    @classmethod
+    def _canonical(cls, host: MetricForest,
+                   intervals: dict[str, tuple[tuple[Scalar, Scalar], ...]],
+                   points: frozenset[Point] = frozenset()) -> "Subforest":
+        """The set of intervals already in canonical form (nonempty tuples
+        of maximal sorted disjoint intervals, keyed in edge order) and of
+        the points that no interval covers."""
+        self = cls.__new__(cls)
+        self._set(host, intervals, points)
+        return self
+
+    def _set(self, host, intervals, points) -> None:
+        self.host = host
+        self.intervals = intervals
         self.points = frozenset(p for p in points if self.interval_at(p) is None)
         self._hash = self._vertices = None
 
@@ -494,10 +508,11 @@ class Subforest:
         Besides the overlap intervals, the result keeps the isolated
         points of the intersection: same-edge touch points, vertices
         reached by both operands, and each operand's isolated points that
-        the other contains.  The constructor drops those points that the
-        overlap intervals cover.
+        the other contains, less those that the overlap intervals cover.
+        The pieces come out sorted and disjoint, and no two touch, as no
+        two intervals of one operand do: they are the canonical form.
         """
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
+        intervals: dict[str, tuple[tuple[Scalar, Scalar], ...]] = {}
         extra = {p for p in self.points if other.contains(p)}
         extra.update(p for p in other.points if self.contains(p))
         for eid, ivs in self.intervals.items():
@@ -519,10 +534,10 @@ class Subforest:
                         extra.add(Point(edge=eid, offset=a))
                     j += 1
             if pieces:
-                intervals[eid] = pieces
+                intervals[eid] = tuple(pieces)
         shared = self.interval_vertices() & other.interval_vertices()
         extra.update(Point(vertex=v) for v in shared)
-        return Subforest(self.host, intervals, frozenset(extra))
+        return Subforest._canonical(self.host, intervals, frozenset(extra))
 
     def union(self, *others: "Subforest") -> "Subforest":
         intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
@@ -536,7 +551,9 @@ class Subforest:
 
     def components(self) -> list["Subforest"]:
         """Connected components, canonically ordered: intervals are joined
-        through the vertices they reach, and each isolated point is one."""
+        through the vertices they reach, and each isolated point is one.
+        Each component's intervals are a subsequence of this set's, so they
+        are in canonical form already."""
         parent: dict[tuple[str, int], tuple[str, int]] = {}
 
         def find(i):
@@ -554,8 +571,9 @@ class Subforest:
         for eid, ivs in self.intervals.items():
             for k, iv in enumerate(ivs):
                 groups.setdefault(find((eid, k)), {}).setdefault(eid, []).append(iv)
-        out = [Subforest(self.host, ivs) for ivs in groups.values()]
-        out.extend(Subforest(self.host, {}, frozenset([p])) for p in self.points)
+        out = [Subforest._canonical(self.host, {eid: tuple(v) for eid, v in ivs.items()})
+               for ivs in groups.values()]
+        out.extend(Subforest._canonical(self.host, {}, frozenset([p])) for p in self.points)
         out.sort(key=Subforest._sort_key)
         return out
 

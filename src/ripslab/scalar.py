@@ -11,11 +11,24 @@ checked once when the field is built, so a reduced element vanishes at
 lambda only if it is 0 and is rational only if it is a constant.  The sign
 of any other element is exact: refining the isolating interval ends with
 bounds of one sign.  No decision is taken on a float.
+
+Each field interns its elements that are not rational: while a value is
+alive, every computation that yields it returns that one object, so its
+enclosure (a rigorous float interval) is computed once and then read by
+every order test, which returns at once when two cached enclosures are
+disjoint.  The table is weak, so it keeps no value alive, and there is one
+per field, so equal fields built apart share nothing; rationals are not
+interned.  Equality and hashing stay by value.  An enclosure cached before
+a refinement may still decide, as refinement only shrinks the isolating
+interval that its bounds came from; one that does not decide is recomputed
+at the current interval, and where that does not decide either, the exact
+sign of the difference does.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -210,6 +223,10 @@ class NumberField:
         self._lo, self._hi = lo, hi
         self._rev = 0           # bumped on refine; invalidates cached bounds
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
+        # (num, den) -> the one live Scalar of that value; weak, so the
+        # table holds no value alive and the field and its values are freed
+        # by reference counting alone
+        self._scalars: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         if check_irreducible and not self._is_irreducible():
             raise NotIrreducible("defining polynomial is reducible over Q")
         # rows[j] / den is lambda^(degree + j) mod minpoly, for products
@@ -273,7 +290,7 @@ class NumberField:
         p = _pmod(_poly(coeffs), self.minpoly)
         den = math.lcm(1, *(c.denominator for c in p))
         # over the lcm of the denominators no factor is common to all
-        return Scalar(self, tuple(c.numerator * (den // c.denominator) for c in p), den)
+        return _intern(self, tuple(c.numerator * (den // c.denominator) for c in p), den)
 
     @property
     def gen(self) -> "Scalar":
@@ -319,10 +336,12 @@ class Scalar:
     Reduced modulo the defining polynomial, a rational value has
     ``len(num) <= 1`` in any field, and scalars of compatible fields are
     equal iff their (num, den) are.  `coeffs` derives the ``Fraction``
-    coefficients.  All operations are pure; instances are immutable.
+    coefficients.  All operations are pure; instances are immutable, and
+    a field element that is not rational is the one live instance of its
+    value in its field.
     """
 
-    __slots__ = ("field", "num", "den", "_hash", "_enc", "_encrev")
+    __slots__ = ("field", "num", "den", "_hash", "_enc", "_encrev", "__weakref__")
 
     def __init__(self, field: NumberField | None, num: tuple, den: int = 1):
         object.__setattr__(self, "field", field)
@@ -372,7 +391,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, tuple(-x for x in self.num), self.den)
+        return _intern(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self._addsub(other, -1)
@@ -448,29 +467,32 @@ class Scalar:
         return prec, vlo, vhi
 
     def enclosure(self) -> tuple[float, float]:
-        """A rigorous floating interval containing the exact value: for a
-        rational, the correctly rounded quotient widened by one ulp, cached
-        for good; for a field element, `_fixed` divided by `den` once and
-        widened outward, cached per revision of the isolating interval.
-        """
+        """A rigorous floating interval containing the exact value, cached:
+        for good for a rational, per revision of the isolating interval for
+        a field element."""
         enc = self._enc
         if enc is not None and (self._encrev is None
                                 or self._encrev == self.field._rev):
             return enc
-        num, f = self.num, self.field
-        if not num:
-            return (0.0, 0.0)
-        if len(num) == 1 or f is None:
-            x = num[0] / self.den  # int division rounds correctly
-            enc, rev = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)), None
-        else:
-            prec, vlo, vhi = self._fixed()
-            enc = (_dyadic_float(vlo // self.den, prec, False),
-                   _dyadic_float(-(-vhi // self.den), prec, True))
-            rev = f._rev
+        enc, rev = self._enclose()
         object.__setattr__(self, "_enc", enc)
         object.__setattr__(self, "_encrev", rev)
         return enc
+
+    def _enclose(self) -> tuple[tuple[float, float], int | None]:
+        """A new enclosure and the revision it is computed at (None if it
+        holds for good): for a rational, the correctly rounded quotient
+        widened by one ulp; for a field element, `_fixed` divided by `den`
+        once and widened outward."""
+        num, f = self.num, self.field
+        if not num:
+            return (0.0, 0.0), None
+        if len(num) == 1 or f is None:
+            x = num[0] / self.den  # int division rounds correctly
+            return (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)), None
+        prec, vlo, vhi = self._fixed()
+        return (_dyadic_float(vlo // self.den, prec, False),
+                _dyadic_float(-(-vhi // self.den), prec, True)), f._rev
 
     def sign(self) -> int:
         """-1, 0 or +1; exact.  A nonconstant element is not 0, so refining
@@ -491,6 +513,8 @@ class Scalar:
     # comparisons ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Scalar):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -521,16 +545,51 @@ class Scalar:
             return 1
         return (self - b).sign()
 
+    # Each order test returns at once when the cached enclosures, stale or
+    # not (see the module docstring), or identity decide; else `_compare` runs.
+
     def __lt__(self, other: ScalarLike) -> bool:
+        a = self._enc
+        if a is not None and isinstance(other, Scalar):
+            b = other._enc
+            if b is not None:
+                if a[1] < b[0]:
+                    return True
+                if b[1] <= a[0] or other is self:
+                    return False
         return self._compare(other) < 0
 
     def __le__(self, other: ScalarLike) -> bool:
+        a = self._enc
+        if a is not None and isinstance(other, Scalar):
+            b = other._enc
+            if b is not None:
+                if a[1] <= b[0] or other is self:
+                    return True
+                if b[1] < a[0]:
+                    return False
         return self._compare(other) <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
+        a = self._enc
+        if a is not None and isinstance(other, Scalar):
+            b = other._enc
+            if b is not None:
+                if b[1] < a[0]:
+                    return True
+                if a[1] <= b[0] or other is self:
+                    return False
         return self._compare(other) > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
+        a = self._enc
+        if a is not None and isinstance(other, Scalar):
+            b = other._enc
+            if b is not None:
+                if b[1] <= a[0] or other is self:
+                    return True
+                if a[1] < b[0]:
+                    return False
         return self._compare(other) >= 0
 
     def __abs__(self) -> "Scalar":
@@ -573,7 +632,21 @@ def _canon(field: NumberField | None, num: list, den: int) -> Scalar:
     if g != 1:
         num = [x // g for x in num]
         den //= g
-    return Scalar(field, tuple(num), den)
+    if field is None:
+        return Scalar(None, tuple(num), den)
+    return _intern(field, tuple(num), den)
+
+
+def _intern(field: NumberField | None, num: tuple, den: int) -> Scalar:
+    """The Scalar num/den: for a field element that is not rational, the
+    one live instance of that value in its field's table."""
+    if field is None or len(num) < 2:
+        return Scalar(field, num, den)
+    key = (num, den)
+    s = field._scalars.get(key)
+    if s is None:
+        s = field._scalars[key] = Scalar(field, num, den)
+    return s
 
 
 def rational(numerator, denominator=1) -> Scalar:

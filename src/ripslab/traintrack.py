@@ -189,7 +189,9 @@ def load_map(path: str) -> RoseMap:
 
 
 def verify_automorphism(m: RoseMap) -> tuple[bool, list[str]]:
-    """Check both compositions reduce to the identity, with a transcript."""
+    """Check both compositions reduce to the identity, with a transcript:
+    per generator g in order, the lines ``f(f^-1(g)) = ... = w`` and
+    ``f^-1(f(g)) = ... = w``, then the verdict."""
     if m.inverse_images is None:
         raise MissingInverse("inverse images required")
     inv = RoseMap(m.generators, m.inverse_images)

@@ -14,12 +14,15 @@ end identification can be overturned at greater depth.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .forest import Direction, Point, point_key
 from .isometry import BandSystem
 from .lamination import LeafWord, dotted_words, leaves_at
+from .scalar import ZERO, Scalar
 
 
 class WhiteheadError(Exception):
@@ -45,6 +48,7 @@ class NotFound:
 
 
 End = tuple[str, ...]
+_OFFSET = operator.itemgetter(0)
 
 
 def _shift_related(u: End, v: End) -> Optional[int]:
@@ -162,16 +166,40 @@ def candidate_points(system: BandSystem) -> list[Point]:
 def _scan(system: BandSystem, depth: int
           ) -> list[tuple[Point, Direction, tuple[LeafWord, ...]]]:
     """(x, d, edges at (x, d)) for every candidate point x and germ d of
-    the support at x, from one walk of the dotted words (a domain that
-    extends into d contains x); most edges first, ties broken by the
-    exact point order of point_key and then by the direction."""
-    leaves = dotted_words(system, depth)
-    rows = [(x, d, tuple(leaf for leaf in leaves if leaf.domain.extends_in(d)))
-            for x in candidate_points(system)
-            for d in system.support.germ_directions(x)]
-    rows.sort(key=lambda r: (-len(r[2]), point_key(r[0]),
-                             (r[1].edge, r[1].toward)))
-    return rows
+    the support at x, from one walk of the dotted words; most edges first,
+    ties broken by the exact point order of point_key and then by the
+    direction.  A domain extends into d iff one of its intervals on d's
+    edge holds x's offset there, with room toward d: each interval
+    [lo, hi] is bisected into the sorted offsets of the rows of that edge
+    and sense, taking lo <= x < hi toward +1 and lo < x <= hi toward -1."""
+    forest = system.forest
+    rows = []
+    columns: dict[tuple[str, int], list[tuple[Scalar, list]]] = {}
+    for x in candidate_points(system):
+        for d in system.support.germ_directions(x):
+            edges: list[LeafWord] = []
+            rows.append((x, d, edges))
+            if not x.is_vertex:
+                off = x.offset
+            else:
+                off = ZERO if d.toward == 1 else forest.edge_of(d.edge).length
+            columns.setdefault((d.edge, d.toward), []).append((off, edges))
+    for column in columns.values():
+        column.sort(key=_OFFSET)
+    for leaf in dotted_words(system, depth):
+        for eid, ivs in leaf.domain.intervals.items():
+            for toward, cut in ((1, bisect.bisect_left), (-1, bisect.bisect_right)):
+                column = columns.get((eid, toward))
+                if column is None:
+                    continue
+                for lo, hi in ivs:
+                    for k in range(cut(column, lo, key=_OFFSET),
+                                   cut(column, hi, key=_OFFSET)):
+                        column[k][1].append(leaf)
+    out = [(x, d, tuple(edges)) for x, d, edges in rows]
+    out.sort(key=lambda r: (-len(r[2]), point_key(r[0]),
+                            (r[1].edge, r[1].toward)))
+    return out
 
 
 def wh_scan(system: BandSystem, depth: int

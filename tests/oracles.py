@@ -504,9 +504,10 @@ def brute_wh_edges(system, x, d, depth, dotted=None):
                   if dom.contains(x) and reference_extends_in(dom, d))
 
 
-def brute_wh_scan(system, depth):
+def brute_wh_scan(system, depth, dotted=None):
     """(point repr, direction repr, edge count), counts sorted descending."""
-    dotted = brute_dotted(system, depth)
+    if dotted is None:
+        dotted = brute_dotted(system, depth)
     rows = []
     for x in brute_candidates(system):
         for comp in reference_components(system.support):

@@ -388,6 +388,17 @@ def test_tt_iterate_to_identity_is_input_error(tmp_path, capsys, action, text, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["check", "matrix", "pf", "rotationless", "swg"])
+def test_tt_wrong_inverse_section_is_input_error(tmp_path, capsys, action):
+    """An inverse section that does not invert the map is rejected before
+    any action runs, naming the first generator that a composition moves."""
+    path = tmp_path / "wrong_inverse.map"
+    path.write_text("map a -> ab; b -> ac; c -> a\ninverse a -> b; b -> c; c -> a\n")
+    code, text = run_cli("tt", action, str(path))
+    assert code == 2 and text == ""
+    assert "does not invert the map at a: f(f^-1(a)) = f(b) = ac" in capsys.readouterr().err
+
+
 def test_tt_mutated_maps_exit_0_1_or_2(tmp_path):
     """Exit-code contract: every tt action on a corpus map with 1-3
     characters deleted, inserted or replaced ends in 0, 1 or 2."""

@@ -274,6 +274,27 @@ def test_intersect_matches_oracle(name, data):
     assert b.intersect(a) == oracles.brute_intersect(b, a)
 
 
+def rebuilt(s):
+    """s through the public constructor, which normalizes its input."""
+    return Subforest(s.host, {eid: list(ivs) for eid, ivs in s.intervals.items()}, s.points)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_canonical_results_equal_their_normalized_rebuild(name, data):
+    """intersect and components build their results without normalizing;
+    each is already what the public constructor makes of it."""
+    host, grids, pts = HOSTS[name]
+    a = data.draw(grid_subforests(host, grids, pts))
+    b = data.draw(grid_subforests(host, grids, pts))
+    for s in [a.intersect(b), b.intersect(a), *a.components()]:
+        again = rebuilt(s)
+        assert s == again
+        assert list(s.intervals) == list(again.intervals)
+        assert all(type(ivs) is tuple for ivs in s.intervals.values())
+
+
 def test_intersect_isolated_points_match_oracle(tripod):
     c, t1 = tripod.vertex_point("c"), tripod.vertex_point("t1")
     leg = {eid: tripod.segment(c, tripod.vertex_point(t))

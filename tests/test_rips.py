@@ -1,4 +1,6 @@
+import gc
 import importlib.resources as resources
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -384,6 +386,22 @@ def test_classify_e_trim(e_trim):
     c = classify(e_trim, 50, Fraction(1, 10))
     assert isinstance(c.verdict, SurfaceType)
     assert c.verdict.halt_step == 5
+
+
+def test_dropped_system_frees_its_field_without_the_cycle_collector():
+    """A field's table of its values is weak, so once a classified system
+    is dropped, reference counting alone frees its field and values."""
+    system = corpus("bk_itm.bands")
+    result = classify(system, 10)
+    field = weakref.ref(system.field)
+    value = weakref.ref(system.field.element([12345, 1]))
+    assert value() is None
+    gc.disable()
+    try:
+        del system, result
+        assert field() is None
+    finally:
+        gc.enable()
 
 
 def test_classify_inconclusive_on_budget():

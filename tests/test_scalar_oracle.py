@@ -146,3 +146,48 @@ def test_near_zero_values_decided_without_gcd(monkeypatch):
     assert 0 < tiny < cases[0][0]
     assert tiny.to_decimal(20) == "0." + "0" * 20
     assert tiny / tiny == 1
+
+
+# -- interning: one live object per field value --------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+def test_equal_field_values_reached_apart_are_one_object(pair):
+    (x, _), (y, _) = pair
+    if len(x.num) < 2:
+        return
+    assert (x + y) - y is x
+    assert -(-x) is x
+    assert x.field.element(x.coeffs) is x
+    if y:
+        assert x * y / y is x
+
+
+def test_equal_fields_built_apart_share_no_values():
+    f, g = (field_define([-1, 1, 1, 1], 0, 1) for _ in range(2))
+    assert f == g and f is not g
+    x, y = f.gen * f.gen + 1, g.gen * g.gen + 1
+    assert x == y and hash(x) == hash(y)
+    assert x is not y
+    assert x.field is f and y.field is g
+    assert (x + f.gen) - f.gen is x and (y + g.gen) - g.gen is y
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(coefficient, min_size=1, max_size=3), min_size=2, max_size=6),
+       st.integers(1, 40))
+def test_enclosures_cached_before_refinement_still_decide_exactly(coeff_lists, refines):
+    """Order tests read enclosures cached at an earlier, wider isolating
+    interval; every answer still agrees with the reference."""
+    field = field_define([-1, 1, 1, 1], 0, 1)
+    xs = [(field.element(c), RefScalar(field, c)) for c in coeff_lists]
+    for x, _ in xs:
+        x.enclosure()
+    for _ in range(refines):
+        field.refine()
+    assert all(x._encrev != field._rev for x, _ in xs if len(x.num) > 1)
+    for x, rx in xs:
+        for y, ry in xs:
+            lt, gt = rx < ry, ry < rx
+            assert (x < y) == lt and (x > y) == gt
+            assert (x <= y) == (not gt) and (x >= y) == (not lt)

@@ -21,8 +21,9 @@ from ripslab.whitehead import (
     wh_scan,
 )
 
-from oracles import (brute_check_complete_bipartite_33, brute_wh_scan,
-                     reference_detect_pattern)
+from oracles import (brute_check_complete_bipartite_33, brute_dotted, brute_wh_scan,
+                     pruned_brute_sides, reference_detect_pattern)
+from test_lamination import step6, tripod
 
 
 def corpus(name):
@@ -112,6 +113,20 @@ def test_wh_scan_matches_oracle(name, depth):
     fast = sorted((repr(x), (d.edge, d.toward), n)
                   for x, d, n in wh_scan(s, depth))
     assert fast == sorted(brute_wh_scan(s, depth))
+
+
+@pytest.mark.parametrize("name", ["bk_itm.bands", "e_trim.bands", "step6", "tripod"])
+def test_wh_scan_matches_oracle_to_depth_6(name):
+    """The scan's rows and counts against the per-row oracle, with the
+    dotted words of the pruned brute walk."""
+    s = {"step6": step6, "tripod": tripod}.get(name, lambda: corpus(name))()
+    for depth in range(2, 7):
+        rows = wh_scan(s, depth)
+        assert rows == sorted(rows, key=lambda r: (-r[2], point_key(r[0]),
+                                                   (r[1].edge, r[1].toward)))
+        dotted = brute_dotted(s, depth, sides=pruned_brute_sides(s, depth))
+        fast = sorted((repr(x), (d.edge, d.toward), n) for x, d, n in rows)
+        assert fast == sorted(brute_wh_scan(s, depth, dotted)), depth
 
 
 @pytest.mark.parametrize("name", ["bk_itm.bands", "e_surf.bands",
@@ -238,6 +253,45 @@ def test_no_order_or_decision_reads_a_decimal(monkeypatch, e_trim, bk_itm):
         wh_scan(system, depth)
         detect_pattern(system, depth)
         limit_set(system, depth)
+
+
+@pytest.mark.parametrize("widening", [2.0**-20, 2.0**-4])
+def test_widened_enclosures_change_no_answer(monkeypatch, widening):
+    """No answer rests on a float: with every newly computed enclosure
+    widened by a share of its bounds, the Rips verdict, the scan and the
+    pattern stay the same.  Enclosures are rarely narrower than 2^-16 here
+    (the isolating interval's width after the run's refinements), so only
+    the wider setting makes the exact fallback decide more order tests."""
+    def answers():
+        signs = []
+        sign = Scalar.sign
+
+        def counted(self):
+            signs.append(self)
+            return sign(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "sign", counted)
+            system = corpus("bk_itm.bands")
+            got = (classify(system, 10), wh_scan(system, 3), detect_pattern(system, 3))
+        return got, len(signs)
+
+    plain, plain_signs = answers()
+    enclose = Scalar._enclose
+
+    def widened(self):
+        (lo, hi), rev = enclose(self)
+        return (lo - abs(lo) * widening, hi + abs(hi) * widening), rev
+
+    monkeypatch.setattr(Scalar, "_enclose", widened)
+    x = corpus("bk_itm.bands").field.element([1, 1])
+    (lo, hi), _ = enclose(x)
+    assert x.enclosure() == x._enc == (lo - lo * widening, hi + hi * widening)
+    wide, wide_signs = answers()
+    assert wide == plain
+    assert wide_signs >= plain_signs
+    if widening > 2.0**-16:
+        assert wide_signs > 2 * plain_signs
 
 
 def test_each_read_walks_once(monkeypatch):
