@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import fileformat, lamination, rips, traintrack, whitehead
-from .fileformat import BandsSyntaxError, parse_system, point_str, scalar_str
-from .forest import Direction, ForestError, point_key
-from .isometry import ValidationError
-from .scalar import FieldMismatch
+from . import lamination, rips, traintrack, whitehead
+from .fileformat import (PARSE_ERRORS, BandsSyntaxError, parse_point, parse_system,
+                         serialize_system)
+from .forest import Direction, ForestError
 
 
 class UsageError(Exception):
@@ -56,79 +54,40 @@ def _ratio(text: str) -> Fraction:
     return value
 
 
-def _load_system(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
+def _load(path: str, parse=parse_system, errors=PARSE_ERRORS):
+    """parse(path); a file that cannot be opened or decoded, or one of
+    `errors`, is an input error naming the path."""
     try:
-        return parse_system(path)
-    except (BandsSyntaxError, ValidationError, FieldMismatch,
-            ForestError) as exc:
+        return parse(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, *errors) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_map(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    try:
-        return traintrack.load_map(path)
-    except traintrack.TrainTrackError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _parse_point(system, text: str):
-    f = system.forest
-    if ":" not in text:
-        if text not in f.vertices:
-            raise InputError(f"unknown vertex {text!r}")
-        return f.vertex_point(text)
-    eid, _, expr = text.partition(":")
-    if not f.has_edge(eid):
-        raise InputError(f"unknown edge {eid!r}")
-    try:
-        return f.point(eid, fileformat.parse_scalar(expr, system.field))
-    except (BandsSyntaxError, ForestError) as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _parse_direction(point, text: str) -> Direction:
-    m = re.fullmatch(r"([A-Za-z0-9_\-]+):([+-])", text)
-    if not m:
+    """Parse `str(Direction)`, ``edge:+`` or ``edge:-``, at `point`."""
+    edge, _, sense = text.rpartition(":")
+    if not edge or sense not in ("+", "-"):
         raise InputError(f"bad direction {text!r}; expected edge:+ or edge:-")
-    return Direction(point, m.group(1), 1 if m.group(2) == "+" else -1)
-
-
-def _print_system(out, system):
-    out.write(fileformat.serialize_system(system))
-
-
-def _subforest_str(s) -> str:
-    if s.is_empty:
-        return "(empty)"
-    parts = []
-    for eid in sorted(s.intervals):
-        for lo, hi in s.intervals[eid]:
-            parts.append(f"{eid}[{scalar_str(lo)},{scalar_str(hi)}]")
-    for p in sorted(s.points, key=point_key):
-        parts.append(f"point {point_str(p)}")
-    return " ".join(parts)
+    return Direction(point, edge, 1 if sense == "+" else -1)
 
 
 # --- subcommand implementations -------------------------------------------
 
 def _cmd_validate(args, out):
-    system = _load_system(args.file)
+    system = _load(args.file)
     out.write(f"file: {args.file}\n")
     out.write(f"bands: {len(system.bands)}\n")
-    out.write(f"volume: {scalar_str(system.support.volume())}\n")
+    out.write(f"volume: {system.support.volume()}\n")
     out.write("valid: yes\n")
     return 0
 
 
 def _cmd_rips(args, out):
-    system = _load_system(args.file)
+    system = _load(args.file)
     if args.action == "step":
-        nxt = rips.rips_step(system)
-        _print_system(out, nxt)
+        out.write(serialize_system(rips.rips_step(system)))
         return 0
     start = 0
     if args.resume:
@@ -142,10 +101,9 @@ def _cmd_rips(args, out):
         trace = rips.run(system, args.max_iter, checkpoint=args.checkpoint,
                          start=start)
         for rec in trace.steps:
-            out.write(f"step {rec.index}: volume"
-                      f" {scalar_str(rec.volume)} vol_ge3"
-                      f" {scalar_str(rec.vol_ge3)} diameter"
-                      f" {scalar_str(rec.max_diameter)} bands {rec.bands}\n")
+            out.write(f"step {rec.index}: volume {rec.volume} vol_ge3"
+                      f" {rec.vol_ge3} diameter {rec.max_diameter}"
+                      f" bands {rec.bands}\n")
         out.write(f"halted: {trace.halted}\n")
         if trace.halted:
             out.write(f"halt-step: {trace.halt_step}\n")
@@ -159,50 +117,47 @@ def _cmd_rips(args, out):
         out.write(f"halt-step: {v.halt_step}\n")
     elif isinstance(v, rips.LevittEvidence):
         out.write(f"iterations: {v.iterations}\n")
-        out.write(f"initial-diameter:"
-                  f" {scalar_str(v.diameter_trace[0])}\n")
-        out.write(f"final-diameter:"
-                  f" {scalar_str(v.diameter_trace[-1])}\n")
+        out.write(f"initial-diameter: {v.diameter_trace[0]}\n")
+        out.write(f"final-diameter: {v.diameter_trace[-1]}\n")
     else:
         out.write(f"reason: {v.reason}\n")
     return 0
 
 
 def _cmd_strata(args, out):
-    system = _load_system(args.file)
+    system = _load(args.file)
     for i in (1, 2, 3):
         s = system.strata.stratum_ge(i)
-        out.write(f"K>={i}: vol {scalar_str(s.volume())}"
-                  f" set {_subforest_str(s)}\n")
+        out.write(f"K>={i}: vol {s.volume()} set {s}\n")
     return 0
 
 
 def _cmd_words(args, out):
-    system = _load_system(args.file)
-    for w, dom in lamination.admissible_words(system, args.depth):
-        out.write(f"{' '.join(w)}\t{_subforest_str(dom)}\n")
+    for w, dom in lamination.admissible_words(_load(args.file), args.depth):
+        out.write(f"{' '.join(w)}\t{dom}\n")
     return 0
 
 
 def _cmd_limitset(args, out):
-    system = _load_system(args.file)
-    approx = lamination.limit_set(system, args.depth)
+    approx = lamination.limit_set(_load(args.file), args.depth)
     out.write(f"depth: {approx.depth}\n")
-    out.write(f"volume: {scalar_str(approx.subforest.volume())}\n")
-    out.write(f"set: {_subforest_str(approx.subforest)}\n")
+    out.write(f"volume: {approx.subforest.volume()}\n")
+    out.write(f"set: {approx.subforest}\n")
     return 0
 
 
 def _cmd_wh(args, out):
-    system = _load_system(args.file)
+    system = _load(args.file)
     if args.action == "scan":
         for x, d, n in whitehead.wh_scan(system, args.depth):
-            out.write(f"{point_str(x)}\t{d.edge}:"
-                      f"{'+' if d.toward == 1 else '-'}\t{n}\n")
+            out.write(f"{x}\t{d}\t{n}\n")
         return 0
     if not args.point or not args.direction:
         raise UsageError("wh at requires --point and --direction")
-    x = _parse_point(system, args.point)
+    try:
+        x = parse_point(system.forest, system.field, args.point)
+    except (BandsSyntaxError, ForestError) as exc:
+        raise InputError(f"--point {args.point}: {exc}") from exc
     d = _parse_direction(x, args.direction)
     try:
         g = whitehead.directional_whitehead(system, x, d, args.depth)
@@ -214,30 +169,21 @@ def _cmd_wh(args, out):
 
 
 def _cmd_pattern(args, out):
-    system = _load_system(args.file)
-    result = whitehead.detect_pattern(system, args.depth)
+    """`pattern` reports the T+-pattern; `k33` emits its K_{3,3} as DOT."""
+    result = whitehead.detect_pattern(_load(args.file), args.depth)
     if isinstance(result, whitehead.NotFound):
         out.write(f"pattern: not found (depth {result.depth})\n")
-        return 0
-    out.write("pattern: found\n")
-    out.write(f"a: {point_str(result.a)}\n")
-    out.write(f"d: {result.d.edge}:"
-              f"{'+' if result.d.toward == 1 else '-'}\n")
-    out.write(f"l1: {result.l1}\n")
-    out.write(f"l2: {result.l2}\n")
-    out.write(f"end-classes: {result.end_class_count}\n")
-    out.write(f"b: {point_str(result.b)}\n")
-    out.write(f"c: {point_str(result.c)}\n")
-    return 0
-
-
-def _cmd_k33(args, out):
-    system = _load_system(args.file)
-    result = whitehead.detect_pattern(system, args.depth)
-    if isinstance(result, whitehead.NotFound):
-        out.write(f"pattern: not found (depth {result.depth})\n")
-        return 0
-    out.write(whitehead.k33_certificate(result).to_dot() + "\n")
+    elif args.command == "k33":
+        out.write(whitehead.k33_certificate(result).to_dot() + "\n")
+    else:
+        out.write("pattern: found\n")
+        out.write(f"a: {result.a}\n")
+        out.write(f"d: {result.d}\n")
+        out.write(f"l1: {result.l1}\n")
+        out.write(f"l2: {result.l2}\n")
+        out.write(f"end-classes: {result.end_class_count}\n")
+        out.write(f"b: {result.b}\n")
+        out.write(f"c: {result.c}\n")
     return 0
 
 
@@ -255,7 +201,7 @@ def _check_inverse(m) -> None:
 
 
 def _cmd_tt(args, out):
-    m = _load_map(args.file)
+    m = _load(args.file, traintrack.load_map, (traintrack.TrainTrackError,))
     _check_inverse(m)
     for w in m.warnings:
         out.write(f"warning: {w}\n")
@@ -283,7 +229,7 @@ def _cmd_tt(args, out):
         out.write(f"minpoly: {poly}\n")
         out.write(f"primitivity-exponent: {td.primitivity_exponent}\n")
         out.write(f"lambda ~= {traintrack.approx_float(td.dilatation):.6f}\n")
-        vec = ", ".join(scalar_str(x) for x in td.eigenvector)
+        vec = ", ".join(map(repr, td.eigenvector))
         out.write(f"eigenvector: ({vec})\n")
         return 0
     try:
@@ -304,21 +250,20 @@ def _cmd_tt(args, out):
     return 0
 
 
-def _corpus_dir():
-    return resources.files("ripslab") / "corpus"
-
-
 def _cmd_corpus(args, out):
-    base = _corpus_dir()
+    """`list` prints the corpus names; `show` prints one of those, and
+    reads no other file."""
+    base = resources.files("ripslab") / "corpus"
+    names = sorted(e.name for e in base.iterdir()
+                   if e.name.endswith((".bands", ".map", ".oracle")))
     if args.action == "list":
-        for entry in sorted(e.name for e in base.iterdir()
-                            if e.name.endswith((".bands", ".map", ".oracle"))):
-            out.write(entry + "\n")
+        out.write("".join(name + "\n" for name in names))
         return 0
-    target = base / args.name
-    if not target.is_file():
+    if not args.name:
+        raise UsageError("corpus show requires a name")
+    if args.name not in names:
         raise InputError(f"no corpus entry {args.name!r}")
-    out.write(target.read_text(encoding="utf-8"))
+    out.write((base / args.name).read_text(encoding="utf-8"))
     return 0
 
 
@@ -326,61 +271,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ripslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate")
-    v.add_argument("file")
+    def command(name, run, action=None):
+        c = sub.add_parser(name)
+        c.set_defaults(run=run)
+        if action:
+            c.add_argument("action", choices=action)
+        return c
 
-    r = sub.add_parser("rips")
-    r.add_argument("action", choices=["step", "run", "classify"])
+    command("validate", _cmd_validate).add_argument("file")
+
+    r = command("rips", _cmd_rips, ["step", "run", "classify"])
     r.add_argument("file")
     r.add_argument("--max-iter", type=_positive_int, default=30)
     r.add_argument("--diam-ratio", type=_ratio, default="1/2")
     r.add_argument("--checkpoint")
     r.add_argument("--resume", action="store_true")
 
-    s = sub.add_parser("strata")
-    s.add_argument("file")
+    command("strata", _cmd_strata).add_argument("file")
 
-    for name in ("words", "limitset"):
-        w = sub.add_parser(name)
+    for name, run in (("words", _cmd_words), ("limitset", _cmd_limitset),
+                      ("pattern", _cmd_pattern), ("k33", _cmd_pattern)):
+        w = command(name, run)
         w.add_argument("file")
         w.add_argument("--depth", type=_positive_int, default=3)
 
-    wh = sub.add_parser("wh")
-    wh.add_argument("action", choices=["scan", "at"])
+    wh = command("wh", _cmd_wh, ["scan", "at"])
     wh.add_argument("file")
     wh.add_argument("--depth", type=_positive_int, default=3)
     wh.add_argument("--point")
     wh.add_argument("--direction")
 
-    for name in ("pattern", "k33"):
-        pat = sub.add_parser(name)
-        pat.add_argument("file")
-        pat.add_argument("--depth", type=_positive_int, default=3)
-
-    t = sub.add_parser("tt")
-    t.add_argument("action",
-                   choices=["check", "matrix", "pf", "rotationless", "swg"])
+    t = command("tt", _cmd_tt, ["check", "matrix", "pf", "rotationless", "swg"])
     t.add_argument("file")
     t.add_argument("--budget", type=_positive_int, default=6)
 
-    c = sub.add_parser("corpus")
-    c.add_argument("action", choices=["list", "show"])
+    c = command("corpus", _cmd_corpus, ["list", "show"])
     c.add_argument("name", nargs="?")
     return p
-
-
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "rips": _cmd_rips,
-    "strata": _cmd_strata,
-    "words": _cmd_words,
-    "limitset": _cmd_limitset,
-    "wh": _cmd_wh,
-    "pattern": _cmd_pattern,
-    "k33": _cmd_k33,
-    "tt": _cmd_tt,
-    "corpus": _cmd_corpus,
-}
 
 
 def main(argv=None, out=None) -> int:
@@ -388,10 +315,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "corpus" and args.action == "show" \
-                and not args.name:
-            raise UsageError("corpus show requires a name")
-        code = _DISPATCH[args.command](args, out)
+        code = args.run(args, out)
         out.flush()
         return code
     except BrokenPipeError:

@@ -30,8 +30,8 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .forest import Edge, MetricForest, Point, Subforest, point_key
-from .isometry import BandSystem, PartialIsometry, ValidationError
+from .forest import Edge, ForestError, MetricForest, Point, Subforest, point_key
+from .isometry import BandSystem, ValidationError, band_from_markers
 from .scalar import (FieldMismatch, NumberField, Poly, Scalar, ScalarError,
                      _padd, _pmul, _pneg, _poly, _psub, field_define, poly_str,
                      rational)
@@ -41,8 +41,14 @@ class BandsSyntaxError(Exception):
     """Raised on malformed input, with the offending line number."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
+
+
+# what parse_system raises on a file that it can open but that is not a
+# valid system
+PARSE_ERRORS = (UnicodeDecodeError, BandsSyntaxError, ValidationError,
+                FieldMismatch, ForestError)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +147,24 @@ def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scal
 
 
 def scalar_str(x: Scalar) -> str:
-    """Exact textual form, inverse of parse_scalar."""
-    return poly_str(x.coeffs)
+    """Exact textual form, inverse of parse_scalar: the scalar's repr."""
+    return repr(x)
+
+
+def parse_point(forest: MetricForest, field: Optional[NumberField],
+                text: str, line: int = 0) -> Point:
+    """Parse the text of a point, inverse of `str(Point)`: a vertex name
+    or ``edge:offset``."""
+    text = text.strip()
+    if ":" not in text:
+        if text not in forest.vertices:
+            raise BandsSyntaxError(line, f"unknown vertex {text!r}")
+        return forest.vertex_point(text)
+    eid, _, off = text.partition(":")
+    eid = eid.strip()
+    if not forest.has_edge(eid):
+        raise BandsSyntaxError(line, f"unknown edge {eid!r}")
+    return forest.point(eid, parse_scalar(off, field, line))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +242,6 @@ def parse_system_text(text: str) -> BandSystem:
         [Edge(eid, u, v, parse_scalar(ln, field, no))
          for no, eid, u, v, ln in edges])
 
-    def parse_point(text: str, no: int) -> Point:
-        text = text.strip()
-        if ":" in text:
-            eid, _, off = text.partition(":")
-            eid = eid.strip()
-            if not forest.has_edge(eid):
-                raise BandsSyntaxError(no, f"unknown edge {eid!r}")
-            return forest.point(eid, parse_scalar(off, field, no))
-        if text not in forest.vertices:
-            raise BandsSyntaxError(no, f"unknown vertex {text!r}")
-        return forest.vertex_point(text)
-
     support = None
     if support_lines:
         intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
@@ -252,7 +262,7 @@ def parse_system_text(text: str) -> BandSystem:
                         no, f"interval needs 0 <= lo < hi <= length of {eid}")
                 intervals.setdefault(eid, []).append((lo, hi))
             elif head == "point":
-                pts.add(parse_point(rest, no))
+                pts.add(parse_point(forest, field, rest, no))
             else:
                 raise BandsSyntaxError(
                     no, f"unexpected {head!r} in support section")
@@ -267,14 +277,9 @@ def parse_system_text(text: str) -> BandSystem:
             src, arrow, dst = rest.partition("->")
             if not arrow:
                 raise BandsSyntaxError(mno, "expected: map <point> -> <point>")
-            corr.append((parse_point(src, mno), parse_point(dst, mno)))
-        dom = forest.hull([p for p, _ in corr])
-        rng = forest.hull([q for _, q in corr])
-        band = PartialIsometry(name, dom, rng, tuple(corr))
-        problems = band.validate()
-        if problems:
-            raise ValidationError(problems)
-        bands.append(band)
+            corr.append((parse_point(forest, field, src, mno),
+                         parse_point(forest, field, dst, mno)))
+        bands.append(band_from_markers(forest, name, corr))
 
     system = BandSystem(forest, tuple(bands), support=support, field=field)
     problems = system.validate()
@@ -311,31 +316,24 @@ def serialize_system(system: BandSystem) -> str:
     for v in sorted(system.forest.vertices):
         out.append(f"vertex {v}")
     for e in sorted(system.forest.edges, key=lambda e: e.id):
-        out.append(f"edge {e.id} {e.u} {e.v} {scalar_str(e.length)}")
+        out.append(f"edge {e.id} {e.u} {e.v} {e.length!r}")
     out.append("support")
     for eid in sorted(system.support.intervals):
         for lo, hi in system.support.intervals[eid]:
             # interval fields are whitespace-separated, so scalars here
             # must not contain spaces
-            compact_lo = scalar_str(lo).replace(" ", "")
-            compact_hi = scalar_str(hi).replace(" ", "")
+            compact_lo = repr(lo).replace(" ", "")
+            compact_hi = repr(hi).replace(" ", "")
             out.append(f"interval {eid} {compact_lo} {compact_hi}")
     # edge points before vertices
     for p in sorted(system.support.points,
                     key=lambda p: (p.is_vertex, point_key(p))):
-        out.append(f"point {point_str(p)}")
+        out.append(f"point {p}")
     for b in sorted(system.bands, key=lambda b: b.name):
         out.append(f"band {b.name}")
         for m, img in b.correspondence:
-            out.append(f"map {point_str(m)} -> {point_str(img)}")
+            out.append(f"map {m} -> {img}")
     return "\n".join(out) + "\n"
-
-
-def point_str(p: Point) -> str:
-    """Exact textual form of a point, as `parse_system_text` reads it."""
-    if p.is_vertex:
-        return p.vertex
-    return f"{p.edge}:{scalar_str(p.offset)}"
 
 
 def save_system(system: BandSystem, path: str) -> None:

@@ -75,10 +75,13 @@ class Point:
     def is_vertex(self) -> bool:
         return self.vertex is not None
 
+    def __str__(self) -> str:
+        """The exact text of the point, as `fileformat.parse_point` reads
+        it: the vertex name, or ``edge:offset``."""
+        return self.vertex if self.is_vertex else f"{self.edge}:{self.offset!r}"
+
     def __repr__(self) -> str:
-        if self.is_vertex:
-            return f"P({self.vertex})"
-        return f"P({self.edge}:{self.offset!r})"
+        return f"P({self})"
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,10 @@ class Direction:
     base: Point
     edge: str
     toward: int
+
+    def __str__(self) -> str:
+        """``edge:+`` or ``edge:-``; the base point is not part of it."""
+        return f"{self.edge}:{'+' if self.toward == 1 else '-'}"
 
 
 class MetricForest:
@@ -656,19 +663,16 @@ class Subforest:
             self._hash = hash((tuple(sorted(self.intervals.items())), self.points))
         return self._hash
 
+    def __str__(self) -> str:
+        """Exact text: each interval as ``edge[lo,hi]`` in edge order, then
+        each isolated point as ``point <point>`` in point_key order."""
+        parts = [f"{eid}[{lo!r},{hi!r}]" for eid in sorted(self.intervals)
+                 for lo, hi in self.intervals[eid]]
+        parts += [f"point {p}" for p in sorted(self.points, key=point_key)]
+        return " ".join(parts) or "(empty)"
+
     def __repr__(self) -> str:
-        parts = []
-        for eid, ivs in sorted(self.intervals.items()):
-            for lo, hi in ivs:
-                parts.append(f"{eid}[{_display(lo)},{_display(hi)}]")
-        for p in sorted(self.points, key=point_key):
-            parts.append(repr(p))
-        return "Subforest(" + " ".join(parts) + ")" if parts else "Subforest(empty)"
-
-
-def _display(s: Scalar) -> str:
-    # repr only: never used to order or decide
-    return f"{float(s.to_decimal(12)):.4g}"
+        return f"Subforest({self})"
 
 
 def point_key(p: Point):

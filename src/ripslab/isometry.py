@@ -4,8 +4,8 @@ A partial isometry is stored, serialized and validated as a finite marker
 correspondence (domain point -> range point) that includes every extremal
 point of the domain.  It maps through its chart: pieces x -> x + t or
 x -> t - x, each from one edge into one edge; a set is mapped span by
-span (`Subforest.spans`).  Only a parsed band (or one built by
-`arc_band`) reads its chart off the markers: a restriction keeps its
+span (`Subforest.spans`).  Only a band built from its markers
+(`band_from_markers`) reads its chart off them: a restriction keeps its
 parent's chart, clipped, and an inverse inverts its forward chart.
 A band system couples a host forest with finitely many positively-labeled
 bands; inverses are derived, so the label set and its inverses never
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
 from .scalar import NumberField, Scalar
@@ -211,7 +212,7 @@ class PartialIsometry:
                 if dd != dr:
                     bad.append(
                         f"band {self.label}: distance violation between markers "
-                        f"{mi!r},{mj!r} ({dd.to_decimal(6)} vs {dr.to_decimal(6)})")
+                        f"{mi!r},{mj!r} ({dd!r} vs {dr!r})")
         if bad:
             return bad
         dom_pts = [m for m, _ in corr]
@@ -390,13 +391,21 @@ def _edge_sweep(spans: list[tuple[Scalar, Scalar]], extra: list[Scalar]):
     return cuts, index, seg_cov, pt_cov
 
 
+def band_from_markers(host: MetricForest, name: str,
+                      correspondence: Sequence[tuple[Point, Point]]) -> PartialIsometry:
+    """The band given by its markers: its domain and range are the hulls
+    of the markers and of their images.  Raises ValidationError when the
+    markers do not define an isometry."""
+    band = PartialIsometry(name, host.hull([p for p, _ in correspondence]),
+                           host.hull([q for _, q in correspondence]),
+                           tuple(correspondence))
+    problems = band.validate()
+    if problems:
+        raise ValidationError(problems)
+    return band
+
+
 def arc_band(host: MetricForest, name: str, p0: Point, p1: Point,
              q0: Point, q1: Point) -> PartialIsometry:
     """Band on an arc domain [p0, p1] mapped onto [q0, q1] with p0 -> q0."""
-    dom = host.hull([p0, p1])
-    rng = host.hull([q0, q1])
-    b = PartialIsometry(name, dom, rng, ((p0, q0), (p1, q1)))
-    problems = b.validate()
-    if problems:
-        raise ValidationError(problems)
-    return b
+    return band_from_markers(host, name, ((p0, q0), (p1, q1)))

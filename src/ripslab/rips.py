@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .fileformat import BandsSyntaxError, parse_system, save_system
-from .forest import ForestError, Point, Subforest
-from .isometry import ValenceStratification  # noqa: F401  (re-exported)
-from .isometry import BandSystem, PartialIsometry, ValidationError
-from .scalar import FieldMismatch, Scalar, rational
+from .fileformat import PARSE_ERRORS, parse_system, save_system
+from .forest import Point, Subforest
+from .isometry import ValenceStratification, ValidationError  # noqa: F401  (re-exported)
+from .isometry import BandSystem, PartialIsometry
+from .scalar import Scalar, rational
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,8 @@ def run(system: BandSystem, max_iter: int,
 
     The records are numbered from `start`, the step a resumed run picks up
     at.  With `checkpoint` set, every computed system is written to
-    <checkpoint>/step-<i>.bands in the standard text format.
+    <checkpoint>/step-<i>.bands in the standard text format; a checkpoint
+    that cannot be written raises CheckpointError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -173,8 +174,11 @@ def run(system: BandSystem, max_iter: int,
     def record(i: int, s: BandSystem):
         records.append(_record(i, s))
         if checkpoint is not None:
-            os.makedirs(checkpoint, exist_ok=True)
-            save_system(s, _step_path(checkpoint, i))
+            try:
+                os.makedirs(checkpoint, exist_ok=True)
+                save_system(s, _step_path(checkpoint, i))
+            except OSError as exc:
+                raise CheckpointError(f"checkpoint {exc.filename}: {exc.strerror}") from exc
 
     record(start, system)
     cur = system
@@ -196,8 +200,8 @@ def _step_path(checkpoint: str, i: int) -> str:
 
 
 class CheckpointError(Exception):
-    """A checkpoint file read back by a resumed run is missing or is not a
-    valid system."""
+    """A checkpoint cannot be written, or a file read back by a resumed run
+    is missing, undecodable or not a valid system."""
 
 
 def _read_step(checkpoint: str, i: int) -> BandSystem:
@@ -206,7 +210,7 @@ def _read_step(checkpoint: str, i: int) -> BandSystem:
         return parse_system(path)
     except OSError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc.strerror}") from exc
-    except (BandsSyntaxError, ValidationError, FieldMismatch, ForestError) as exc:
+    except PARSE_ERRORS as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
 
 

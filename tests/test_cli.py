@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ripslab import rips
-from ripslab.cli import _subforest_str, main
+from ripslab.cli import main
 from ripslab.fileformat import parse_system
 from ripslab.forest import Subforest
 from ripslab.traintrack import parse_map, rotationless_power, \
@@ -252,6 +252,33 @@ def test_resume_from_checkpoint_repeating_a_label_is_input_error(tmp_path):
                        "--checkpoint", str(ck), bands)[0] == 2, action
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_checkpoint_path_through_a_file_is_input_error(tmp_path, capsys, below):
+    """A --checkpoint that is, or lies below, a regular file is an input
+    error naming that path."""
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    ck = blocker / "sub" if below else blocker
+    code, text = run_cli("rips", "run", "--max-iter", "2", "--checkpoint",
+                         str(ck), corpus("e_trim.bands"))
+    assert code == 2 and text == ""
+    assert f"checkpoint {ck}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["earlier", "latest"])
+def test_resume_from_undecodable_checkpoint_is_input_error(tmp_path, capsys,
+                                                           step):
+    bands = corpus("e_trim.bands")
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2",
+                   "--checkpoint", str(ck), bands)[0] == 0
+    (ck / f"step-{step}.bands").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert run_cli("rips", "classify", "--resume",
+                   "--checkpoint", str(ck), bands)[0] == 2
+    assert str(ck / f"step-{step}.bands") in capsys.readouterr().err
+
+
 def test_resume_requires_checkpoint():
     code, _ = run_cli("rips", "run", "--resume", corpus("e_trim.bands"))
     assert code == 1
@@ -267,7 +294,7 @@ def test_subforest_points_in_exact_order():
     host = parse_system(corpus("e_trim.bands")).forest
     s = Subforest(host, {}, frozenset([host.point("e0", Fraction(1, 2)),
                                        host.point("e0", Fraction(3, 10))]))
-    assert _subforest_str(s) == "point e0:3/10 point e0:1/2"
+    assert str(s) == "point e0:3/10 point e0:1/2"
 
 
 def test_words_report():
@@ -296,6 +323,20 @@ def test_wh_at_report():
                          "--point", "e0:3/2", "--direction", "e0:+")
     assert code == 0
     assert "1 edge(s)" in text and "graph directional_whitehead" in text
+
+
+def test_wh_at_reads_back_every_scan_row(tmp_path):
+    """Each point and direction that `wh scan` prints is accepted by
+    `wh at`, also on an edge whose id is more than letters and digits."""
+    path = tmp_path / "dotted_edge.bands"
+    path.write_text("tree\nvertex u\nvertex v\nedge e.0 u v 1\n"
+                    "band a\nmap e.0:0 -> e.0:1/2\nmap e.0:1/2 -> e.0:1\n")
+    code, text = run_cli("wh", "scan", str(path), "--depth", "1")
+    assert code == 0 and "e.0:1/2\te.0:+" in text
+    for row in text.splitlines():
+        point, direction, _ = row.split("\t")
+        assert run_cli("wh", "at", str(path), "--depth", "1", "--point", point,
+                       "--direction", direction)[0] == 0, row
 
 
 def test_wh_at_requires_point():
@@ -399,6 +440,45 @@ def test_tt_wrong_inverse_section_is_input_error(tmp_path, capsys, action):
     assert "does not invert the map at a: f(f^-1(a)) = f(b) = ac" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("tt", "pf")],
+                         ids=["bands", "map"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, argv):
+    """A directory, or a file that is not UTF-8, is an input error naming
+    the path."""
+    undecodable = tmp_path / "utf16.txt"
+    undecodable.write_bytes(b"\xff\xfe" + "tree\n".encode("utf-16-le"))
+    for path in (tmp_path, undecodable):
+        assert run_cli(*argv, str(path)) == (2, ""), path
+        assert f"{path}: " in capsys.readouterr().err
+
+
+def test_bands_mutants_exit_0_1_or_2(tmp_path):
+    """Exit-code contract: a corpus system with 1-3 characters deleted,
+    inserted or replaced ends in 0, 1 or 2 under every report."""
+    rng = random.Random(18)
+    chars = "uvab0123L^*+-/:>() \n#"
+    sources = [(resources.files("ripslab") / "corpus" / name).read_text()
+               for name in ("e_surf.bands", "e_trim.bands", "bk_itm.bands")]
+    path = tmp_path / "mutant.bands"
+    bad = []
+    for _ in range(100):
+        text = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.choice(["delete", "insert", "replace"])
+            if op != "insert" and i < len(text):
+                del text[i]
+            if op != "delete":
+                text.insert(i, rng.choice(chars))
+        path.write_text("".join(text))
+        for argv in (("validate",), ("rips", "classify", "--max-iter", "3"),
+                     ("wh", "scan", "--depth", "2"), ("pattern", "--depth", "2")):
+            code, _ = run_cli(*argv, str(path))
+            if code not in (0, 1, 2):
+                bad.append((argv, "".join(text)))
+    assert not bad
+
+
 def test_tt_mutated_maps_exit_0_1_or_2(tmp_path):
     """Exit-code contract: every tt action on a corpus map with 1-3
     characters deleted, inserted or replaced ends in 0, 1 or 2."""
@@ -446,6 +526,13 @@ def test_corpus_list_and_show():
     assert code == 0 and "band a" in text
     code, _ = run_cli("corpus", "show", "nope.bands")
     assert code == 2
+
+
+def test_corpus_show_serves_only_listed_names():
+    for name in ("../../../../../../etc/passwd", "../cli.py"):
+        assert run_cli("corpus", "show", name) == (2, ""), name
+    surf = resources.files("ripslab") / "corpus" / "e_surf.bands"
+    assert run_cli("corpus", "show", "e_surf.bands") == (0, surf.read_text())
 
 
 def test_reports_deterministic():

@@ -4,10 +4,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ripslab import fileformat
+from ripslab.cli import _parse_direction
 from ripslab.fileformat import (
     BandsSyntaxError,
+    parse_point,
     parse_scalar,
     parse_system,
     parse_system_text,
@@ -64,6 +67,34 @@ def test_scalar_str_round_trip():
     for x in (Q(0), Q(-7, 3), f.gen, 1 - f.gen, f.element([1, -2, 3]),
               f.element([0, 0, -1])):
         assert parse_scalar(scalar_str(x), f) == x
+
+
+@st.composite
+def corpus_points(draw):
+    """A corpus system over Q or Q(L) and a point of its host: a vertex,
+    or an edge point at a drawn exact offset."""
+    system = parse_system(corpus(draw(st.sampled_from(
+        ["e_surf.bands", "e_trim.bands", "bk_itm.bands"]))))
+    host = system.forest
+    if draw(st.booleans()):
+        return system, host.vertex_point(draw(st.sampled_from(host.vertices)))
+    edge = draw(st.sampled_from(host.edges))
+    third = st.fractions(0, edge.length.as_fraction() / 3, max_denominator=12)
+    if system.field is None:
+        x = Q(draw(third) * 3)
+    else:
+        x = system.field.element([draw(third), draw(third), draw(third)])
+    return system, host.point(edge.id, draw(st.sampled_from([x, edge.length - x])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_points())
+def test_point_and_direction_text_round_trip(case):
+    system, p = case
+    assert parse_point(system.forest, system.field, str(p)) == p
+    assert repr(p) == f"P({p})"
+    for d in system.forest.directions_at(p):
+        assert _parse_direction(p, str(d)) == d
 
 
 def test_parse_corpus_e_surf():
