@@ -89,17 +89,20 @@ def _cmd_rips(args, out):
     if args.action == "step":
         out.write(serialize_system(rips.rips_step(system)))
         return 0
-    start = 0
+    start, resumed = 0, ""
     if args.resume:
         if not args.checkpoint:
             raise UsageError("--resume requires --checkpoint")
         latest = rips.latest_checkpoint(args.checkpoint)
         if latest is not None:
             start, system = latest
-            out.write(f"resumed: step {start}\n")
+            resumed = f"resumed: step {start}\n"
+    # the resumed line is written only once the run has read back every
+    # earlier checkpoint, so a failed resume prints nothing
     if args.action == "run":
         trace = rips.run(system, args.max_iter, checkpoint=args.checkpoint,
                          start=start)
+        out.write(resumed)
         for rec in trace.steps:
             out.write(f"step {rec.index}: volume {rec.volume} vol_ge3"
                       f" {rec.vol_ge3} diameter {rec.max_diameter}"
@@ -111,6 +114,7 @@ def _cmd_rips(args, out):
     result = rips.classify(system, args.max_iter,
                            diam_ratio_threshold=args.diam_ratio,
                            checkpoint=args.checkpoint, start=start)
+    out.write(resumed)
     v = result.verdict
     out.write(f"verdict: {type(v).__name__}\n")
     if isinstance(v, rips.SurfaceType):

@@ -45,6 +45,10 @@ class BandsSyntaxError(Exception):
         self.line = line
 
 
+# band labels, vertex names and edge ids: no ':' or space, so that the text
+# of every point and every band reads back
+_NAME = re.compile(r"[A-Za-z0-9_.\-]+")
+
 # what parse_system raises on a file that it can open but that is not a
 # valid system
 PARSE_ERRORS = (UnicodeDecodeError, BandsSyntaxError, ValidationError,
@@ -206,7 +210,7 @@ def parse_system_text(text: str) -> BandSystem:
             section = "support"
             continue
         if head == "band":
-            if not rest or not re.fullmatch(r"[A-Za-z0-9_.\-]+", rest):
+            if not _NAME.fullmatch(rest):
                 raise BandsSyntaxError(no, f"bad band label {rest!r}")
             if any(name == rest for _, name, _ in band_sections):
                 raise BandsSyntaxError(no, f"duplicate band label {rest!r}")
@@ -215,14 +219,16 @@ def parse_system_text(text: str) -> BandSystem:
             continue
         if section == "tree":
             if head == "vertex":
-                if not rest:
-                    raise BandsSyntaxError(no, "vertex needs a name")
+                if not _NAME.fullmatch(rest):
+                    raise BandsSyntaxError(no, f"bad vertex name {rest!r}")
                 vertices.append(rest)
             elif head == "edge":
                 parts = rest.split(None, 3)
                 if len(parts) != 4:
                     raise BandsSyntaxError(
                         no, "expected: edge <id> <u> <v> <length>")
+                if not _NAME.fullmatch(parts[0]):
+                    raise BandsSyntaxError(no, f"bad edge id {parts[0]!r}")
                 edges.append((no, *parts))
             else:
                 raise BandsSyntaxError(no, f"unexpected {head!r} in tree section")

@@ -16,9 +16,14 @@ Each field interns its elements that are not rational: while a value is
 alive, every computation that yields it returns that one object, so its
 enclosure (a rigorous float interval) is computed once and then read by
 every order test, which returns at once when two cached enclosures are
-disjoint.  The table is weak, so it keeps no value alive, and there is one
-per field, so equal fields built apart share nothing; rationals are not
-interned.  Equality and hashing stay by value.  An enclosure cached before
+disjoint.  The table is a plain dict of weak references, read inline, so
+it keeps no value alive; one callback per field drops the entry of a value
+that dies, and it holds the table but not the field, so reference counting
+alone frees a dropped field.  There is one table per field, so equal fields
+built apart share nothing; rationals are not interned.  Because a field
+element is shared by every holder and keys its table, instances refuse
+assignment; the constructor sets the slots through their descriptors.
+Equality and hashing stay by value.  An enclosure cached before
 a refinement may still decide, as refinement only shrinks the isolating
 interval that its bounds came from; one that does not decide is recomputed
 at the current interval, and where that does not decide either, the exact
@@ -215,18 +220,26 @@ class NumberField:
         lo, hi = Fraction(lo), Fraction(hi)
         if lo >= hi:
             raise DegenerateInterval(f"need lo < hi, got [{lo}, {hi}]")
-        if _peval(poly, lo) * _peval(poly, hi) >= 0:
+        plo = _peval(poly, lo)
+        if plo * _peval(poly, hi) >= 0:
             raise NoSignChange(
                 f"polynomial does not change sign on ({lo}, {hi})")
         self.minpoly: Poly = poly
         self._lo0, self._hi0 = lo, hi
         self._lo, self._hi = lo, hi
+        # refine moves the lower bound only to points where the polynomial
+        # keeps its sign at lo, and evaluates it over the integers
+        self._lo_positive = plo > 0
+        scale = math.lcm(*(c.denominator for c in poly))
+        self._ipoly = tuple(c.numerator * (scale // c.denominator) for c in poly)
         self._rev = 0           # bumped on refine; invalidates cached bounds
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
-        # (num, den) -> the one live Scalar of that value; weak, so the
-        # table holds no value alive and the field and its values are freed
-        # by reference counting alone
-        self._scalars: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        # (num, den) -> a weak reference to the one live Scalar of that
+        # value; the table holds no value alive, and its removal callback
+        # holds the table but not the field, so reference counting alone
+        # frees the field and its values
+        self._scalars: dict = {}
+        self._unintern = _remover(self._scalars)
         if check_irreducible and not self._is_irreducible():
             raise NotIrreducible("defining polynomial is reducible over Q")
         # rows[j] / den is lambda^(degree + j) mod minpoly, for products
@@ -264,11 +277,18 @@ class NumberField:
         return len(self.minpoly) - 1
 
     def refine(self) -> None:
-        """Halve the isolating interval, keeping the root."""
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
+        """Halve the isolating interval, keeping the root: one integer
+        evaluation at the midpoint n/d, of d^degree * p(n/d) times the lcm
+        of the denominators of p, decides which half holds it."""
+        mid = (self._lo + self._hi) / 2
+        n, d = mid.numerator, mid.denominator
+        c = self._ipoly
+        v, dk = c[-1], 1
+        for a in c[-2::-1]:
+            dk *= d
+            v = v * n + a * dk
         # mid is the root only in degree 1, where it stays the upper bound
-        if _peval(self.minpoly, lo) * _peval(self.minpoly, mid) <= 0:
+        if not v or (v > 0) != self._lo_positive:
             self._hi = mid
         else:
             self._lo = mid
@@ -344,14 +364,17 @@ class Scalar:
     __slots__ = ("field", "num", "den", "_hash", "_enc", "_encrev", "__weakref__")
 
     def __init__(self, field: NumberField | None, num: tuple, den: int = 1):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_enc", None)
-        object.__setattr__(self, "_encrev", None)
+        # the slot descriptors' setters, bound below, skip the guard
+        _set_field(self, field)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
+        _set_enc(self, None)
+        _set_encrev(self, None)
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
+        # a field element is shared by every holder and keys its field's
+        # table, so a mutation would corrupt them all
         raise AttributeError("Scalar is immutable")
 
     @property
@@ -374,10 +397,33 @@ class Scalar:
         raise FieldMismatch(f"{fa!r} vs {fb!r}")
 
     def _addsub(self, other: ScalarLike, s: int) -> "Scalar":
-        """self + s * other over the least common denominator, s = 1 or -1."""
-        b = Scalar._coerce(other)
-        f = self._field(b)
+        """self + s * other, s = 1 or -1: a zero operand gives the other
+        one, integral operands add coefficientwise, and the rest meet over
+        the least common denominator."""
+        f = self.field
+        if isinstance(other, Scalar) and other.field is f:
+            b = other
+        else:
+            b = Scalar._coerce(other)
+            f = self._field(b)
         an, bn, ad, bd = self.num, b.num, self.den, b.den
+        # a zero has denominator 1, so the sum is the other operand's value
+        if not bn:
+            return _intern(f, an, ad)
+        if not an:
+            return _intern(f, bn if s == 1 else tuple([-y for y in bn]), bd)
+        if ad == 1 and bd == 1:
+            k = min(len(an), len(bn))
+            if s == 1:
+                out = [x + y for x, y in zip(an, bn)]
+                out += an[k:] or bn[k:]
+            else:
+                out = [x - y for x, y in zip(an, bn)]
+                out += an[k:] or [-y for y in bn[k:]]
+            # only equal lengths can cancel the leading coefficient
+            while out and not out[-1]:
+                out.pop()
+            return _intern(f, tuple(out), 1)
         g = math.gcd(ad, bd)
         ma, mb = bd // g, s * (ad // g)
         out = [x * ma for x in an] + [0] * (len(bn) - len(an))
@@ -391,7 +437,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _intern(self.field, tuple(-x for x in self.num), self.den)
+        return _intern(self.field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self._addsub(other, -1)
@@ -475,8 +521,8 @@ class Scalar:
                                 or self._encrev == self.field._rev):
             return enc
         enc, rev = self._enclose()
-        object.__setattr__(self, "_enc", enc)
-        object.__setattr__(self, "_encrev", rev)
+        _set_enc(self, enc)
+        _set_encrev(self, rev)
         return enc
 
     def _enclose(self) -> tuple[tuple[float, float], int | None]:
@@ -528,7 +574,7 @@ class Scalar:
         if self._hash is None:
             # rational values hash alike in every field, matching __eq__
             key = self.field if len(self.num) > 1 else None
-            object.__setattr__(self, "_hash", hash((key, self.num, self.den)))
+            _set_hash(self, hash((key, self.num, self.den)))
         return self._hash
 
     def _compare(self, other: ScalarLike) -> int:
@@ -624,6 +670,11 @@ class Scalar:
         return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
+_set_field, _set_num, _set_den, _set_hash, _set_enc, _set_encrev = (
+    Scalar.__dict__[name].__set__
+    for name in ("field", "num", "den", "_hash", "_enc", "_encrev"))
+
+
 def _canon(field: NumberField | None, num: list, den: int) -> Scalar:
     """The Scalar num/den in lowest terms; the list `num` is consumed."""
     while num and not num[-1]:
@@ -643,10 +694,24 @@ def _intern(field: NumberField | None, num: tuple, den: int) -> Scalar:
     if field is None or len(num) < 2:
         return Scalar(field, num, den)
     key = (num, den)
-    s = field._scalars.get(key)
-    if s is None:
-        s = field._scalars[key] = Scalar(field, num, den)
+    table = field._scalars
+    ref = table.get(key)
+    if ref is not None:
+        s = ref()
+        if s is not None:
+            return s
+    s = Scalar(field, num, den)
+    table[key] = weakref.KeyedRef(s, field._unintern, key)
     return s
+
+
+def _remover(table: dict):
+    """The weak-reference callback that drops a dead value's entry from an
+    intern table, unless its key already names a newer value."""
+    def remove(ref: weakref.KeyedRef) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+    return remove
 
 
 def rational(numerator, denominator=1) -> Scalar:

@@ -190,10 +190,10 @@ def test_resume_from_invalid_earlier_checkpoint_names_file(tmp_path, capsys):
                    "--checkpoint", str(ck), bands)[0] == 0
     shutil.copy(corpus("bad_marker.bands"), ck / "step-1.bands")
     capsys.readouterr()
-    code, _ = run_cli("rips", "classify", "--resume",
-                      "--checkpoint", str(ck), bands)
+    code, text = run_cli("rips", "classify", "--resume",
+                         "--checkpoint", str(ck), bands)
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 2 and text == ""
     assert str(ck / "step-1.bands") in err and "distance violation" in err
 
 
@@ -227,10 +227,15 @@ BAND = "band a\nmap e0:0 -> e0:1/2\n"
     TREE + BAND + "band a\nmap e0:0 -> e0:1/4\n",
     TREE + "support\ninterval e0 0 2\n" + BAND,
     TREE + "support\ninterval e0 0 1\ninterval e0 1/2 1/2\n" + BAND,
-], ids=["repeated-band", "interval-past-edge", "empty-interval"])
+    "tree\nvertex u v\nvertex v\nedge e0 u v 1\n" + BAND,
+    "tree\nvertex u:1\nvertex v\nedge e0 u:1 v 1\n" + BAND,
+    TREE + "vertex w\nedge e:0 v w 1\n" + BAND,
+], ids=["repeated-band", "interval-past-edge", "empty-interval",
+        "vertex-with-space", "vertex-with-colon", "edge-with-colon"])
 def test_parsed_input_errors_exit_2(tmp_path, capsys, text):
-    """A repeated band label and an interval that is empty or leaves its
-    edge are rejected at their line, not left to fail later."""
+    """A repeated band label, an interval that is empty or leaves its edge,
+    and a vertex name or edge id that the text of a point could not name
+    are rejected at their line, not left to fail later."""
     path = tmp_path / "bad.bands"
     path.write_text(text)
     for argv in (("validate",), ("rips", "classify")):
@@ -274,8 +279,9 @@ def test_resume_from_undecodable_checkpoint_is_input_error(tmp_path, capsys,
                    "--checkpoint", str(ck), bands)[0] == 0
     (ck / f"step-{step}.bands").write_bytes(b"\xff\xfe")
     capsys.readouterr()
+    # a failed resume prints no partial report
     assert run_cli("rips", "classify", "--resume",
-                   "--checkpoint", str(ck), bands)[0] == 2
+                   "--checkpoint", str(ck), bands) == (2, "")
     assert str(ck / f"step-{step}.bands") in capsys.readouterr().err
 
 

@@ -148,3 +148,46 @@ def test_reduction_idempotent(coeffs):
 def test_rational_mode_matches_fraction(x, y):
     assert (rational(x) + rational(y)).as_fraction() == x + y
     assert (rational(x) * rational(y)).as_fraction() == x * y
+
+
+def _plain_bisection(poly, lo, hi, n):
+    """The isolating intervals of n halvings, each deciding its half by the
+    sign of p(lo) * p(mid), evaluated in Fractions."""
+    def p(x):
+        return sum(Fraction(c) * x**i for i, c in enumerate(poly))
+
+    out = []
+    for _ in range(n):
+        mid = (lo + hi) / 2
+        if p(lo) * p(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+        out.append((lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    ([-1, 1, 1, 1], 0, 1),                                   # bk_itm
+    ([Fraction(-5, 2), Fraction(-1, 3), 0, 0, 1], 1, 2),     # degree 4
+    ([Fraction(-1, 2), 1], 0, 1),                            # the root is a midpoint
+])
+def test_refine_halves_as_plain_bisection(poly, lo, hi):
+    field = field_define(poly, lo, hi)
+    steps = []
+    for _ in range(200):
+        field.refine()
+        steps.append((field._lo, field._hi))
+    assert steps == _plain_bisection(poly, Fraction(lo), Fraction(hi), 200)
+
+
+def test_scalar_attributes_cannot_be_assigned(trib):
+    """Field elements are shared through their field's table, so no holder
+    may change one."""
+    x = trib.element([1, 2])
+    for name, value in (("field", None), ("num", (3,)), ("den", 2),
+                        ("coeffs", ())):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x.field is trib and x.num == (1, 2) and x.den == 1
+    assert trib.element([1, 2]) is x

@@ -8,10 +8,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ripslab import scalar
-from ripslab.scalar import field_define, rational
+from ripslab.scalar import FieldMismatch, field_define, rational
 
 from oracles import RefScalar
 
@@ -29,22 +29,45 @@ coefficient = st.one_of(
 )
 
 
+# integers, small ones kept likely so that sums cancel
+integer = st.one_of(st.integers(-3, 3), st.integers(-10**9, 10**9))
+
+KINDS = ("Q", "zero", "field zero", "field rational", "integral", "field")
+
+
 @st.composite
-def scalars(draw, field=None):
-    """A (Scalar, RefScalar) pair: a plain rational, a rational-valued
-    element of the field, or a general field element; the field is drawn
-    from FIELDS unless given."""
+def scalars(draw, field=None, kinds=KINDS):
+    """A (Scalar, RefScalar) pair of one of `kinds`: a plain rational, the
+    plain or the field's zero, a rational-valued element of the field, a
+    field element with integer coefficients, or a general one; the field
+    is drawn from FIELDS unless given."""
     field = field or draw(st.sampled_from(FIELDS))
-    kind = draw(st.sampled_from(["Q", "field rational", "field"]))
-    if kind == "Q":
-        c = draw(coefficient)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("Q", "zero"):
+        c = draw(coefficient) if kind == "Q" else Fraction(0)
         return rational(c), RefScalar(None, (c,))
-    coeffs = draw(st.lists(coefficient, min_size=1, max_size=1
+    if kind == "field zero":
+        return field.zero(), RefScalar(field, ())
+    coeffs = draw(st.lists(integer if kind == "integral" else coefficient,
+                           min_size=1, max_size=1
                            if kind == "field rational" else field.degree))
     return field.element(coeffs), RefScalar(field, coeffs)
 
 
-# two scalars of one field
+@st.composite
+def cancelling(draw):
+    """Two integral elements of one field whose higher coefficients are
+    equal or opposite, so that their difference or sum is rational, as in
+    (L + 1) - L."""
+    field = draw(st.sampled_from(FIELDS))
+    high = draw(st.lists(integer, min_size=1, max_size=max(1, field.degree - 1)))
+    s = draw(st.sampled_from([1, -1]))
+    x, y = [draw(integer)] + high, [draw(integer)] + [s * c for c in high]
+    return ((field.element(x), RefScalar(field, x)),
+            (field.element(y), RefScalar(field, y)))
+
+
+# two scalars of one field, plain rationals among them
 pairs = st.sampled_from(FIELDS).flatmap(
     lambda f: st.tuples(scalars(f), scalars(f)))
 
@@ -59,8 +82,24 @@ def same(x, ref):
     assert (x.field is None) == (ref.field is None)
 
 
+def of(field, *coeffs):
+    """The (Scalar, RefScalar) pair of the given coefficients."""
+    if field is None:
+        return rational(*coeffs), RefScalar(None, coeffs)
+    return field.element(coeffs), RefScalar(field, coeffs)
+
+
+# (L + 1) - L is rational; a zero operand of either side, in the field or in
+# Q; 3 + 0 in the field is the field's 3; 3 - L negates the longer tail
 @settings(max_examples=300, deadline=None)
-@given(pairs)
+@given(st.one_of(pairs, cancelling()))
+@example((of(BK, 1, 1), of(BK, 0, 1)))
+@example((of(BK, 0, 1), of(BK)))
+@example((of(BK), of(BK, 0, 1)))
+@example((of(None, 0), of(BK, 0, 1)))
+@example((of(BK, 0, 1), of(None, 0)))
+@example((of(None, 3), of(BK)))
+@example((of(None, 3), of(BK, 0, 1)))
 def test_arithmetic_matches_reference(pair):
     (x, rx), (y, ry) = pair
     same(x + y, rx + ry)
@@ -81,6 +120,23 @@ def test_order_and_equality_match_reference(pair):
     assert (x < y) == (rx < ry)
     assert (x <= y) == (not ry < rx)
     assert x.sign() == rx.sign()
+
+
+FIELD_KINDS = [k for k in KINDS if k not in ("Q", "zero")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(FIELDS).flatmap(lambda fs: st.tuples(
+    scalars(fs[0], FIELD_KINDS), scalars(fs[1], FIELD_KINDS))))
+def test_unequal_fields_do_not_mix(pair):
+    """Elements of two unequal fields never combine, zero and rational
+    values included."""
+    (x, rx), (y, ry) = pair
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatch):
+            op(rx, ry)
+        with pytest.raises(FieldMismatch):
+            op(x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,6 +202,18 @@ def test_near_zero_values_decided_without_gcd(monkeypatch):
     assert 0 < tiny < cases[0][0]
     assert tiny.to_decimal(20) == "0." + "0" * 20
     assert tiny / tiny == 1
+
+
+def test_sign_of_a_tiny_power_matches_reference():
+    """A fresh field refines its interval hundreds of times to decide the
+    signs near L^300 (about 1e-80); the reference bisects on its own."""
+    field = field_define([-1, 1, 1, 1], 0, 1)
+    lam, rlam = field.gen, RefScalar(field, (0, 1))
+    x = functools.reduce(operator.mul, [lam] * 300)
+    rx = functools.reduce(operator.mul, [rlam] * 300)
+    for y, ry in ((x, rx), (-x, -rx), (x * lam - x, rx * rlam - rx)):
+        assert y.sign() == ry.sign() != 0
+    assert field._rev > 200
 
 
 # -- interning: one live object per field value --------------------------------
