@@ -1,7 +1,8 @@
 """Line-oriented text format for band systems (`.bands` files).
 
 A file has an optional ``field`` line, a ``tree`` section, an optional
-``support`` section and one ``band`` section per band::
+``support`` section (absent, the support is the whole forest; present
+with no lines, it is empty) and one ``band`` section per band::
 
     # comment
     field L^3 + L^2 + L - 1 in (0, 1)
@@ -183,7 +184,7 @@ def parse_system_text(text: str) -> BandSystem:
     field: Optional[NumberField] = None
     vertices: list[str] = []
     edges: list[tuple[int, str, str, str, str]] = []
-    support_lines: list[tuple[int, str]] = []
+    support_lines: Optional[list[tuple[int, str]]] = None  # no section yet
     band_sections: list[tuple[int, str, list[tuple[int, str]]]] = []
     section = None
     seen_field = False
@@ -208,6 +209,7 @@ def parse_system_text(text: str) -> BandSystem:
             continue
         if head == "support" and not rest:
             section = "support"
+            support_lines = support_lines or []
             continue
         if head == "band":
             if not _NAME.fullmatch(rest):
@@ -248,8 +250,8 @@ def parse_system_text(text: str) -> BandSystem:
         [Edge(eid, u, v, parse_scalar(ln, field, no))
          for no, eid, u, v, ln in edges])
 
-    support = None
-    if support_lines:
+    support = None  # the whole forest; a section with no lines is empty
+    if support_lines is not None:
         intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
         pts = set()
         for no, line in support_lines:

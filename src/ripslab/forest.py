@@ -6,10 +6,14 @@ a vertex or at an exact offset along an edge; closed subsets that are
 finite unions of subtrees are represented canonically by
 :class:`Subforest` (per-edge closed intervals plus isolated points), so
 set equality -- the Rips halting test -- is representation equality.
-This module alone reads that form: components, membership, germs and
-the closed-span view (`Subforest.spans`, `from_spans`) that the charts
-of other modules read are all derived from it here.  Every order is decided by comparing two values, which reads their cached
-enclosures, never by building their difference to read its sign.
+Components, membership, germs, the closed-span view that the charts of
+other modules read (`Subforest.spans`, `from_spans`) and the one sweep
+over it (`coverage`) are all derived from that form here.  Outside this
+module only `rips._component_index`, `whitehead._scan` and
+`fileformat.serialize_system` read it.
+
+Every order is decided by comparing two values, which reads their
+cached enclosures, never by building their difference to read its sign.
 """
 
 from __future__ import annotations
@@ -338,7 +342,7 @@ class MetricForest:
         edges: list[Edge] = []
         edge_map: dict[str, list[tuple[Scalar, Scalar, str]]] = {}
         for e in self.edges:
-            cuts = sorted_unique(by_edge.get(e.id, []))
+            cuts = sorted(set(by_edge.get(e.id, ())))
             if not cuts:
                 edges.append(e)
                 edge_map[e.id] = [(ZERO, e.length, e.id)]
@@ -675,21 +679,40 @@ class Subforest:
         return f"Subforest({self})"
 
 
+def coverage(sets: Sequence[Subforest], keys: Sequence
+             ) -> dict[str, tuple[list[Scalar], list[list], list[int]]]:
+    """One sorted sweep over the closed spans (`Subforest.spans`) of the
+    sets on each cell.  Per cell: the distinct span ends in ascending
+    order; the keys of the sets holding each end, in the order of the
+    sets; and the number of sets covering the open piece after each end
+    (0 after the last one).  A set lists a vertex it holds on every edge
+    at it, so every cell through a vertex sees all the sets holding it."""
+    rows: dict[str, list] = {}
+    for s, key in zip(sets, keys):
+        for cell, lo, hi in s.spans():
+            rows.setdefault(cell, []).append((lo, hi, key))
+    out = {}
+    for cell, row in rows.items():
+        ends = sorted({x for lo, hi, _ in row for x in (lo, hi)})
+        index = {x: k for k, x in enumerate(ends)}
+        held: list[list] = [[] for _ in ends]
+        cover = [0] * len(ends)
+        for lo, hi, key in row:
+            i, j = index[lo], index[hi]
+            for k in range(i, j):
+                held[k].append(key)
+                cover[k] += 1
+            held[j].append(key)
+        out[cell] = (ends, held, cover)
+    return out
+
+
 def point_key(p: Point):
     """Exact sort key of a point: vertices by name, then edge points by
     edge and exact offset."""
     if p.is_vertex:
         return (0, p.vertex)
     return (1, p.edge, p.offset)
-
-
-def sorted_unique(xs: Iterable[Scalar]) -> list[Scalar]:
-    """The distinct values of xs in ascending exact order."""
-    out: list[Scalar] = []
-    for x in sorted(xs):
-        if not out or out[-1] != x:
-            out.append(x)
-    return out
 
 
 def _merge(ivs: list[tuple[Scalar, Scalar]]) -> list[tuple[Scalar, Scalar]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .forest import ZERO, MetricForest, Point, Subforest, sorted_unique
+from .forest import ZERO, MetricForest, Point, Subforest, coverage
 from .scalar import NumberField, Scalar
 
 
@@ -307,88 +307,51 @@ class BandSystem:
 
 
 class ValenceStratification:
-    """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)}.
+    """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)},
+    read off one `forest.coverage` sweep over the domains.
 
-    Computed after cutting the support at every domain endpoint, so v is
-    constant on the open interior of each recorded segment.  A valence at
-    a cut point is never below that of the pieces beside it; a cut point
-    is listed in `point_valences` only where its valence exceeds both of
-    them, since elsewhere every stratum containing it also contains a
-    segment ending there.  Isolated points of the support are listed too.
+    The sweep cuts each cell at every domain span end, so v is constant on
+    each open piece between two ends, and at an end v is never below the
+    cover on either side of it.  Kept: the ends and piece covers of each
+    cell, and each end whose v exceeds the cover on both sides (a peak),
+    with its v and the number of distinct band names holding it; every
+    other end lies in a piece of its own valence.
     """
 
     def __init__(self, system: BandSystem):
-        self.forest = host = system.forest
-        domains = [e.domain for e in system.elements()]
-        on_edge: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        counts: dict[Point, int] = {}  # domains holding a vertex or lone point
-        for d in domains:
-            for eid, ivs in d.intervals.items():
-                on_edge.setdefault(eid, []).extend(ivs)
-            held = [Point(vertex=v) for v in d.interval_vertices()]
-            held.extend(d.points)
-            for p in held:
-                counts[p] = counts.get(p, 0) + 1
-                if not p.is_vertex:
-                    on_edge.setdefault(p.edge, []).append((p.offset, p.offset))
-
-        segments: list[tuple[str, Scalar, Scalar, int]] = []
-        point_valences: dict[Point, int] = {}
-        for eid, ivs in system.support.intervals.items():
-            cuts, index, seg_cov, pt_cov = _edge_sweep(
-                on_edge.get(eid, []), [x for iv in ivs for x in iv])
-            for lo, hi in ivs:
-                i, j = index[lo], index[hi]
-                for k in range(i, j):
-                    segments.append((eid, cuts[k], cuts[k + 1], seg_cov[k]))
-                for k in range(i, j + 1):
-                    p = host.point(eid, cuts[k])
-                    v = counts.get(p, 0) if p.is_vertex else pt_cov[k]
-                    if v > max(seg_cov[k - 1] if k > i else 0,
-                               seg_cov[k] if k < j else 0):
-                        point_valences[p] = v
-        for p in system.support.points:
-            point_valences[p] = counts.get(p, 0)
-
-        self.segments = tuple(segments)
-        self.point_valences = point_valences
+        self.forest = system.forest
+        self.support = system.support
+        els = system.elements()
+        self._pieces = []
+        self._peaks = []
+        for cell, (ends, held, cover) in coverage(
+                [a.domain for a in els], [a.name for a in els]).items():
+            self._pieces.append((cell, ends, cover))
+            # cover[-1], after the last end, is 0 as before the first one
+            self._peaks.extend((cell, x, len(h), len(set(h)))
+                               for k, (x, h) in enumerate(zip(ends, held))
+                               if len(h) > max(cover[k - 1], cover[k]))
 
     def stratum_ge(self, i: int) -> Subforest:
-        """K^{>=i} as an exact subforest of the host."""
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for eid, lo, hi, v in self.segments:
-            if v >= i:
-                intervals.setdefault(eid, []).append((lo, hi))
-        pts = frozenset(p for p, v in self.point_valences.items() if v >= i)
-        return Subforest(self.forest, intervals, pts)
+        """K^{>=i} as an exact subforest of the host; K^{>=0} is the
+        support, which holds every domain."""
+        if i <= 0:
+            return self.support
+        return self._closure(i, [(c, x) for c, x, v, _ in self._peaks if v >= i])
+
+    def overlap(self) -> Subforest:
+        """K^{>=2} without its isolated points that one band name holds,
+        that is the points where only a band and its inverse meet."""
+        return self._closure(2, [(c, x) for c, x, _, n in self._peaks if n >= 2])
+
+    def _closure(self, i: int, points: list[tuple[str, Scalar]]) -> Subforest:
+        """The pieces of cover >= i, closed, and the given points."""
+        spans = [(c, ends[k], ends[k + 1]) for c, ends, cover in self._pieces
+                 for k, n in enumerate(cover) if n >= i]
+        return Subforest.from_spans(self.forest, spans + [(c, x, x) for c, x in points])
 
     def vol_ge(self, i: int) -> Scalar:
         return self.stratum_ge(i).volume()
-
-
-def _edge_sweep(spans: list[tuple[Scalar, Scalar]], extra: list[Scalar]):
-    """One sorted sweep along an edge.
-
-    `spans` are closed intervals on the edge, a single point x being the
-    span (x, x).  Returns the sorted distinct cuts (every span end and
-    extra value), the index of each cut, and per cut k the number of spans
-    covering the open piece (cuts[k], cuts[k+1]) and the number of spans
-    containing cuts[k] itself.
-    """
-    cuts = sorted_unique(extra + [x for iv in spans for x in iv])
-    index = {c: k for k, c in enumerate(cuts)}
-    n = len(cuts)
-    seg_diff = [0] * (n + 1)
-    pt_diff = [0] * (n + 1)
-    for lo, hi in spans:
-        i, j = index[lo], index[hi]
-        seg_diff[i] += 1
-        seg_diff[j] -= 1
-        pt_diff[i] += 1
-        pt_diff[j + 1] -= 1
-    seg_cov = list(itertools.accumulate(seg_diff[:n]))
-    pt_cov = list(itertools.accumulate(pt_diff[:n]))
-    return cuts, index, seg_cov, pt_cov
 
 
 def band_from_markers(host: MetricForest, name: str,

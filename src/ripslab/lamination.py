@@ -12,10 +12,11 @@ decided here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .forest import MetricForest, Point, Subforest
+from .forest import MetricForest, Point, Subforest, coverage
 from .isometry import BandSystem, chart_domain, extend_chart, identity_chart
 
 
@@ -90,21 +91,15 @@ def _drop_covered(host: MetricForest, chart: list) -> list:
 
 
 def _meeting(sets: list[Subforest], keys: list) -> set[tuple[int, int]]:
-    """The index pairs i < j of the sets that meet and whose keys differ,
-    from one sorted sweep over their closed spans on each cell."""
-    cells: dict[str, list] = {}
-    for i, s in enumerate(sets):
-        for c, lo, hi in s.spans():
-            cells.setdefault(c, []).append((lo, hi, i))
+    """The index pairs i < j of the sets that meet and whose keys differ.
+    Two closed sets meet exactly when one holds a span end of the other,
+    so these are the pairs among the holders of each end (`coverage`)."""
     pairs = set()
-    for row in cells.values():
-        row.sort(key=lambda span: span[0])
-        active: list = []
-        for lo, hi, i in row:
-            active = [(h, j) for h, j in active if h >= lo]
-            pairs.update((min(i, j), max(i, j)) for _, j in active if keys[i] != keys[j])
-            active.append((hi, i))
-    return pairs
+    for _, held, _ in coverage(sets, range(len(sets))).values():
+        for h in held:
+            if len(h) > 1:
+                pairs.update(itertools.combinations(h, 2))
+    return {(i, j) for i, j in pairs if keys[i] != keys[j]}
 
 
 def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], list]]:

@@ -38,17 +38,13 @@ def overlap_set(system: BandSystem) -> Subforest:
     """K': points lying in the domains of two distinct elements of A+-.
 
     K' is K^{>=2} minus the own-inverse touch points: an isolated point of
-    K^{>=2} is kept only where the domains containing it carry at least
-    two distinct band names, so a single point where a band domain touches
-    the domain of that same band's inverse is discarded.  Point overlaps
-    between genuinely distinct bands are kept.
+    K^{>=2} is kept only where the domains holding it carry at least two
+    distinct band names (`ValenceStratification.overlap`), so a single
+    point where a band domain touches the domain of that same band's
+    inverse is discarded.  Point overlaps between genuinely distinct bands
+    are kept.
     """
-    K = system.strata.stratum_ge(2)
-    els = system.elements()
-    points = frozenset(
-        p for p in K.points
-        if len({a.name for a in els if a.domain.contains(p)}) >= 2)
-    return Subforest(system.forest, K.intervals, points)
+    return system.strata.overlap()
 
 
 def _component_index(K: Subforest):

@@ -50,6 +50,10 @@ class DegenerateInterval(ScalarError):
     """The isolating interval is empty or a single point."""
 
 
+class NotIsolating(ScalarError):
+    """The interval holds more than one root of the polynomial."""
+
+
 class FieldMismatch(ScalarError):
     """Arithmetic attempted between elements of two different number fields."""
 
@@ -170,12 +174,13 @@ def _dyadic_float(n: int, prec: int, up: bool) -> float:
 def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi],
     by the Sturm chain of its squarefree part."""
-    p = _pdivmod(p, _pgcd(p, _pderiv(p)))[0] if len(p) > 2 else p
     if len(p) <= 1:
         return 0
     chain = [p, _pderiv(p)]
     while chain[-1]:
         chain.append(_pneg(_pmod(chain[-2], chain[-1])))
+    if len(chain[-2]) > 1:  # the last nonzero term is gcd(p, p'), up to a unit
+        return count_roots(_pdivmod(p, chain[-2])[0], lo, hi)
 
     def sign_changes(x) -> int:
         signs = [v > 0 for v in (_peval(q, x) for q in chain[:-1]) if v != 0]
@@ -224,8 +229,13 @@ class NumberField:
         if plo * _peval(poly, hi) >= 0:
             raise NoSignChange(
                 f"polynomial does not change sign on ({lo}, {hi})")
+        # a sign change leaves an odd number of roots: one, below degree 3
+        roots = count_roots(poly, lo, hi) if len(poly) > 3 else 1
+        if roots != 1:
+            raise NotIsolating(f"({lo}, {hi}) holds {roots} roots, not one")
         self.minpoly: Poly = poly
         self._lo0, self._hi0 = lo, hi
+        self._hash = hash((poly, lo, hi))  # each element's first hash reads it
         self._lo, self._hi = lo, hi
         # refine moves the lower bound only to points where the polynomial
         # keeps its sign at lo, and evaluates it over the integers
@@ -330,7 +340,7 @@ class NumberField:
                 and self._lo0 == other._lo0 and self._hi0 == other._hi0)
 
     def __hash__(self) -> int:
-        return hash((self.minpoly, self._lo0, self._hi0))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"NumberField({list(self.minpoly)}, {self._lo0}, {self._hi0})"

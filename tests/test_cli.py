@@ -137,6 +137,38 @@ def test_checkpoint_and_resume(tmp_path):
     assert (tmp_path / "ck" / "step-4.bands").exists()
 
 
+# dom(a) = [0, 1/2] touches dom(a') = [1/2, 1] only at e0:1/2, so K' is empty
+TOUCH = ("tree\nvertex u\nvertex v\nedge e0 u v 1\n"
+         "band a\nmap e0:0 -> e0:1/2\nmap e0:1/2 -> e0:1\n")
+
+
+def test_empty_support_survives_step_and_resume(tmp_path):
+    bands, step = tmp_path / "touch.bands", tmp_path / "step.bands"
+    bands.write_text(TOUCH)
+    code, text = run_cli("rips", "step", str(bands))
+    assert code == 0 and text.endswith("\nsupport\n")
+    step.write_text(text)
+    code, text = run_cli("validate", str(step))
+    assert code == 0 and "volume: 0\n" in text
+    ck = str(tmp_path / "ck")
+    code, whole = run_cli("rips", "run", "--max-iter", "3",
+                          "--checkpoint", ck, str(bands))
+    assert code == 0 and whole.endswith("halted: True\nhalt-step: 1\n")
+    code, resumed = run_cli("rips", "run", "--max-iter", "3", "--checkpoint",
+                            ck, "--resume", str(bands))
+    assert code == 0 and resumed.startswith("resumed: step 1\n")
+    assert resumed.endswith(whole[whole.index("step 1:"):])
+
+
+def test_validate_field_interval_holding_several_roots(tmp_path, capsys):
+    path = tmp_path / "roots.bands"
+    path.write_text("field L^3 - 3*L + 1 in (-2, 2)\n"
+                    "tree\nvertex u\nvertex v\nedge e0 u v 1\n")
+    code, text = run_cli("validate", str(path))
+    assert code == 2 and text == ""
+    assert "line 1: bad field: (-2, 2) holds 3 roots" in capsys.readouterr().err
+
+
 def test_classify_resume_keeps_checkpoints(tmp_path):
     bands = corpus("bk_itm.bands")
     fresh, ck = tmp_path / "fresh", tmp_path / "ck"

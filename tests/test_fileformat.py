@@ -200,6 +200,21 @@ def test_reducible_field_rejected(field):
     assert exc.value.line == 1
 
 
+def test_field_interval_holding_several_roots_rejected():
+    # the interval names no single root, so it defines no lambda
+    with pytest.raises(BandsSyntaxError, match="bad field.*3 roots") as exc:
+        parse_system_text("field L^3 - 3*L + 1 in (-2, 2)\n" + LINE)
+    assert exc.value.line == 1
+
+
+def test_empty_support_round_trips():
+    # a present but empty support section is the empty set, not the forest
+    s = parse_system_text(LINE + "support\n")
+    assert s.support.is_empty
+    assert serialize_system(s) == LINE + "support\n"
+    assert parse_system_text(LINE).support == s.forest.whole()
+
+
 def test_irreducible_fields_accepted():
     for field in ("L - 1/2 in (0, 1)", "L^2 - 2 in (1, 2)",
                   "L^3 - 1/2*L - 1/4 in (0, 1)", "L^4 - 2 in (1, 2)"):

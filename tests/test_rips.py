@@ -227,6 +227,34 @@ def test_strata_match_oracle_with_vertex_point_domains():
     assert overlap_set(s) == Subforest(host, {}, frozenset([u]))
 
 
+def check_strata(system, steps=4):
+    """K^{>=i}, i = 1, 2, 3, and K' against the oracles on the system and
+    on each step after it, up to `steps` steps or the halt."""
+    for rec in run(system, steps).steps:
+        s = rec.system
+        for i in (1, 2, 3):
+            assert s.strata.stratum_ge(i) == oracles.brute_stratum_ge(s, i), (rec.index, i)
+        assert overlap_set(s) == oracles.brute_overlap_set(s), rec.index
+
+
+# hosts of several edges: a vertex shared by edges is held on each of them
+
+@pytest.mark.parametrize("name", ["e_surf.bands", "e_trim.bands", "bk_itm.bands"])
+def test_strata_match_oracle_on_zigzag_hosts(name):
+    check_strata(zigzag(corpus(name)))
+
+
+def test_strata_match_oracle_on_tripod_and_step6():
+    check_strata(tripod())
+    check_strata(step6())
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_systems())
+def test_strata_fuzz(system):
+    check_strata(system)
+
+
 def check_steps(system, steps=8):
     """rips_step against its per-(C_i, C_j) definition, on the system and
     on each step after it, up to `steps` steps or the halt."""

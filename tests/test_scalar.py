@@ -10,6 +10,7 @@ from ripslab.scalar import (
     DivisionByZero,
     FieldMismatch,
     NoSignChange,
+    NotIsolating,
     NumberField,
     field_define,
     rational,
@@ -39,6 +40,13 @@ def test_field_define_linear_collapses_to_rational():
 def test_field_define_no_sign_change():
     with pytest.raises(NoSignChange):
         field_define([-2, 0, 1], 0, 1)  # x^2 - 2 has no root in (0, 1)
+
+
+def test_field_define_interval_with_several_roots():
+    # x^3 - 3x + 1 changes sign on (-2, 2) but has three roots there
+    with pytest.raises(NotIsolating, match="3 roots"):
+        field_define([1, -3, 0, 1], -2, 2)
+    assert field_define([1, -3, 0, 1], 1, 2).gen.to_decimal(4) == "1.5321"
 
 
 def test_field_define_degenerate_interval():

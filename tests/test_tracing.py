@@ -1,6 +1,7 @@
 """The per-layer trace of perfbench/run.py --trace 1 must stay installable:
 it wraps library names by their attribute names, so renaming or removing
-one of them breaks tracing without breaking any library test.  It counts
+one of them breaks tracing without breaking any library test.  It runs
+the Rips layer and the lamination layer (`wh_scan`, `limit_set`).  It counts
 only the wrapped Scalar methods, so a scalar fast path that bypassed them
 would silently zero a counter."""
 
@@ -47,6 +48,18 @@ assert bucket["isometry.image_of.in_step"] == stepped, (
 for name in ("scalar.sign", "scalar.compare", "scalar.arith",
              "scalar.enclosure"):
     assert bucket[name + ".calls"] > 0, name
+# the lamination layer: wh_scan reads dotted_words through whitehead's
+# binding of it and limit_set through lamination's, so each must be wrapped
+from ripslab import lamination, whitehead
+system = parse_system(FIELD_BANDS)
+rec.begin()
+whitehead.wh_scan(system, 3)
+lamination.limit_set(system, 3)
+rec.end()
+bucket = rec.buckets[2]
+assert bucket["lamination.dotted_words.calls"] == 2, bucket["lamination.dotted_words.calls"]
+for name in ("lamination.limit_set", "whitehead.wh_scan"):
+    assert bucket[name + ".calls"] == 1, name
 print("installed")
 """
 
