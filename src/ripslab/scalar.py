@@ -4,10 +4,10 @@ Every length, offset and coordinate in the rest of the package is a
 :class:`Scalar`: either a plain rational or a polynomial in a fixed real
 algebraic number lambda, reduced modulo its defining polynomial.  A scalar
 holds integer coefficients over one positive common denominator, in lowest
-terms, so arithmetic, equality and hashing are integer operations;
-``Fraction`` polynomials remain only in parsing, the inverse and the
-irreducibility check.  The defining polynomial is irreducible over Q,
-checked once when the field is built, so a reduced element vanishes at
+terms, so arithmetic, equality, hashing and root counting are integer
+operations; ``Fraction`` polynomials remain only in reducing given
+coefficients and in the inverse.  The defining polynomial is irreducible
+over Q, checked once when the field is built, so a reduced element vanishes at
 lambda only if it is 0 and is rational only if it is a constant.  The sign
 of any other element is exact: refining the isolating interval ends with
 bounds of one sign.  No decision is taken on a float.
@@ -149,10 +149,6 @@ def _pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _pmonic(r0), tuple(x / r0[-1] for x in s0)
 
 
-def _pderiv(a: Poly) -> Poly:
-    return _trim([a[i] * i for i in range(1, len(a))])
-
-
 def _peval(a: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
@@ -171,22 +167,113 @@ def _dyadic_float(n: int, prec: int, up: bool) -> float:
     return math.nextafter(f, math.inf if up else -math.inf)
 
 
+# Integer polynomials are ascending int lists or tuples with no trailing zero.
+
+def _primitive(a: list) -> tuple:
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """A positive integer multiple of the remainder of a by b, by pseudo-
+    division that multiplies by |lc(b)| only where a term is eliminated."""
+    db, lead = len(b) - 1, b[-1]
+    m, s = abs(lead), 1 if lead > 0 else -1
+    r = list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop() * s
+        if c:
+            if m != 1:
+                r = [x * m for x in r]
+            for i in range(db):
+                r[k - db + i] -= c * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def exact_quotient(a: Sequence[int], b: Sequence[int]) -> list:
+    """a / b for integer polynomials where b divides a over Z."""
+    db = len(b) - 1
+    r, q = list(a), [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // b[-1]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    return q
+
+
+def sturm_chain(p: Sequence) -> tuple:
+    """The Sturm chain of the squarefree part of p, over Z: p scaled by the
+    lcm of its denominators, then primitive negated pseudo-remainders.  A
+    positive factor changes no sign, and the chain's last term is gcd(p, p')
+    up to a constant, so a nonconstant last term is divided out first; the
+    first term is the primitive squarefree part of p, up to sign."""
+    if len(p) <= 1:
+        return ()
+    d = math.lcm(*(c.denominator for c in p))
+    a = [c.numerator * (d // c.denominator) for c in p]
+    chain = [_primitive(a), _primitive([a[i] * i for i in range(1, len(a))])]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-x for x in r]))
+    if len(chain[-1]) > 1:
+        return sturm_chain(exact_quotient(chain[0], chain[-1]))
+    return tuple(chain)
+
+
+def _sign_changes(chain: Sequence, x) -> int:
+    """Sign changes of the chain at the rational x, zeros skipped; each term
+    q is evaluated as the integer den^deg(q) * q(num/den)."""
+    n, d = x.numerator, x.denominator
+    last, changes = 0, 0
+    for q in chain:
+        v, dk = q[-1], 1
+        for c in q[-2::-1]:
+            dk *= d
+            v = v * n + c * dk
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def sturm_count(chain: Sequence, lo, hi) -> int:
+    """Number of distinct real roots in the half-open interval (lo, hi] of
+    the polynomial whose Sturm chain this is."""
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
 def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi],
     by the Sturm chain of its squarefree part."""
-    if len(p) <= 1:
-        return 0
-    chain = [p, _pderiv(p)]
-    while chain[-1]:
-        chain.append(_pneg(_pmod(chain[-2], chain[-1])))
-    if len(chain[-2]) > 1:  # the last nonzero term is gcd(p, p'), up to a unit
-        return count_roots(_pdivmod(p, chain[-2])[0], lo, hi)
+    return sturm_count(sturm_chain(p), lo, hi)
 
-    def sign_changes(x) -> int:
-        signs = [v > 0 for v in (_peval(q, x) for q in chain[:-1]) if v != 0]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return sign_changes(lo) - sign_changes(hi)
+def integer_roots(p: Sequence[int]) -> list:
+    """The distinct integer roots of a nonzero integer polynomial, ascending.
+
+    0 is a root when p(0) = 0; any other divides the lowest nonzero
+    coefficient c, so it lies in (-|c| - 1, |c|].  Integer intervals
+    (lo, hi] that hold a root, by one Sturm chain, are halved down to width
+    1, where the root can only be hi."""
+    k = next(i for i, c in enumerate(p) if c)
+    p = tuple(p[k:])
+    roots = [0] if k else []
+    chain, b = sturm_chain(p), abs(p[0])
+    stack = [(-b - 1, b)] if len(p) > 1 else []
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo == 1:
+            if not _peval(p, hi):
+                roots.append(hi)
+        elif sturm_count(chain, lo, hi):
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(roots)
 
 
 def poly_str(coeffs: Sequence) -> str:
@@ -269,18 +356,10 @@ class NumberField:
                                             for i, c in enumerate(p)))[1]
             return len(factors) == 1 and factors[0][1] == 1
         # reducible iff p has a rational root, i.e. g(y) = D^n p(y/D), monic
-        # over Z for D a common denominator, has an integer root dividing
-        # g(0); bisect integer intervals (lo, hi] holding a root to width 1
+        # over Z for D a common denominator, has an integer root
         d = math.lcm(*(c.denominator for c in p))
-        g = _poly(c * d ** (n - i) for i, c in enumerate(p))
-        stack = [(-abs(g[0]) - 1, abs(g[0]))] if g[0] and n > 1 else []
-        while stack:
-            lo, hi = stack.pop()
-            if hi - lo == 1 and _peval(g, hi) == 0:
-                return False
-            if hi - lo > 1 and count_roots(g, lo, hi):
-                stack += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
-        return n == 1 or bool(g[0])
+        return n == 1 or not integer_roots(
+            [int(c * d ** (n - i)) for i, c in enumerate(p)])
 
     @property
     def degree(self) -> int:
@@ -317,7 +396,10 @@ class NumberField:
         return self._fp
 
     def element(self, coeffs: Iterable) -> "Scalar":
-        p = _pmod(_poly(coeffs), self.minpoly)
+        c = list(coeffs)
+        if len(c) < len(self.minpoly) and all(type(x) is int for x in c):
+            return _canon(self, c, 1)  # already reduced, over denominator 1
+        p = _pmod(_poly(c), self.minpoly)
         den = math.lcm(1, *(c.denominator for c in p))
         # over the lcm of the denominators no factor is common to all
         return _intern(self, tuple(c.numerator * (den // c.denominator) for c in p), den)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .scalar import NumberField, Scalar, field_define
+from .scalar import (NumberField, Scalar, count_roots, exact_quotient, field_define,
+                     integer_roots, sturm_chain, sturm_count)
 
 
 class TrainTrackError(Exception):
@@ -266,73 +267,89 @@ class TransitionData:
         return self.field.minpoly
 
 
-def _pf_field(mat) -> NumberField:
-    """Number field of the largest real eigenvalue, by exact isolation.
+def _charpoly(mat) -> tuple[list[int], list]:
+    """det(xI - M) as ascending integer coefficients, and the integer
+    matrices B_0, ..., B_{n-1} with adj(xI - M) = sum of B_k x^(n-1-k).
 
-    The characteristic polynomial is factored over Z; the factor whose
-    real roots include the overall largest one becomes the minimal
-    polynomial, and its isolating interval comes from root isolation on
-    that factor (the classical trace bound can be slack, so intervals
-    are computed, not guessed).
+    Faddeev-LeVerrier: B_0 = I, c_{n-k} = -tr(M B_{k-1}) / k and
+    B_k = M B_{k-1} + c_{n-k} I; each division by k is exact.
     """
-    import sympy
-
-    x = sympy.symbols("x")
-    charpoly = sympy.Matrix(mat).charpoly(x)
-    best = None
-    for factor, _mult in sympy.factor_list(charpoly.as_expr())[1]:
-        poly = sympy.Poly(factor, x)
-        if poly.LC() < 0:
-            poly = sympy.Poly(-factor, x)
-        for (lo, hi), _k in poly.intervals():
-            if best is None or hi > best[1]:
-                best = (Fraction(lo.p, lo.q), Fraction(hi.p, hi.q), poly)
-    if best is None:
-        raise TrainTrackError("no real eigenvalue")
-    lo, hi, poly = best
-    if lo == hi:  # a rational root: its linear factor has no other root
-        lo, hi = lo - 1, hi + 1
-    coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    # a factor from factor_list is irreducible already
-    return field_define(coeffs, lo, hi, check_irreducible=False)
-
-
-def _pf_eigenvector(mat, field: NumberField) -> tuple[Scalar, ...]:
-    """Kernel vector of (M - lambda I), normalized so the last entry is 1."""
     n = len(mat)
-    lam = field.gen
-    rows = [[field.rational(mat[i][j]) - (lam if i == j else field.rational(0))
-             for j in range(n)] for i in range(n)]
-    # Gaussian elimination; the kernel is 1-dimensional since the
-    # minimal polynomial is irreducible.
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [v / pivot for v in rows[r]]
+    coeffs = [0] * n + [1]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    adj = []
+    for k in range(1, n + 1):
+        adj.append(b)
+        b = _mat_mul(mat, b)
+        coeffs[n - k] = -sum(b[i][i] for i in range(n)) // k
         for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+            b[i][i] += coeffs[n - k]
+    return coeffs, adj
+
+
+def _pf_field(charpoly, bound: int) -> NumberField:
+    """Number field of the largest real root lambda of the characteristic
+    polynomial of a nonnegative matrix whose row sums are at most `bound`,
+    so that 0 <= lambda <= bound.
+
+    The integer roots are divided out of the squarefree part, leaving a
+    cofactor q with no rational root.  If lambda is an integer, the field is
+    x - lambda on (lambda - 1, lambda + 1).  Otherwise lambda is the largest
+    root of q, isolated by bisecting (0, bound + 1] with q's Sturm chain.  A
+    cofactor of degree <= 3 is then the minimal polynomial: a proper factor
+    of it would have degree 1, and so a rational root.  From degree 4 the
+    minimal polynomial is the factor of q with a root in the interval.
+    """
+    q = list(sturm_chain(charpoly)[0])
+    roots = integer_roots(q)
+    for r in roots:
+        q = exact_quotient(q, (-r, 1))
+    if q[-1] < 0:  # the squarefree part of a monic polynomial is monic up to sign
+        q = [-c for c in q]
+    chain = sturm_chain(q)
+    lo, hi = Fraction(0), Fraction(bound + 1)
+    if roots and not sturm_count(chain, roots[-1], hi):
+        lam = roots[-1]
+        return field_define((-lam, 1), lam - 1, lam + 1, check_irreducible=False)
+    while sturm_count(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if sturm_count(chain, mid, hi):
+            lo = mid
+        else:
+            hi = mid
+    if len(q) > 4:
+        import sympy
+
+        x = sympy.Symbol("x")
+        for factor, _mult in sympy.factor_list(sympy.Poly(q[::-1], x))[1]:
+            f = [int(c) for c in reversed(factor.all_coeffs())]
+            if count_roots(f, lo, hi):
+                q = f if f[-1] > 0 else [-c for c in f]
+                break
+    # no factor of q has a rational root, so neither bound is a root
+    return field_define(q, lo, hi, check_irreducible=False)
+
+
+def _pf_eigenvector(adj, field: NumberField) -> tuple[Scalar, ...]:
+    """Eigenvector of lambda, normalized so the last entry is 1.
+
+    (M - lambda I) adj(lambda I - M) = 0, so every column of the adjugate
+    sum of B_k lambda^(n-1-k) lies in the kernel; it has rank 1 when that
+    kernel is a line, and then any nonzero column spans it.
+    """
+    n = len(adj)
+    for j in range(n):
+        col = [field.element([adj[n - 1 - m][i][j] for m in range(n)])
+               for i in range(n)]
+        if any(col):
+            break
+    else:
         raise TrainTrackError("eigenspace is not one-dimensional")
-    v = [field.rational(0)] * n
-    v[free[0]] = field.rational(1)
-    for row, c in zip(rows, pivots):
-        v[c] = -row[free[0]]
-    last = v[-1]
+    last = col[-1]
     if last.is_zero():
         raise TrainTrackError("degenerate eigenvector normalization")
-    return tuple(x / last for x in v)
+    inverse = field.rational(1) / last
+    return tuple(x * inverse for x in col)
 
 
 def transition(m: RoseMap) -> TransitionData:
@@ -341,12 +358,13 @@ def transition(m: RoseMap) -> TransitionData:
     if k is None:
         kind, block = _primitivity_witness(m, mat)
         raise NotPrimitive(f"transition matrix not primitive ({kind})", block)
-    field = _pf_field(mat)
-    vec = _pf_eigenvector(mat, field)
+    charpoly, adj = _charpoly(mat)
+    field = _pf_field(charpoly, max(map(sum, mat)))
+    vec = _pf_eigenvector(adj, field)
     lam = field.gen
     for i in range(len(mat)):
-        resid = sum((field.rational(mat[i][j]) * vec[j]
-                     for j in range(len(mat))), field.zero()) - lam * vec[i]
+        resid = sum((mat[i][j] * vec[j] for j in range(len(mat))),
+                    field.zero()) - lam * vec[i]
         if not resid.is_zero():
             raise TrainTrackError("nonzero eigenvector residual")
     return TransitionData(tuple(tuple(row) for row in mat), k, field,

@@ -20,7 +20,10 @@ other forest/subforest set primitives are shared, as infrastructure.  The T±-pa
 its per-row form: one directional Whitehead graph, and so one word walk,
 per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
 scalar arithmetic that the integer-coefficient `Scalar` replaced, with a
-sign decided by its own bisection of the field's original interval.
+sign decided by its own bisection of the field's original interval, and
+`brute_count_roots` the ``Fraction`` Sturm chain.  The Perron-Frobenius
+field and eigenvector of a transition matrix keep their sympy form
+(`sympy_pf_field`, `sympy_pf_eigenvector`).
 
 Do not "optimize" these to match the library: their value is that they
 are dumb and separately derived.
@@ -33,11 +36,31 @@ from fractions import Fraction
 from ripslab.forest import ZERO, Subforest, point_key
 from ripslab.isometry import BandSystem, OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
-from ripslab.scalar import (FieldMismatch, _padd, _pgcd, _pmod, _pmul, _pneg,
-                            _poly, _pxgcd, _peval, count_roots)
+from ripslab.scalar import (FieldMismatch, _padd, _pdivmod, _pgcd, _pmod, _pmul,
+                            _pneg, _poly, _pxgcd, _peval, _trim, field_define)
+from ripslab.traintrack import TrainTrackError
 
 
 # --- scalars ----------------------------------------------------------------
+
+def brute_count_roots(p, lo, hi):
+    """Number of distinct real roots of p in (lo, hi], by the Sturm chain of
+    its squarefree part in ``Fraction`` arithmetic: the chain that
+    `scalar.count_roots` ran before it moved to integer pseudo-remainders."""
+    if len(p) <= 1:
+        return 0
+    chain = [p, _trim([p[i] * i for i in range(1, len(p))])]
+    while chain[-1]:
+        chain.append(_pneg(_pmod(chain[-2], chain[-1])))
+    if len(chain[-2]) > 1:  # the last nonzero term is gcd(p, p'), up to a unit
+        return brute_count_roots(_pdivmod(p, chain[-2])[0], lo, hi)
+
+    def sign_changes(x) -> int:
+        signs = [v > 0 for v in (_peval(q, x) for q in chain[:-1]) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
 
 class RefScalar:
     """A rational or an element of a NumberField, as a reduced tuple of
@@ -93,7 +116,7 @@ class RefScalar:
         if not self.coeffs or self.field is None:
             return not self.coeffs
         g = _pgcd(self.coeffs, self.field.minpoly)
-        return len(g) > 1 and count_roots(g, self.field._lo0, self.field._hi0) > 0
+        return len(g) > 1 and brute_count_roots(g, self.field._lo0, self.field._hi0) > 0
 
     def sign(self):
         """Exact: the gcd zero test, then exact interval Horner over a
@@ -631,6 +654,70 @@ def brute_stable_whitehead(images, budget):
     edges = sorted(tuple(sorted(t)) for t in brute_taken_turns(images, budget)
                    if t <= fixed)
     return brute_fixed_directions(images), edges
+
+
+def sympy_pf_field(mat):
+    """Number field of the largest real eigenvalue, by sympy: the
+    characteristic polynomial is factored over Z, the factor whose real
+    roots include the overall largest one becomes the minimal polynomial,
+    and its isolating interval comes from sympy's root isolation."""
+    import sympy
+
+    x = sympy.symbols("x")
+    charpoly = sympy.Matrix(mat).charpoly(x)
+    best = None
+    for factor, _mult in sympy.factor_list(charpoly.as_expr())[1]:
+        poly = sympy.Poly(factor, x)
+        if poly.LC() < 0:
+            poly = sympy.Poly(-factor, x)
+        for (lo, hi), _k in poly.intervals():
+            if best is None or hi > best[1]:
+                best = (Fraction(lo.p, lo.q), Fraction(hi.p, hi.q), poly)
+    if best is None:
+        raise TrainTrackError("no real eigenvalue")
+    lo, hi, poly = best
+    if lo == hi:  # a rational root: its linear factor has no other root
+        lo, hi = lo - 1, hi + 1
+    coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    # a factor from factor_list is irreducible already
+    return field_define(coeffs, lo, hi, check_irreducible=False)
+
+
+def sympy_pf_eigenvector(mat, field):
+    """Kernel vector of (M - lambda I) by Gaussian elimination over the
+    field, normalized so the last entry is 1."""
+    n = len(mat)
+    lam = field.gen
+    rows = [[field.rational(mat[i][j]) - (lam if i == j else field.rational(0))
+             for j in range(n)] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise TrainTrackError("eigenspace is not one-dimensional")
+    v = [field.rational(0)] * n
+    v[free[0]] = field.rational(1)
+    for row, c in zip(rows, pivots):
+        v[c] = -row[free[0]]
+    last = v[-1]
+    if last.is_zero():
+        raise TrainTrackError("degenerate eigenvector normalization")
+    return tuple(x / last for x in v)
 
 
 def brute_check_complete_bipartite_33(edge_pairs):

@@ -16,6 +16,7 @@ from ripslab.forest import Subforest
 from ripslab.traintrack import parse_map, rotationless_power, \
     stable_whitehead_graph
 
+from cli_transcript import TRANSCRIPT, transcript
 from oracles import brute_stable_whitehead
 
 
@@ -552,6 +553,35 @@ def test_cli_import_does_not_load_sympy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_tt_on_the_corpus_maps_does_not_load_sympy():
+    """`tt pf` and `transition` build fields of degree <= 3 in-house; the
+    quartic map still takes the sympy factorization."""
+    import ripslab
+    src = os.path.dirname(os.path.dirname(ripslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import io, sys\n"
+             "from ripslab import cli, traintrack\n"
+             "def pf(path):\n"
+             "    assert cli.main(['tt', 'pf', path], out=io.StringIO()) == 0\n"
+             "    traintrack.transition(traintrack.load_map(path))\n"
+             "    print('sympy' in sys.modules)\n"
+             "for path in sys.argv[1:]:\n"
+             "    pf(path)\n")
+    paths = [corpus("tribonacci.map"), corpus("fibonacci.map"),
+             os.path.join(os.path.dirname(__file__), "data", "quartic.map")]
+    done = subprocess.run([sys.executable, "-c", probe, *paths], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]
+
+
+def test_cli_transcript():
+    """The `tt` reports pinned in tests/data/cli_transcript.txt; see
+    tests/cli_transcript.py for when that file may be regenerated."""
+    with open(TRANSCRIPT, encoding="utf-8") as fh:
+        assert transcript() == fh.read()
 
 
 def test_corpus_list_and_show():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ripslab import scalar
 from ripslab.scalar import (
@@ -199,3 +199,64 @@ def test_scalar_attributes_cannot_be_assigned(trib):
             setattr(x, name, value)
     assert x.field is trib and x.num == (1, 2) and x.den == 1
     assert trib.element([1, 2]) is x
+
+
+def _expand(factors):
+    """The product of integer polynomials, ascending."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+@st.composite
+def polys_with_known_roots(draw, max_denominator=4):
+    """(p, roots, rest): p is a product of linear factors (den*x - num),
+    each to a power up to 3, and of a random integer polynomial rest, to a
+    power up to 2 (rest is () for the power 0)."""
+    roots = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                       max_denominator=max_denominator),
+                          max_size=3, unique=True))
+    factors = [(-r.numerator, r.denominator) for r in roots
+               for _ in range(draw(st.integers(1, 3)))]
+    rest = draw(st.lists(st.integers(-5, 5), max_size=4))
+    power = draw(st.integers(0, 2))
+    p = _expand(factors + [rest] * power)
+    rest = rest if power else ()
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p), roots, rest
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_known_roots(), st.lists(st.fractions(min_value=-6, max_value=6,
+                                                       max_denominator=6), max_size=3),
+       st.fractions(min_value=-9, max_value=9).filter(bool))
+def test_count_roots_matches_fraction_sturm_chain(case, others, scale):
+    """Repeated factors, rational coefficients of either sign, and interval
+    ends that are roots."""
+    from oracles import brute_count_roots
+
+    p, roots, _rest = case
+    p = tuple(c * scale for c in p)
+    points = roots + others
+    for lo in points:
+        for hi in points:
+            if lo < hi:
+                assert scalar.count_roots(p, lo, hi) == brute_count_roots(p, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_known_roots(max_denominator=1))
+def test_integer_roots_are_the_integer_zeros(case):
+    p, roots, rest = case
+    if not p:
+        return
+    # an integer root of rest divides its lowest nonzero coefficient
+    zeros = {x for x in range(-5, 6) if not sum(c * x**i for i, c in enumerate(rest))}
+    expected = set(roots) | (zeros if any(rest) else set())
+    assert scalar.integer_roots(p) == sorted(expected)

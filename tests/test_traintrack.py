@@ -3,7 +3,13 @@ import importlib.resources as resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ripslab.scalar import count_roots
 from ripslab.traintrack import (
+    TrainTrackError,
+    _charpoly,
+    _pf_eigenvector,
+    _pf_field,
+    _primitivity_exponent,
     approx_float,
     MapSyntaxError,
     MissingInverse,
@@ -30,6 +36,8 @@ from oracles import (
     brute_periodic_directions,
     brute_stable_whitehead,
     brute_taken_turns,
+    sympy_pf_eigenvector,
+    sympy_pf_field,
 )
 
 
@@ -315,3 +323,57 @@ def test_swg_identity_no_edges():
     assert g.vertices == ("A", "B", "a", "b")
     dot = g.to_dot()
     assert dot.count(" -- ") == 0 and '"a";' in dot
+
+
+def matrices(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(6))
+def test_charpoly_and_adjugate(mat):
+    """det(xI - M) as sympy computes it, and (tI - M) adj(tI - M) = p(t) I
+    at n + 1 integers t, which fixes the adjugate's n coefficients."""
+    import sympy
+
+    n = len(mat)
+    x = sympy.Symbol("x")
+    charpoly, adj = _charpoly(mat)
+    assert charpoly == [int(c) for c in reversed(sympy.Matrix(mat).charpoly(x).all_coeffs())]
+    for t in range(n + 1):
+        a = [[sum(b[i][j] * t ** (n - 1 - k) for k, b in enumerate(adj))
+              for j in range(n)] for i in range(n)]
+        p_t = sum(c * t**i for i, c in enumerate(charpoly))
+        for i in range(n):
+            for j in range(n):
+                assert sum(((t if i == k else 0) - mat[i][k]) * a[k][j]
+                           for k in range(n)) == (p_t if i == j else 0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except TrainTrackError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(4))
+def test_pf_field_and_eigenvector_match_sympy(mat):
+    """The minimal polynomial, an interval isolating the same root, and the
+    eigenvector's (num, den) entries, or the same refusal, as sympy's path;
+    on all nonnegative matrices, primitive or not."""
+    charpoly, adj = _charpoly(mat)
+    field = _pf_field(charpoly, max(map(sum, mat)))
+    ref = sympy_pf_field(mat)
+    assert field.minpoly == ref.minpoly
+    lo, hi = max(field._lo0, ref._lo0), min(field._hi0, ref._hi0)
+    assert lo < hi and count_roots(field.minpoly, lo, hi) == 1
+    vec = _outcome(_pf_eigenvector, adj, field)
+    ref_vec = _outcome(sympy_pf_eigenvector, mat, ref)
+    if isinstance(vec, str) or isinstance(ref_vec, str):
+        assert vec == ref_vec
+        assert _primitivity_exponent(mat) is None
+    else:
+        assert [(v.num, v.den) for v in vec] == [(v.num, v.den) for v in ref_vec]
