@@ -33,9 +33,8 @@ from typing import Optional
 
 from .forest import Edge, ForestError, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, ValidationError, band_from_markers
-from .scalar import (FieldMismatch, NumberField, Poly, Scalar, ScalarError,
-                     _padd, _pmul, _pneg, _poly, _psub, field_define, poly_str,
-                     rational)
+from .scalar import (FieldMismatch, NumberField, Scalar, ScalarError, field_define,
+                     poly_str, rational)
 
 
 class BandsSyntaxError(Exception):
@@ -58,6 +57,37 @@ PARSE_ERRORS = (UnicodeDecodeError, BandsSyntaxError, ValidationError,
 
 # ---------------------------------------------------------------------------
 # scalar expressions
+
+Poly = tuple  # tuple[Fraction, ...], ascending, no trailing zeros
+
+
+def _trim(c: list) -> Poly:
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _padd(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
+
+
+def _pneg(a: Poly) -> Poly:
+    return tuple(-x for x in a)
+
+
+def _pmul(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|L|\^|\*|\+|-|\(|\))")
 
@@ -113,7 +143,7 @@ def _parse_poly(text: str, line: int, gen: bool) -> Poly:
         if t is None or t in "+-*^)":
             raise BandsSyntaxError(line, f"unexpected token {t!r}")
         try:
-            return _poly((Fraction(t),))
+            return _trim([Fraction(t)])
         except ZeroDivisionError:
             raise BandsSyntaxError(line, f"zero denominator in {t!r}") from None
 
@@ -134,7 +164,7 @@ def _parse_poly(text: str, line: int, gen: bool) -> Poly:
         while peek() in ("+", "-"):
             op = take()
             w = parse_term()
-            v = _psub(v, w) if op == "-" else _padd(v, w)
+            v = _padd(v, _pneg(w) if op == "-" else w)
         return v
 
     value = parse_expr()

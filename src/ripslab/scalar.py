@@ -5,10 +5,14 @@ Every length, offset and coordinate in the rest of the package is a
 algebraic number lambda, reduced modulo its defining polynomial.  A scalar
 holds integer coefficients over one positive common denominator, in lowest
 terms, so arithmetic, equality, hashing and root counting are integer
-operations; ``Fraction`` polynomials remain only in reducing given
-coefficients and in the inverse.  The defining polynomial is irreducible
-over Q, checked once when the field is built, so a reduced element vanishes at
-lambda only if it is 0 and is rational only if it is a constant.  The sign
+operations.  ``Fraction`` coefficients are only read in (a field's
+`minpoly`, given coefficients) and printed (`coeffs`, `poly_str`); every
+polynomial computed with is an integer one, through one Horner evaluation
+(`_horner`) and one pseudo-division (`_prem`), which reduces modulo the
+field and runs the extended Euclid of inverses.  The defining polynomial
+is irreducible over Q, checked once when the field is built, so a reduced
+element vanishes at lambda only if it is 0 and is rational only if it is
+a constant.  The sign
 of any other element is exact: refining the isolating interval ends with
 bounds of one sign.  No decision is taken on a float.
 
@@ -66,96 +70,6 @@ class NotIrreducible(ScalarError):
     """The defining polynomial factors over Q, so Q[x]/(p) is no field."""
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over Q, ascending coefficient tuples
-# ---------------------------------------------------------------------------
-
-Poly = tuple  # tuple[Fraction, ...], ascending, no trailing zeros
-
-
-def _trim(c: Sequence[Fraction]) -> Poly:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _poly(c: Iterable) -> Poly:
-    return _trim([Fraction(x) for x in c])
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
-def _psub(a: Poly, b: Poly) -> Poly:
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    lead = b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(b) - 1] / lead
-        if c:
-            q[k] = c
-            for i, x in enumerate(b):
-                r[k + i] -= c * x
-    return _trim(q), _trim(r[:len(b) - 1])
-
-
-def _pmod(a: Poly, b: Poly) -> Poly:
-    return _pdivmod(a, b)[1]
-
-
-def _pmonic(a: Poly) -> Poly:
-    return tuple(x / a[-1] for x in a)
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, _pmod(a, b)
-    return _pmonic(a)
-
-
-def _pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Return (g, s) with g = gcd(a, b) monic and s*a == g (mod b)."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    return _pmonic(r0), tuple(x / r0[-1] for x in s0)
-
-
-def _peval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def _dyadic_float(n: int, prec: int, up: bool) -> float:
     """Outward float approximation of n / 2^prec."""
     shift = max(0, n.bit_length() - 900)  # keep float(n) away from overflow
@@ -174,22 +88,33 @@ def _primitive(a: list) -> tuple:
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
-def _prem(a: Sequence[int], b: Sequence[int]) -> list:
-    """A positive integer multiple of the remainder of a by b, by pseudo-
-    division that multiplies by |lc(b)| only where a term is eliminated."""
+def _horner(q: Sequence[int], n: int, d: int = 1) -> int:
+    """The integer d^deg(q) * q(n/d), for d > 0, so of the sign of q(n/d)."""
+    v, dk = q[-1], 1
+    for c in q[-2::-1]:
+        dk *= d
+        v = v * n + c * dk
+    return v
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> tuple[list, int]:
+    """(r, m) with r the remainder of m * a by b and m > 0 a power of
+    |lc(b)|, by pseudo-division that multiplies by |lc(b)| only where a
+    term is eliminated."""
     db, lead = len(b) - 1, b[-1]
-    m, s = abs(lead), 1 if lead > 0 else -1
-    r = list(a)
+    u, s = abs(lead), 1 if lead > 0 else -1
+    r, m = list(a), 1
     for k in range(len(a) - 1, db - 1, -1):
         c = r.pop() * s
         if c:
-            if m != 1:
-                r = [x * m for x in r]
+            if u != 1:
+                r = [x * u for x in r]
+                m *= u
             for i in range(db):
                 r[k - db + i] -= c * b[i]
     while r and not r[-1]:
         r.pop()
-    return r
+    return r, m
 
 
 def exact_quotient(a: Sequence[int], b: Sequence[int]) -> list:
@@ -215,7 +140,7 @@ def sturm_chain(p: Sequence) -> tuple:
     a = [c.numerator * (d // c.denominator) for c in p]
     chain = [_primitive(a), _primitive([a[i] * i for i in range(1, len(a))])]
     while True:
-        r = _prem(chain[-2], chain[-1])
+        r = _prem(chain[-2], chain[-1])[0]
         if not r:
             break
         chain.append(_primitive([-x for x in r]))
@@ -230,10 +155,7 @@ def _sign_changes(chain: Sequence, x) -> int:
     n, d = x.numerator, x.denominator
     last, changes = 0, 0
     for q in chain:
-        v, dk = q[-1], 1
-        for c in q[-2::-1]:
-            dk *= d
-            v = v * n + c * dk
+        v = _horner(q, n, d)
         if v:
             if last and (v > 0) != (last > 0):
                 changes += 1
@@ -247,7 +169,7 @@ def sturm_count(chain: Sequence, lo, hi) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
+def count_roots(p: Sequence, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi],
     by the Sturm chain of its squarefree part."""
     return sturm_count(sturm_chain(p), lo, hi)
@@ -268,7 +190,7 @@ def integer_roots(p: Sequence[int]) -> list:
     while stack:
         lo, hi = stack.pop()
         if hi - lo == 1:
-            if not _peval(p, hi):
+            if not _horner(p, hi):
                 roots.append(hi)
         elif sturm_count(chain, lo, hi):
             mid = (lo + hi) // 2
@@ -304,7 +226,9 @@ class NumberField:
     a factorization over Q, say); zero tests and signs rest on it."""
 
     def __init__(self, minpoly: Iterable, lo, hi, check_irreducible: bool = True):
-        poly = _poly(minpoly)
+        poly = [Fraction(c) for c in minpoly]
+        while poly and not poly[-1]:
+            poly.pop()
         if len(poly) < 2:
             raise ScalarError("defining polynomial must be nonconstant")
         if poly[-1] != 1:
@@ -312,23 +236,26 @@ class NumberField:
         lo, hi = Fraction(lo), Fraction(hi)
         if lo >= hi:
             raise DegenerateInterval(f"need lo < hi, got [{lo}, {hi}]")
-        plo = _peval(poly, lo)
-        if plo * _peval(poly, hi) >= 0:
+        # the polynomial times the lcm of its denominators, which every
+        # evaluation, product and inverse computes with
+        scale = math.lcm(*(c.denominator for c in poly))
+        ipoly = tuple(c.numerator * (scale // c.denominator) for c in poly)
+        plo = _horner(ipoly, lo.numerator, lo.denominator)
+        if plo * _horner(ipoly, hi.numerator, hi.denominator) >= 0:
             raise NoSignChange(
                 f"polynomial does not change sign on ({lo}, {hi})")
         # a sign change leaves an odd number of roots: one, below degree 3
-        roots = count_roots(poly, lo, hi) if len(poly) > 3 else 1
+        roots = count_roots(ipoly, lo, hi) if len(poly) > 3 else 1
         if roots != 1:
             raise NotIsolating(f"({lo}, {hi}) holds {roots} roots, not one")
-        self.minpoly: Poly = poly
+        self.minpoly: tuple = tuple(poly)
+        self._ipoly = ipoly
         self._lo0, self._hi0 = lo, hi
-        self._hash = hash((poly, lo, hi))  # each element's first hash reads it
+        self._hash = hash((self.minpoly, lo, hi))  # each element's first hash reads it
         self._lo, self._hi = lo, hi
         # refine moves the lower bound only to points where the polynomial
-        # keeps its sign at lo, and evaluates it over the integers
+        # keeps its sign at lo
         self._lo_positive = plo > 0
-        scale = math.lcm(*(c.denominator for c in poly))
-        self._ipoly = tuple(c.numerator * (scale // c.denominator) for c in poly)
         self._rev = 0           # bumped on refine; invalidates cached bounds
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
         # (num, den) -> a weak reference to the one live Scalar of that
@@ -339,27 +266,20 @@ class NumberField:
         self._unintern = _remover(self._scalars)
         if check_irreducible and not self._is_irreducible():
             raise NotIrreducible("defining polynomial is reducible over Q")
-        # rows[j] / den is lambda^(degree + j) mod minpoly, for products
-        d = self.degree
-        rows = [_pmod((0,) * k + (1,), poly) for k in range(d, 2 * d - 1)]
-        den = math.lcm(1, *(c.denominator for r in rows for c in r))
-        self._red = (den, [[c.numerator * (den // c.denominator) for c in r]
-                           for r in rows])
 
     def _is_irreducible(self) -> bool:
-        p, n = self.minpoly, self.degree
+        p, n = self._ipoly, self.degree
         if n > 3:
             import sympy
 
             x = sympy.Symbol("x")
-            factors = sympy.factor_list(sum(sympy.Rational(c) * x**i
-                                            for i, c in enumerate(p)))[1]
+            factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(p)))[1]
             return len(factors) == 1 and factors[0][1] == 1
-        # reducible iff p has a rational root, i.e. g(y) = D^n p(y/D), monic
-        # over Z for D a common denominator, has an integer root
-        d = math.lcm(*(c.denominator for c in p))
+        # reducible iff p has a rational root, i.e. g(y) = D^(n-1) p(y/D),
+        # monic over Z for D = lc(p), has an integer root
+        d = p[-1]
         return n == 1 or not integer_roots(
-            [int(c * d ** (n - i)) for i, c in enumerate(p)])
+            [c * d ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1])
 
     @property
     def degree(self) -> int:
@@ -370,12 +290,7 @@ class NumberField:
         evaluation at the midpoint n/d, of d^degree * p(n/d) times the lcm
         of the denominators of p, decides which half holds it."""
         mid = (self._lo + self._hi) / 2
-        n, d = mid.numerator, mid.denominator
-        c = self._ipoly
-        v, dk = c[-1], 1
-        for a in c[-2::-1]:
-            dk *= d
-            v = v * n + a * dk
+        v = _horner(self._ipoly, mid.numerator, mid.denominator)
         # mid is the root only in degree 1, where it stays the upper bound
         if not v or (v > 0) != self._lo_positive:
             self._hi = mid
@@ -396,13 +311,14 @@ class NumberField:
         return self._fp
 
     def element(self, coeffs: Iterable) -> "Scalar":
-        c = list(coeffs)
-        if len(c) < len(self.minpoly) and all(type(x) is int for x in c):
-            return _canon(self, c, 1)  # already reduced, over denominator 1
-        p = _pmod(_poly(c), self.minpoly)
-        den = math.lcm(1, *(c.denominator for c in p))
-        # over the lcm of the denominators no factor is common to all
-        return _intern(self, tuple(c.numerator * (den // c.denominator) for c in p), den)
+        """sum(coeffs[i] * lambda**i) for rational coefficients, any number
+        of them."""
+        c, den = list(coeffs), 1
+        if not all(type(x) is int for x in c):
+            c = [Fraction(x) for x in c]
+            den = math.lcm(1, *(x.denominator for x in c))
+            c = [x.numerator * (den // x.denominator) for x in c]
+        return _reduce(self, c, den)
 
     @property
     def gen(self) -> "Scalar":
@@ -470,7 +386,7 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @property
-    def coeffs(self) -> Poly:
+    def coeffs(self) -> tuple:
         return tuple(Fraction(n, self.den) for n in self.num)
 
     # coercion and arithmetic ----------------------------------------------
@@ -538,8 +454,7 @@ class Scalar:
         return Scalar._coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        """Integer convolution, then the field's rows replace the powers of
-        lambda from its degree up."""
+        """Integer convolution, then the reduction modulo the field."""
         b = Scalar._coerce(other)
         f = self._field(b)
         an, bn = self.num, b.num
@@ -549,17 +464,7 @@ class Scalar:
         for i, x in enumerate(an):
             for j, y in enumerate(bn):
                 out[i + j] += x * y
-        den = self.den * b.den
-        d = f.degree if f is not None else len(out)
-        if len(out) > d:
-            rden, rows = f._red
-            low = out[:d] if rden == 1 else [x * rden for x in out[:d]]
-            for c, row in zip(out[d:], rows):
-                if c:
-                    for i, r in enumerate(row):
-                        low[i] += c * r
-            out, den = low, den * rden
-        return _canon(f, out, den)
+        return _reduce(f, out, self.den * b.den)
 
     __rmul__ = __mul__
 
@@ -577,8 +482,21 @@ class Scalar:
         return Scalar._coerce(other) / self
 
     def _inverse(self) -> "Scalar":
-        # the minimal polynomial is irreducible, so the gcd is 1
-        return self.field.element(_pxgcd(self.coeffs, self.field.minpoly)[1])
+        """Half-extended Euclid over Z on the field's integer polynomial p
+        and num.  Each remainder r keeps a cofactor s with r = s * num mod p,
+        packed as one integer polynomial s + x^d r for d the degree, so
+        that pseudo-dividing one pair by the next eliminates the leading
+        terms of r and applies the same multiples to s, whose degree stays
+        below d; each round divides out the pair's content.  p is
+        irreducible, so the remainders end at a nonzero constant g, and
+        1/self = den * s/g."""
+        f = self.field
+        d = f.degree
+        a, b = (0,) * d + f._ipoly, (1,) + (0,) * (d - 1) + self.num
+        while len(b) > d + 1:
+            a, b = b, _primitive(_prem(a, b)[0])
+        g = self.den if b[d] > 0 else -self.den
+        return _reduce(f, [x * g for x in b[:d]], abs(b[d]))
 
     def is_zero(self) -> bool:
         """Exact, as the minimal polynomial divides no nonzero reduced element."""
@@ -778,6 +696,16 @@ def _canon(field: NumberField | None, num: list, den: int) -> Scalar:
     if field is None:
         return Scalar(None, tuple(num), den)
     return _intern(field, tuple(num), den)
+
+
+def _reduce(field: NumberField | None, num: list, den: int) -> Scalar:
+    """The Scalar num/den, for num of any length: pseudo-division by the
+    field's integer polynomial, whose multiplier joins the denominator,
+    then lowest terms.  The list `num` is consumed."""
+    if field is not None and len(num) > field.degree:
+        num, m = _prem(num, field._ipoly)
+        den *= m
+    return _canon(field, num, den)
 
 
 def _intern(field: NumberField | None, num: tuple, den: int) -> Scalar:

@@ -35,7 +35,19 @@ TT_ACTIONS = ("check", "matrix", "pf", "rotationless", "swg")
 MAPS = ("corpus/tribonacci.map", "corpus/fibonacci.map",
         "data/integer_eigenvalue.map", "data/cubic.map", "data/quartic.map")
 
-COMMANDS = tuple(("tt", action, path) for path in MAPS for action in TT_ACTIONS)
+SYSTEMS = ("corpus/e_surf.bands", "corpus/e_trim.bands", "corpus/bk_itm.bands")
+WALKS = (("words",), ("limitset",), ("pattern",), ("k33",), ("wh", "scan"))
+
+COMMANDS = (
+    tuple(("tt", action, path) for path in MAPS for action in TT_ACTIONS)
+    + tuple(argv + (path,) for path in SYSTEMS
+            for argv in (("validate",), ("strata",), ("rips", "step"),
+                         ("rips", "classify", "--max-iter", "12")))
+    + tuple(walk + ("--depth", depth, path) for path in SYSTEMS
+            for walk in WALKS for depth in ("2", "3"))
+    + tuple(("validate", f"corpus/{name}.bands")
+            for name in ("bad_fields", "bad_marker", "bad_syntax"))
+    + (("corpus", "list"),))
 
 
 def _absolute(arg: str) -> str:

@@ -21,9 +21,12 @@ its per-row form: one directional Whitehead graph, and so one word walk,
 per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
 scalar arithmetic that the integer-coefficient `Scalar` replaced, with a
 sign decided by its own bisection of the field's original interval, and
-`brute_count_roots` the ``Fraction`` Sturm chain.  The Perron-Frobenius
-field and eigenvector of a transition matrix keep their sympy form
-(`sympy_pf_field`, `sympy_pf_eigenvector`).
+`brute_count_roots` the ``Fraction`` Sturm chain.  Both run on this
+file's own ``Fraction`` polynomial helpers (division, gcd, extended gcd,
+evaluation), which the library replaced by integer polynomials; no
+underscore name of `ripslab.scalar` is imported here.  The
+Perron-Frobenius field and eigenvector of a transition matrix keep their
+sympy form (`sympy_pf_field`, `sympy_pf_eigenvector`).
 
 Do not "optimize" these to match the library: their value is that they
 are dumb and separately derived.
@@ -36,12 +39,96 @@ from fractions import Fraction
 from ripslab.forest import ZERO, Subforest, point_key
 from ripslab.isometry import BandSystem, OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
-from ripslab.scalar import (FieldMismatch, _padd, _pdivmod, _pgcd, _pmod, _pmul,
-                            _pneg, _poly, _pxgcd, _peval, _trim, field_define)
+from ripslab.scalar import FieldMismatch, field_define
 from ripslab.traintrack import TrainTrackError
 
 
 # --- scalars ----------------------------------------------------------------
+
+# Dense polynomials over Q: ascending tuples of Fractions, no trailing zero.
+
+def _trim(c):
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _poly(c):
+    return _trim([Fraction(x) for x in c])
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
+
+
+def _pneg(a):
+    return tuple(-x for x in a)
+
+
+def _psub(a, b):
+    return _padd(a, _pneg(b))
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _pdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    lead = b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(b) - 1] / lead
+        if c:
+            q[k] = c
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+    return _trim(q), _trim(r[:len(b) - 1])
+
+
+def _pmod(a, b):
+    return _pdivmod(a, b)[1]
+
+
+def _pmonic(a):
+    return tuple(x / a[-1] for x in a)
+
+
+def _pgcd(a, b):
+    while b:
+        a, b = b, _pmod(a, b)
+    return _pmonic(a)
+
+
+def _pxgcd(a, b):
+    """Return (g, s) with g = gcd(a, b) monic and s*a == g (mod b)."""
+    r0, r1 = a, b
+    s0, s1 = (Fraction(1),), ()
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+    return _pmonic(r0), tuple(x / r0[-1] for x in s0)
+
+
+def _peval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
 
 def brute_count_roots(p, lo, hi):
     """Number of distinct real roots of p in (lo, hi], by the Sturm chain of

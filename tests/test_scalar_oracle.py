@@ -1,9 +1,12 @@
 """Differential tests of the integer-coefficient Scalar against the
 Fraction-coefficient reference `oracles.RefScalar`, over Q, over the bk_itm
-field Q(L), L^3 + L^2 + L = 1, and over fields of degree 1, 2 and 4."""
+field Q(L), L^3 + L^2 + L = 1, and over fields of degree 1, 2 (two of them)
+and 4."""
 
+import ast
 import functools
 import operator
+import os
 from fractions import Fraction
 from math import gcd
 
@@ -16,9 +19,11 @@ from ripslab.scalar import FieldMismatch, field_define, rational
 from oracles import RefScalar
 
 BK = field_define([-1, 1, 1, 1], 0, 1)
-# L = 1/2, L^2 = 2 and L^4 = 2 (irreducible by sympy's factorization)
+# L = 1/2, L^2 = 2, L^2 = 1/2 (an integer polynomial 2x^2 - 1 whose leading
+# coefficient is not 1) and L^4 = 2 (irreducible by sympy's factorization)
 FIELDS = [BK, field_define([Fraction(-1, 2), 1], 0, 1),
-          field_define([-2, 0, 1], 1, 2), field_define([-2, 0, 0, 0, 1], 1, 2)]
+          field_define([-2, 0, 1], 1, 2), field_define([Fraction(-1, 2), 0, 1], 0, 1),
+          field_define([-2, 0, 0, 0, 1], 1, 2)]
 
 # numerators and denominators up to 9 digits, as in the seeded p/q lengths
 # of the rational Rips benchmark, with small values and zero kept likely
@@ -39,8 +44,9 @@ KINDS = ("Q", "zero", "field zero", "field rational", "integral", "field")
 def scalars(draw, field=None, kinds=KINDS):
     """A (Scalar, RefScalar) pair of one of `kinds`: a plain rational, the
     plain or the field's zero, a rational-valued element of the field, a
-    field element with integer coefficients, or a general one; the field
-    is drawn from FIELDS unless given."""
+    field element with integer coefficients, or a general one, given by up
+    to 2 * degree + 1 coefficients so that reducing them is compared too;
+    the field is drawn from FIELDS unless given."""
     field = field or draw(st.sampled_from(FIELDS))
     kind = draw(st.sampled_from(kinds))
     if kind in ("Q", "zero"):
@@ -50,7 +56,7 @@ def scalars(draw, field=None, kinds=KINDS):
         return field.zero(), RefScalar(field, ())
     coeffs = draw(st.lists(integer if kind == "integral" else coefficient,
                            min_size=1, max_size=1
-                           if kind == "field rational" else field.degree))
+                           if kind == "field rational" else 2 * field.degree + 1))
     return field.element(coeffs), RefScalar(field, coeffs)
 
 
@@ -185,7 +191,6 @@ def test_near_zero_values_decided_without_gcd(monkeypatch):
     def unreachable(*args):
         raise AssertionError("gcd path reached")
 
-    monkeypatch.setattr(scalar, "_pgcd", unreachable)
     monkeypatch.setattr(scalar, "count_roots", unreachable)
     half = Fraction(1, 2 * 10**20)
     for x, rx in cases:
@@ -259,3 +264,15 @@ def test_enclosures_cached_before_refinement_still_decide_exactly(coeff_lists, r
             lt, gt = rx < ry, ry < rx
             assert (x < y) == lt and (x > y) == gt
             assert (x <= y) == (not gt) and (x >= y) == (not lt)
+
+
+def test_oracles_share_no_private_scalar_helper():
+    """The references check `ripslab.scalar`, so they must not run its
+    underscore-prefixed helpers."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "ripslab.scalar"
+                for alias in node.names]
+    assert imported and not [n for n in imported if n.startswith("_")]
