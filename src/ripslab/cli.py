@@ -232,7 +232,7 @@ def _cmd_tt(args, out):
                           if c).replace("+ -", "- ")
         out.write(f"minpoly: {poly}\n")
         out.write(f"primitivity-exponent: {td.primitivity_exponent}\n")
-        out.write(f"lambda ~= {traintrack.approx_float(td.dilatation):.6f}\n")
+        out.write(f"lambda ~= {td.dilatation.to_decimal(6)}\n")
         vec = ", ".join(map(repr, td.eigenvector))
         out.write(f"eigenvector: ({vec})\n")
         return 0

@@ -33,8 +33,7 @@ from typing import Optional
 
 from .forest import Edge, ForestError, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, ValidationError, band_from_markers
-from .scalar import (FieldMismatch, NumberField, Scalar, ScalarError, field_define,
-                     poly_str, rational)
+from .scalar import FieldMismatch, NumberField, Scalar, ScalarError, poly_str, rational
 
 
 class BandsSyntaxError(Exception):
@@ -330,7 +329,7 @@ def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
     poly = _parse_poly(poly_text, no, gen=True)
     try:
-        return field_define(poly, Fraction(lo_text), Fraction(hi_text))
+        return NumberField(poly, Fraction(lo_text), Fraction(hi_text))
     except (ValueError, ZeroDivisionError, ScalarError) as exc:
         raise BandsSyntaxError(no, f"bad field: {exc}") from None
 

@@ -23,9 +23,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalar import Scalar, ScalarLike, rational
+from .scalar import ZERO, Scalar, ScalarLike
 
-ZERO = rational(0)
 _NO_VERTICES: frozenset[str] = frozenset()
 _END = operator.itemgetter(1)
 
@@ -330,39 +329,6 @@ class MetricForest:
         lone = [Point(vertex=v) for v in self.vertices if not self._adj[v]]
         return Subforest(self, intervals, frozenset(lone))
 
-    # -- refinement -------------------------------------------------------
-
-    def refine(self, marks: Sequence[Point]) -> tuple["MetricForest", "Relabeling"]:
-        """Subdivide edges so that every mark is a vertex of the result."""
-        by_edge: dict[str, list[Scalar]] = {}
-        for m in marks:
-            if not m.is_vertex:
-                by_edge.setdefault(m.edge, []).append(m.offset)
-        vertices = list(self.vertices)
-        edges: list[Edge] = []
-        edge_map: dict[str, list[tuple[Scalar, Scalar, str]]] = {}
-        for e in self.edges:
-            cuts = sorted(set(by_edge.get(e.id, ())))
-            if not cuts:
-                edges.append(e)
-                edge_map[e.id] = [(ZERO, e.length, e.id)]
-                continue
-            bounds = [ZERO] + cuts + [e.length]
-            names = [e.u]
-            for k in range(1, len(bounds) - 1):
-                names.append(f"{e.id}_m{k}")
-                vertices.append(f"{e.id}_m{k}")
-            names.append(e.v)
-            segs = []
-            for k in range(len(bounds) - 1):
-                nid = f"{e.id}_s{k}"
-                edges.append(Edge(nid, names[k], names[k + 1],
-                                  bounds[k + 1] - bounds[k]))
-                segs.append((bounds[k], bounds[k + 1], nid))
-            edge_map[e.id] = segs
-        refined = MetricForest(vertices, edges)
-        return refined, Relabeling(self, refined, edge_map)
-
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -374,35 +340,6 @@ class MetricForest:
 
     def __repr__(self) -> str:
         return f"MetricForest({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-
-class Relabeling:
-    """Maps addresses on a forest to addresses on its refinement."""
-
-    def __init__(self, old: MetricForest, new: MetricForest,
-                 edge_map: dict[str, list[tuple[Scalar, Scalar, str]]]):
-        self.old = old
-        self.new = new
-        self._edge_map = edge_map
-
-    def point(self, p: Point) -> Point:
-        if p.is_vertex:
-            return p
-        for lo, hi, nid in self._edge_map[p.edge]:
-            if lo <= p.offset <= hi:
-                return self.new.point(nid, p.offset - lo)
-        raise ForestError("point outside mapped edge")
-
-    def subforest(self, s: "Subforest") -> "Subforest":
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for eid, ivs in s.intervals.items():
-            for lo, hi in ivs:
-                for slo, shi, nid in self._edge_map[eid]:
-                    a, b = max(lo, slo), min(hi, shi)
-                    if a < b:
-                        intervals.setdefault(nid, []).append((a - slo, b - slo))
-        pts = frozenset(self.point(p) for p in s.points)
-        return Subforest(self.new, intervals, pts)
 
 
 class Subforest:
@@ -594,10 +531,6 @@ class Subforest:
         keys = [(1, eid, ivs[0][0]) for eid, ivs in self.intervals.items()]
         keys.extend(point_key(p) for p in self.points)
         return min(keys, default=(2,))
-
-    @property
-    def is_point(self) -> bool:
-        return not self.intervals and len(self.points) == 1
 
     def end_counts(self) -> dict[Point, int]:
         """Number of interval ends at each point, that is the number of

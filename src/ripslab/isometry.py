@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .forest import ZERO, MetricForest, Point, Subforest, coverage
-from .scalar import NumberField, Scalar
+from .forest import MetricForest, Point, Subforest, coverage
+from .scalar import ZERO, NumberField, Scalar
 
 
 class IsometryError(Exception):
@@ -297,14 +297,6 @@ class BandSystem:
         """The largest band domain diameter (a range has its domain's)."""
         return max((b.domain.diameter() for b in self.bands), default=ZERO)
 
-    def summary(self) -> dict:
-        return {
-            "volume": self.support.volume(),
-            "bands": len(self.bands),
-            "components": len(self.support.components()),
-            "max_diameter": self.max_domain_diameter(),
-        }
-
 
 class ValenceStratification:
     """Piecewise-constant band valence v(x) = #{a in A+- : x in dom(a)},
@@ -366,9 +358,3 @@ def band_from_markers(host: MetricForest, name: str,
     if problems:
         raise ValidationError(problems)
     return band
-
-
-def arc_band(host: MetricForest, name: str, p0: Point, p1: Point,
-             q0: Point, q1: Point) -> PartialIsometry:
-    """Band on an arc domain [p0, p1] mapped onto [q0, q1] with p0 -> q0."""
-    return band_from_markers(host, name, ((p0, q0), (p1, q1)))

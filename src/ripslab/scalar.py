@@ -175,18 +175,18 @@ def count_roots(p: Sequence, lo: Fraction, hi: Fraction) -> int:
     return sturm_count(sturm_chain(p), lo, hi)
 
 
-def integer_roots(p: Sequence[int]) -> list:
-    """The distinct integer roots of a nonzero integer polynomial, ascending.
+def integer_roots(chain: Sequence) -> list:
+    """The distinct integer roots, ascending, of the squarefree polynomial p
+    that starts this Sturm chain.
 
-    0 is a root when p(0) = 0; any other divides the lowest nonzero
-    coefficient c, so it lies in (-|c| - 1, |c|].  Integer intervals
-    (lo, hi] that hold a root, by one Sturm chain, are halved down to width
-    1, where the root can only be hi."""
-    k = next(i for i, c in enumerate(p) if c)
-    p = tuple(p[k:])
-    roots = [0] if k else []
-    chain, b = sturm_chain(p), abs(p[0])
-    stack = [(-b - 1, b)] if len(p) > 1 else []
+    Each root is 0 or divides the lowest nonzero coefficient c of p, so it
+    lies in (-|c| - 1, |c|].  Integer intervals (lo, hi] that hold a root
+    are halved down to width 1, where the root can only be hi."""
+    if not chain:
+        return []
+    p, roots = chain[0], []
+    b = abs(next(c for c in p if c))
+    stack = [(-b - 1, b)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo == 1:
@@ -196,6 +196,20 @@ def integer_roots(p: Sequence[int]) -> list:
             mid = (lo + hi) // 2
             stack += [(lo, mid), (mid, hi)]
     return sorted(roots)
+
+
+def factor_over_z(p: Sequence[int]) -> list:
+    """The irreducible factors over Z of a nonconstant integer polynomial,
+    as (ascending coefficients with a positive leading one, multiplicity)
+    pairs, its content left out.  It is the one place that imports sympy,
+    on first use."""
+    import sympy
+
+    factors = []
+    for f, mult in sympy.factor_list(sympy.Poly(list(p)[::-1], sympy.Symbol("x")))[1]:
+        c = [int(x) for x in reversed(f.all_coeffs())]
+        factors.append((tuple(c) if c[-1] > 0 else tuple(-x for x in c), mult))
+    return factors
 
 
 def poly_str(coeffs: Sequence) -> str:
@@ -270,16 +284,13 @@ class NumberField:
     def _is_irreducible(self) -> bool:
         p, n = self._ipoly, self.degree
         if n > 3:
-            import sympy
-
-            x = sympy.Symbol("x")
-            factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(p)))[1]
+            factors = factor_over_z(p)
             return len(factors) == 1 and factors[0][1] == 1
         # reducible iff p has a rational root, i.e. g(y) = D^(n-1) p(y/D),
         # monic over Z for D = lc(p), has an integer root
         d = p[-1]
-        return n == 1 or not integer_roots(
-            [c * d ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1])
+        return n == 1 or not integer_roots(sturm_chain(
+            [c * d ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]))
 
     @property
     def degree(self) -> int:
@@ -342,11 +353,6 @@ class NumberField:
 
     def __repr__(self) -> str:
         return f"NumberField({list(self.minpoly)}, {self._lo0}, {self._hi0})"
-
-
-def field_define(minpoly: Iterable, lo, hi, check_irreducible: bool = True) -> NumberField:
-    """Construct the real number field Q(lambda) with the given data."""
-    return NumberField(minpoly, lo, hi, check_irreducible=check_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -743,4 +749,3 @@ def rational(numerator, denominator=1) -> Scalar:
 
 
 ZERO = rational(0)
-ONE = rational(1)

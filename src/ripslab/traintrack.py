@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .scalar import (NumberField, Scalar, count_roots, exact_quotient, field_define,
+from .scalar import (NumberField, Scalar, count_roots, exact_quotient, factor_over_z,
                      integer_roots, sturm_chain, sturm_count)
 
 
@@ -292,25 +292,28 @@ def _pf_field(charpoly, bound: int) -> NumberField:
     polynomial of a nonnegative matrix whose row sums are at most `bound`,
     so that 0 <= lambda <= bound.
 
-    The integer roots are divided out of the squarefree part, leaving a
-    cofactor q with no rational root.  If lambda is an integer, the field is
-    x - lambda on (lambda - 1, lambda + 1).  Otherwise lambda is the largest
-    root of q, isolated by bisecting (0, bound + 1] with q's Sturm chain.  A
-    cofactor of degree <= 3 is then the minimal polynomial: a proper factor
-    of it would have degree 1, and so a rational root.  From degree 4 the
-    minimal polynomial is the factor of q with a root in the interval.
+    One Sturm chain of the squarefree part finds its integer roots.  If
+    lambda is one of them, the field is x - lambda on (lambda - 1,
+    lambda + 1).  Otherwise they are divided out, leaving a cofactor q
+    with no rational root, whose chain (the same one if no root was
+    divided out) isolates lambda, its largest root, by bisecting
+    (0, bound + 1].  A cofactor of degree <= 3 is then the minimal
+    polynomial: a proper factor of it would have degree 1, and so a
+    rational root.  From degree 4 the minimal polynomial is the factor of
+    q with a root in the interval.
     """
-    q = list(sturm_chain(charpoly)[0])
-    roots = integer_roots(q)
-    for r in roots:
-        q = exact_quotient(q, (-r, 1))
-    if q[-1] < 0:  # the squarefree part of a monic polynomial is monic up to sign
-        q = [-c for c in q]
-    chain = sturm_chain(q)
+    chain = sturm_chain(charpoly)
+    roots = integer_roots(chain)
     lo, hi = Fraction(0), Fraction(bound + 1)
     if roots and not sturm_count(chain, roots[-1], hi):
         lam = roots[-1]
-        return field_define((-lam, 1), lam - 1, lam + 1, check_irreducible=False)
+        return NumberField((-lam, 1), lam - 1, lam + 1, check_irreducible=False)
+    # the squarefree part of a monic polynomial is monic up to sign
+    q = chain[0] if chain[0][-1] > 0 else [-c for c in chain[0]]
+    if roots:
+        for r in roots:
+            q = exact_quotient(q, (-r, 1))
+        chain = sturm_chain(q)
     while sturm_count(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
         if sturm_count(chain, mid, hi):
@@ -318,16 +321,9 @@ def _pf_field(charpoly, bound: int) -> NumberField:
         else:
             hi = mid
     if len(q) > 4:
-        import sympy
-
-        x = sympy.Symbol("x")
-        for factor, _mult in sympy.factor_list(sympy.Poly(q[::-1], x))[1]:
-            f = [int(c) for c in reversed(factor.all_coeffs())]
-            if count_roots(f, lo, hi):
-                q = f if f[-1] > 0 else [-c for c in f]
-                break
+        q = next(f for f, _ in factor_over_z(q) if count_roots(f, lo, hi))
     # no factor of q has a rational root, so neither bound is a root
-    return field_define(q, lo, hi, check_irreducible=False)
+    return NumberField(q, lo, hi, check_irreducible=False)
 
 
 def _pf_eigenvector(adj, field: NumberField) -> tuple[Scalar, ...]:
@@ -369,15 +365,6 @@ def transition(m: RoseMap) -> TransitionData:
             raise TrainTrackError("nonzero eigenvector residual")
     return TransitionData(tuple(tuple(row) for row in mat), k, field,
                           lam, vec)
-
-
-def approx_float(x: Scalar, eps: float = 1e-9) -> float:
-    """A float within eps of the exact value, refining the field as needed."""
-    lo, hi = x.enclosure()
-    while hi - lo > eps and x.field is not None:
-        x.field.refine()
-        lo, hi = x.enclosure()
-    return (lo + hi) / 2
 
 
 # --- direction dynamics ----------------------------------------------------

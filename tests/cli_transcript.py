@@ -33,10 +33,14 @@ TRANSCRIPT = os.path.join(DATA, "cli_transcript.txt")
 
 TT_ACTIONS = ("check", "matrix", "pf", "rotationless", "swg")
 MAPS = ("corpus/tribonacci.map", "corpus/fibonacci.map",
-        "data/integer_eigenvalue.map", "data/cubic.map", "data/quartic.map")
+        "data/integer_eigenvalue.map", "data/cubic.map", "data/quartic.map",
+        "data/mixed_root.map", "data/repeated_root.map")
 
 SYSTEMS = ("corpus/e_surf.bands", "corpus/e_trim.bands", "corpus/bk_itm.bands")
 WALKS = (("words",), ("limitset",), ("pattern",), ("k33",), ("wh", "scan"))
+# the top row of each system's `wh scan --depth 3`
+TOP_ROWS = (("corpus/e_surf.bands", "u", "e0:+"), ("corpus/e_trim.bands", "u", "e0:+"),
+            ("corpus/bk_itm.bands", "e0:-L + 1", "e0:+"))
 
 COMMANDS = (
     tuple(("tt", action, path) for path in MAPS for action in TT_ACTIONS)
@@ -45,6 +49,8 @@ COMMANDS = (
                          ("rips", "classify", "--max-iter", "12")))
     + tuple(walk + ("--depth", depth, path) for path in SYSTEMS
             for walk in WALKS for depth in ("2", "3"))
+    + tuple(("wh", "at", "--depth", "3", "--point", point, "--direction", d, path)
+            for path, point, d in TOP_ROWS)
     + tuple(("validate", f"corpus/{name}.bands")
             for name in ("bad_fields", "bad_marker", "bad_syntax"))
     + (("corpus", "list"),))

@@ -36,10 +36,10 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from ripslab.forest import ZERO, Subforest, point_key
+from ripslab.forest import Subforest, point_key
 from ripslab.isometry import BandSystem, OutOfDomain, PartialIsometry
 from ripslab.lamination import inverse_label
-from ripslab.scalar import FieldMismatch, field_define
+from ripslab.scalar import ZERO, FieldMismatch, NumberField
 from ripslab.traintrack import TrainTrackError
 
 
@@ -769,7 +769,7 @@ def sympy_pf_field(mat):
     lead = coeffs[-1]
     coeffs = [c / lead for c in coeffs]
     # a factor from factor_list is irreducible already
-    return field_define(coeffs, lo, hi, check_irreducible=False)
+    return NumberField(coeffs, lo, hi, check_irreducible=False)
 
 
 def sympy_pf_eigenvector(mat, field):

@@ -1,7 +1,9 @@
 import importlib.resources as resources
 import io
+import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -569,19 +571,47 @@ def test_tt_on_the_corpus_maps_does_not_load_sympy():
              "    print('sympy' in sys.modules)\n"
              "for path in sys.argv[1:]:\n"
              "    pf(path)\n")
+    data = os.path.join(os.path.dirname(__file__), "data")
     paths = [corpus("tribonacci.map"), corpus("fibonacci.map"),
-             os.path.join(os.path.dirname(__file__), "data", "quartic.map")]
+             os.path.join(data, "mixed_root.map"), os.path.join(data, "repeated_root.map"),
+             os.path.join(data, "quartic.map")]
     done = subprocess.run([sys.executable, "-c", probe, *paths], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    assert done.stdout.split() == ["False", "False", "False", "False", "True"]
 
 
 def test_cli_transcript():
-    """The `tt` reports pinned in tests/data/cli_transcript.txt; see
+    """The reports pinned in tests/data/cli_transcript.txt; see
     tests/cli_transcript.py for when that file may be regenerated."""
     with open(TRANSCRIPT, encoding="utf-8") as fh:
         assert transcript() == fh.read()
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_cli_transcript_under_hash_seeds(seed):
+    """A few transcript commands, run in a fresh interpreter with a fixed
+    PYTHONHASHSEED, print their pinned blocks: no report depends on the
+    order of a set or dict of strings."""
+    import ripslab
+    argvs = [("tt", "pf", "corpus/tribonacci.map"), ("tt", "pf", "data/mixed_root.map"),
+             ("wh", "scan", "--depth", "3", "corpus/bk_itm.bands"),
+             ("rips", "classify", "--max-iter", "12", "corpus/e_trim.bands"),
+             ("pattern", "--depth", "3", "corpus/bk_itm.bands"),
+             ("pattern", "--depth", "3", "corpus/e_surf.bands")]
+    with open(TRANSCRIPT, encoding="utf-8") as fh:
+        blocks = {b.split("\n", 1)[0]: b for b in re.split(r"(?m)^(?=\$ ripslab )", fh.read())}
+    probe = ("import json, sys\n"
+             "from cli_transcript import render\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    sys.stdout.write(render(argv))\n")
+    src = os.path.dirname(os.path.dirname(ripslab.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(blocks[f"$ ripslab {' '.join(a)}"] for a in argvs)
 
 
 def test_corpus_list_and_show():

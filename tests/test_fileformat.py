@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hosts import summary
 from ripslab import fileformat
 from ripslab.cli import _parse_direction
 from ripslab.fileformat import (
@@ -19,7 +20,7 @@ from ripslab.fileformat import (
     serialize_system,
 )
 from ripslab.isometry import ValidationError
-from ripslab.scalar import FieldMismatch, field_define, rational as Q
+from ripslab.scalar import FieldMismatch, NumberField, rational as Q
 
 
 def corpus(name):
@@ -45,7 +46,7 @@ def test_parse_scalar_rational():
 
 
 def test_parse_scalar_polynomial():
-    f = field_define([-1, 1, 1, 1], 0, 1)
+    f = NumberField([-1, 1, 1, 1], 0, 1)
     b = f.gen
     assert parse_scalar("1 - L - L^2", f) == 1 - b - b * b
     assert parse_scalar("1/2*L^2", f) == b * b / 2
@@ -63,7 +64,7 @@ def test_parse_scalar_without_field_rejects_L():
 
 
 def test_scalar_str_round_trip():
-    f = field_define([-1, 1, 1, 1], 0, 1)
+    f = NumberField([-1, 1, 1, 1], 0, 1)
     for x in (Q(0), Q(-7, 3), f.gen, 1 - f.gen, f.element([1, -2, 3]),
               f.element([0, 0, -1])):
         assert parse_scalar(scalar_str(x), f) == x
@@ -124,7 +125,7 @@ def test_round_trip_preserves_summaries():
     for name in ("e_surf.bands", "e_trim.bands", "bk_itm.bands"):
         s = parse_system(corpus(name))
         t = parse_system_text(serialize_system(s))
-        assert t.summary() == s.summary()
+        assert summary(t) == summary(s)
         assert {b.name for b in t.bands} == {b.name for b in s.bands}
 
 
@@ -163,7 +164,7 @@ def test_save_system(tmp_path):
     s = parse_system(corpus("e_surf.bands"))
     out = tmp_path / "copy.bands"
     save_system(s, str(out))
-    assert parse_system(str(out)).summary() == s.summary()
+    assert summary(parse_system(str(out))) == summary(s)
 
 
 def test_save_system_keeps_old_file_when_interrupted(tmp_path, monkeypatch):

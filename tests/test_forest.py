@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hosts import is_point, refine
 import oracles
 from ripslab.fileformat import parse_system_text, scalar_str, serialize_system
 from ripslab.forest import (
@@ -19,7 +20,7 @@ from ripslab.forest import (
     Subforest,
 )
 from ripslab.isometry import BandSystem
-from ripslab.scalar import field_define, rational as Q
+from ripslab.scalar import NumberField, rational as Q
 from test_isometry import sample_points, zigzag
 from test_lamination import corpus, tripod as tripod_system
 
@@ -74,7 +75,7 @@ def test_segment_degenerate():
     f = interval_forest()
     p = f.point("e0", 1)
     s = f.segment(p, p)
-    assert s.is_point and s.volume() == Q(0)
+    assert is_point(s) and s.volume() == Q(0)
 
 
 def test_segment_through_branch(tripod):
@@ -108,7 +109,7 @@ def test_intersect_at_single_point(tripod):
     a = tripod.segment(tripod.vertex_point("t1"), tripod.vertex_point("t2"))
     b = tripod.segment(tripod.vertex_point("t4"), tripod.vertex_point("c"))
     c = a.intersect(b)
-    assert c.is_point
+    assert is_point(c)
     assert c.points == {tripod.vertex_point("c")}
 
 
@@ -123,7 +124,7 @@ def test_touching_intervals_merge():
 
 def test_refine_single_mark():
     f = interval_forest()
-    refined, relab = f.refine([f.point("e0", 1)])
+    refined, relab = refine(f, [f.point("e0", 1)])
     lengths = sorted(e.length.as_fraction() for e in refined.edges)
     assert lengths == [1, 2]
     assert relab.point(f.point("e0", 1)).is_vertex
@@ -131,21 +132,21 @@ def test_refine_single_mark():
 
 def test_refine_vertex_mark_is_identity():
     f = interval_forest()
-    refined, relab = f.refine([f.vertex_point("u")])
+    refined, relab = refine(f, [f.vertex_point("u")])
     assert refined == f
     assert relab.point(f.point("e0", 2)) == f.point("e0", 2)
 
 
 def test_refine_two_marks_conserves_length():
     f = interval_forest()
-    refined, _ = f.refine([f.point("e0", 1), f.point("e0", Q(3, 2))])
+    refined, _ = refine(f, [f.point("e0", 1), f.point("e0", Q(3, 2))])
     total = sum(e.length.as_fraction() for e in refined.edges)
     assert total == 3 and len(refined.edges) == 3
 
 
 def test_refine_preserves_distance(tripod):
     marks = [tripod.point("l4", 1), tripod.point("l4", 3), tripod.point("l2", 1)]
-    refined, relab = tripod.refine(marks)
+    refined, relab = refine(tripod, marks)
     rng = random.Random(3)
     pts = [tripod.vertex_point(v) for v in tripod.vertices]
     pts += [tripod.point("l4", Fraction(rng.randint(1, 7), 2)) for _ in range(4)]
@@ -211,7 +212,7 @@ def test_isolated_vertex_component():
     f = MetricForest(["a", "b", "x"], [Edge("e0", "a", "b", Q(1))])
     w = f.whole()
     assert len(w.components()) == 2
-    assert any(c.is_point for c in w.components())
+    assert any(is_point(c) for c in w.components())
 
 
 def test_hull_of_tripod_tips(tripod):
@@ -221,7 +222,7 @@ def test_hull_of_tripod_tips(tripod):
 
 # -- intersect against the probing oracle ------------------------------------
 
-BK = field_define([-1, 1, 1, 1], 0, 1)  # L^3 + L^2 + L - 1, the bk_itm field
+BK = NumberField([-1, 1, 1, 1], 0, 1)  # L^3 + L^2 + L - 1, the bk_itm field
 L = BK.gen
 
 
@@ -429,7 +430,7 @@ def test_merge_drops_only_empty_intervals(length, eps):
     assert apart.intervals == {"e0": ((0 * x, x), (x + eps, 2 * x))}
     touching = Subforest(host, {"e0": [(x, 2 * x), (x - eps, x)]})
     assert touching.intervals == {"e0": ((x - eps, 2 * x),)}
-    cut, relabel = host.refine([host.point("e0", x)])
+    cut, relabel = refine(host, [host.point("e0", x)])
     assert relabel.subforest(Subforest(host, {"e0": [(x - eps, x + eps)]})) == \
         Subforest(cut, {"e0_s0": [(x - eps, x)], "e0_s1": [(0 * x, eps)]})
 

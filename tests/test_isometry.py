@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hosts import is_point, refine, summary
 import oracles
 from ripslab import isometry
 from ripslab.forest import Edge, MetricForest, Point
@@ -13,7 +14,7 @@ from ripslab.isometry import (
     OutOfDomain,
     PartialIsometry,
     ValidationError,
-    arc_band,
+    band_from_markers,
 )
 from ripslab.rips import run
 from ripslab.scalar import rational as Q
@@ -26,9 +27,9 @@ def line3():
 
 
 def shift(host, name, lo, hi, by):
-    return arc_band(host, name,
-                    host.point("e0", lo), host.point("e0", hi),
-                    host.point("e0", lo + by), host.point("e0", hi + by))
+    return band_from_markers(host, name,
+                             ((host.point("e0", lo), host.point("e0", lo + by)),
+                              (host.point("e0", hi), host.point("e0", hi + by))))
 
 
 def test_apply_translation(line3):
@@ -45,8 +46,8 @@ def test_apply_out_of_domain(line3):
 
 
 def test_orientation_reversing(line3):
-    a = arc_band(line3, "r", line3.point("e0", 0), line3.point("e0", 1),
-                 line3.point("e0", 1), line3.point("e0", 0))
+    a = band_from_markers(line3, "r", ((line3.point("e0", 0), line3.point("e0", 1)),
+                                       (line3.point("e0", 1), line3.point("e0", 0))))
     assert a.apply(line3.point("e0", Q(1, 4))) == line3.point("e0", Q(3, 4))
 
 
@@ -104,8 +105,8 @@ def test_restrict_to_point(line3):
     a = shift(line3, "a", 0, 2, 1)
     d = line3.segment(line3.point("e0", 1), line3.point("e0", 1))
     r = a.restrict(d)
-    assert r.domain.is_point
-    assert r.range.is_point and r.range.points == {line3.point("e0", 2)}
+    assert is_point(r.domain)
+    assert is_point(r.range) and r.range.points == {line3.point("e0", 2)}
 
 
 def test_validate_distance_violation(line3):
@@ -130,8 +131,8 @@ def test_validate_surjectivity_violation(line3):
 
 def test_arc_band_rejects_unequal_lengths(line3):
     with pytest.raises(ValidationError):
-        arc_band(line3, "x", line3.point("e0", 0), line3.point("e0", 1),
-                 line3.point("e0", 1), line3.point("e0", 3))
+        band_from_markers(line3, "x", ((line3.point("e0", 0), line3.point("e0", 1)),
+                                       (line3.point("e0", 1), line3.point("e0", 3))))
 
 
 def test_band_through_branch_point():
@@ -141,8 +142,8 @@ def test_band_through_branch_point():
          Edge("l2", "c", "t2", Q(2)),
          Edge("l4", "c", "t4", Q(4))])
     # fold the leg toward t2 onto the segment [t1, c..t4 at 1]
-    a = arc_band(tripod, "f", tripod.vertex_point("t2"), tripod.point("l2", 0),
-                 tripod.vertex_point("t1"), tripod.point("l4", 1))
+    a = band_from_markers(tripod, "f", ((tripod.vertex_point("t2"), tripod.vertex_point("t1")),
+                                        (tripod.point("l2", 0), tripod.point("l4", 1))))
     assert not a.validate()
     # the branch point c is interior to the range arc, image of l2-midpoint
     assert a.apply(tripod.point("l2", 1)) == tripod.vertex_point("c")
@@ -156,7 +157,7 @@ def test_band_system_basics(line3):
     assert sys.band("a'").domain == a.range
     assert not sys.validate()
     assert sys.max_domain_diameter() == Q(2)
-    assert sys.summary()["bands"] == 2
+    assert summary(sys)["bands"] == 2
 
 
 def test_band_system_duplicate_labels(line3):
@@ -198,7 +199,7 @@ def zigzag(system):
     edge reversed: coordinates in which images cross vertices and a
     translation's pieces flip."""
     marks = [p for b in system.bands for pair in b.correspondence for p in pair]
-    cut, relabel = system.forest.refine(marks)
+    cut, relabel = refine(system.forest, marks)
     flipped = {e.id for e in cut.edges[1::2]}
     host = MetricForest(cut.vertices, [Edge(e.id, e.v, e.u, e.length)
                                        if e.id in flipped else e for e in cut.edges])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ripslab import lamination
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
-from ripslab.isometry import BandSystem, PartialIsometry, arc_band, chart_domain
+from ripslab.isometry import BandSystem, PartialIsometry, band_from_markers, chart_domain
 from ripslab.lamination import (
     LeafWord,
     NotReduced,
@@ -24,6 +24,7 @@ from ripslab.rips import lineage, rips_step
 from ripslab.scalar import rational as Q
 from ripslab.whitehead import wh_scan
 
+from hosts import is_point
 import oracles
 from oracles import brute_leaves_at, brute_word_domain
 
@@ -56,7 +57,7 @@ def test_word_domain_single_letter(e_surf):
 def test_word_domain_composition(e_surf):
     # b after a: need a(x) in [0,1], i.e. x + 1 <= 1.
     d = word_domain(e_surf, "a b")
-    assert d.is_point
+    assert is_point(d)
     assert d.points == {e_surf.forest.point("e0", 0)}
 
 
@@ -222,12 +223,12 @@ def tripod():
         return host.point(eid, Q(x))
 
     a, z = host.vertex_point("a"), host.vertex_point("z")
-    bands = (arc_band(host, "f", pt("e1", 1), pt("e2", 1), pt("e2", 1), pt("e1", 1)),
-             arc_band(host, "h", pt("e1", F(1, 2)), pt("e1", F(3, 2)),
-                      pt("e2", F(3, 2)), pt("e3", F(1, 2))),
-             arc_band(host, "g", pt("e3", 0), pt("e3", 1), pt("e3", 1), pt("e3", 2)),
-             arc_band(host, "q", pt("e3", F(3, 2)), pt("e3", F(3, 2)), a, a),
-             arc_band(host, "p", a, a, z, z))
+    bands = (band_from_markers(host, "f", ((pt("e1", 1), pt("e2", 1)), (pt("e2", 1), pt("e1", 1)))),
+             band_from_markers(host, "h", ((pt("e1", F(1, 2)), pt("e2", F(3, 2))),
+                                           (pt("e1", F(3, 2)), pt("e3", F(1, 2))))),
+             band_from_markers(host, "g", ((pt("e3", 0), pt("e3", 1)), (pt("e3", 1), pt("e3", 2)))),
+             band_from_markers(host, "q", ((pt("e3", F(3, 2)), a), (pt("e3", F(3, 2)), a))),
+             band_from_markers(host, "p", ((a, z), (a, z))))
     system = BandSystem(host, bands)
     assert system.validate() == []
     return system
@@ -308,7 +309,7 @@ def interval_systems(draw):
         q0, q1 = at(to), at(to + n)
         if draw(st.booleans()):
             q0, q1 = q1, q0
-        bands.append(arc_band(host, name, at(lo), at(lo + n), q0, q1))
+        bands.append(band_from_markers(host, name, ((at(lo), q0), (at(lo + n), q1))))
     return BandSystem(host, tuple(bands))
 
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from hosts import is_point
 import oracles
 from ripslab import isometry
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
-from ripslab.isometry import BandSystem, arc_band
+from ripslab.isometry import BandSystem, band_from_markers
 from ripslab.rips import (
     Inconclusive,
     SurfaceType,
@@ -35,9 +36,9 @@ def line(length):
 
 
 def shift(host, name, lo, hi, by):
-    return arc_band(host, name,
-                    host.point("e0", lo), host.point("e0", hi),
-                    host.point("e0", lo + by), host.point("e0", hi + by))
+    return band_from_markers(host, name,
+                             ((host.point("e0", lo), host.point("e0", lo + by)),
+                              (host.point("e0", hi), host.point("e0", hi + by))))
 
 
 @pytest.fixture()
@@ -144,8 +145,8 @@ def test_overlap_keeps_distinct_band_point_touch():
     # dom(a) and dom(b) meet only at x = 1: the point stays in K'
     host = line(3)
     a = shift(host, "a", 0, 1, 2)
-    b = arc_band(host, "b", host.point("e0", 1), host.point("e0", 2),
-                 host.point("e0", 2), host.point("e0", 3))
+    b = band_from_markers(host, "b", ((host.point("e0", 1), host.point("e0", 2)),
+                                      (host.point("e0", 2), host.point("e0", 3))))
     K = overlap_set(BandSystem(host, (a, b)))
     assert K.contains(host.point("e0", 1))
 
@@ -159,7 +160,7 @@ def test_overlap_drops_own_inverse_edge_point_touch():
     assert overlap_set(alone).is_empty
     assert oracles.brute_overlap_set(alone).is_empty
     # a point band b based at x: a third domain containing x keeps it
-    b = arc_band(host, "b", x, x, host.vertex_point("v"), host.vertex_point("v"))
+    b = band_from_markers(host, "b", ((x, host.vertex_point("v")), (x, host.vertex_point("v"))))
     both = BandSystem(host, (a, b))
     K = overlap_set(both)
     assert K.points == frozenset([x]) and not K.intervals
@@ -172,13 +173,13 @@ def test_overlap_drops_own_inverse_vertex_touch():
                         [Edge("l1", "c", "t1", Q(1)), Edge("l2", "c", "t2", Q(2)),
                          Edge("l4", "c", "t4", Q(4))])
     c = host.vertex_point("c")
-    a = arc_band(host, "a", host.vertex_point("t1"), c, host.point("l2", 1), c)
+    a = band_from_markers(host, "a", ((host.vertex_point("t1"), host.point("l2", 1)), (c, c)))
     alone = BandSystem(host, (a,))
     assert not overlap_set(alone).contains(c)
     assert oracles.brute_overlap_set(alone).is_empty
     # dom(b) = [c, l4:1] also contains c, so c stays in K'
-    b = arc_band(host, "b", c, host.point("l4", 1),
-                 host.point("l4", 2), host.point("l4", 3))
+    b = band_from_markers(host, "b", ((c, host.point("l4", 2)),
+                                      (host.point("l4", 1), host.point("l4", 3))))
     both = BandSystem(host, (a, b))
     K = overlap_set(both)
     assert K.points == frozenset([c]) and not K.intervals
@@ -220,7 +221,7 @@ def test_strata_match_oracle_with_vertex_point_domains():
     host = line(3)
     u, v = host.vertex_point("u"), host.vertex_point("v")
     s = BandSystem(host, (shift(host, "a", 0, 1, 1),
-                          arc_band(host, "b", u, u, v, v)))
+                          band_from_markers(host, "b", ((u, v), (u, v)))))
     strat = s.strata
     for i in (1, 2, 3):
         assert strat.stratum_ge(i) == oracles.brute_stratum_ge(s, i), i
@@ -340,7 +341,7 @@ def test_run_point_band_phase(e_trim):
     trace = run(e_trim, 20)
     rec = trace.steps[4]
     assert rec.volume.sign() == 0 and rec.bands >= 1
-    assert any(b.domain.is_point for b in rec.system.bands)
+    assert any(is_point(b.domain) for b in rec.system.bands)
 
 
 def test_run_empty_system():

@@ -12,7 +12,6 @@ from ripslab.scalar import (
     NoSignChange,
     NotIsolating,
     NumberField,
-    field_define,
     rational,
 )
 
@@ -21,7 +20,7 @@ TRIB = [-1, -1, -1, 1]  # x^3 - x^2 - x - 1
 
 @pytest.fixture()
 def trib():
-    return field_define(TRIB, 1, 2)
+    return NumberField(TRIB, 1, 2)
 
 
 def test_field_define_tribonacci(trib):
@@ -31,7 +30,7 @@ def test_field_define_tribonacci(trib):
 
 
 def test_field_define_linear_collapses_to_rational():
-    f = field_define([-2, 1], 1, 3)  # x - 2
+    f = NumberField([-2, 1], 1, 3)  # x - 2
     lam = f.gen
     assert lam == 2
     assert (lam * lam).as_fraction() == 4
@@ -39,19 +38,19 @@ def test_field_define_linear_collapses_to_rational():
 
 def test_field_define_no_sign_change():
     with pytest.raises(NoSignChange):
-        field_define([-2, 0, 1], 0, 1)  # x^2 - 2 has no root in (0, 1)
+        NumberField([-2, 0, 1], 0, 1)  # x^2 - 2 has no root in (0, 1)
 
 
 def test_field_define_interval_with_several_roots():
     # x^3 - 3x + 1 changes sign on (-2, 2) but has three roots there
     with pytest.raises(NotIsolating, match="3 roots"):
-        field_define([1, -3, 0, 1], -2, 2)
-    assert field_define([1, -3, 0, 1], 1, 2).gen.to_decimal(4) == "1.5321"
+        NumberField([1, -3, 0, 1], -2, 2)
+    assert NumberField([1, -3, 0, 1], 1, 2).gen.to_decimal(4) == "1.5321"
 
 
 def test_field_define_degenerate_interval():
     with pytest.raises(DegenerateInterval):
-        field_define([-2, 0, 1], 2, 1)
+        NumberField([-2, 0, 1], 2, 1)
 
 
 def test_lambda_cubed_reduces(trib):
@@ -84,7 +83,7 @@ def test_to_decimal(trib):
 
 
 def test_field_mismatch(trib):
-    other = field_define([-2, 0, 1], 1, 2)  # sqrt(2)
+    other = NumberField([-2, 0, 1], 1, 2)  # sqrt(2)
     with pytest.raises(FieldMismatch):
         trib.gen + other.gen
 
@@ -96,15 +95,15 @@ def test_division_by_zero(trib):
 
 def test_irreducibility_check():
     with pytest.raises(scalar.NotIrreducible):
-        field_define([-2, 1, -2, 1], 1, 3, check_irreducible=True)  # (x-2)(x^2+1)
-    field_define(TRIB, 1, 2, check_irreducible=True)
+        NumberField([-2, 1, -2, 1], 1, 3, check_irreducible=True)  # (x-2)(x^2+1)
+    NumberField(TRIB, 1, 2, check_irreducible=True)
 
 
 def test_irreducibility_checked_by_default():
     # x^2 - 1/4 = (x - 1/2)(x + 1/2): without the check, 2*L == 1 would be
     # False while (2*L - 1).sign() == 0
     with pytest.raises(scalar.NotIrreducible):
-        field_define([Fraction(-1, 4), 0, 1], 0, 1)
+        NumberField([Fraction(-1, 4), 0, 1], 0, 1)
 
 
 def _random_element(rng, field):
@@ -147,7 +146,7 @@ def test_sign_agrees_with_50_digit_decimal(trib):
 
 @given(st.lists(st.fractions(max_denominator=50), min_size=0, max_size=6))
 def test_reduction_idempotent(coeffs):
-    f = field_define(TRIB, 1, 2)
+    f = NumberField(TRIB, 1, 2)
     a = f.element(coeffs)
     assert f.element(a.coeffs) == a
 
@@ -181,7 +180,7 @@ def _plain_bisection(poly, lo, hi, n):
     ([Fraction(-1, 2), 1], 0, 1),                            # the root is a midpoint
 ])
 def test_refine_halves_as_plain_bisection(poly, lo, hi):
-    field = field_define(poly, lo, hi)
+    field = NumberField(poly, lo, hi)
     steps = []
     for _ in range(200):
         field.refine()
@@ -259,4 +258,4 @@ def test_integer_roots_are_the_integer_zeros(case):
     # an integer root of rest divides its lowest nonzero coefficient
     zeros = {x for x in range(-5, 6) if not sum(c * x**i for i, c in enumerate(rest))}
     expected = set(roots) | (zeros if any(rest) else set())
-    assert scalar.integer_roots(p) == sorted(expected)
+    assert scalar.integer_roots(scalar.sturm_chain(p)) == sorted(expected)

@@ -14,16 +14,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ripslab import scalar
-from ripslab.scalar import FieldMismatch, field_define, rational
+from ripslab.scalar import FieldMismatch, NumberField, rational
 
 from oracles import RefScalar
 
-BK = field_define([-1, 1, 1, 1], 0, 1)
+BK = NumberField([-1, 1, 1, 1], 0, 1)
 # L = 1/2, L^2 = 2, L^2 = 1/2 (an integer polynomial 2x^2 - 1 whose leading
 # coefficient is not 1) and L^4 = 2 (irreducible by sympy's factorization)
-FIELDS = [BK, field_define([Fraction(-1, 2), 1], 0, 1),
-          field_define([-2, 0, 1], 1, 2), field_define([Fraction(-1, 2), 0, 1], 0, 1),
-          field_define([-2, 0, 0, 0, 1], 1, 2)]
+FIELDS = [BK, NumberField([Fraction(-1, 2), 1], 0, 1),
+          NumberField([-2, 0, 1], 1, 2), NumberField([Fraction(-1, 2), 0, 1], 0, 1),
+          NumberField([-2, 0, 0, 0, 1], 1, 2)]
 
 # numerators and denominators up to 9 digits, as in the seeded p/q lengths
 # of the rational Rips benchmark, with small values and zero kept likely
@@ -176,7 +176,7 @@ def test_near_zero_values_decided_without_gcd(monkeypatch):
     """Once the field is built, sign, order, decimals and division need
     neither the polynomial gcd nor Sturm counting, on values within 10^-16
     of 0 and on one below the range of a float."""
-    field = field_define([-1, 1, 1, 1], 0, 1)
+    field = NumberField([-1, 1, 1, 1], 0, 1)
     lam, rlam = field.gen, RefScalar(field, (0, 1))
 
     def power(x, n):
@@ -212,7 +212,7 @@ def test_near_zero_values_decided_without_gcd(monkeypatch):
 def test_sign_of_a_tiny_power_matches_reference():
     """A fresh field refines its interval hundreds of times to decide the
     signs near L^300 (about 1e-80); the reference bisects on its own."""
-    field = field_define([-1, 1, 1, 1], 0, 1)
+    field = NumberField([-1, 1, 1, 1], 0, 1)
     lam, rlam = field.gen, RefScalar(field, (0, 1))
     x = functools.reduce(operator.mul, [lam] * 300)
     rx = functools.reduce(operator.mul, [rlam] * 300)
@@ -237,7 +237,7 @@ def test_equal_field_values_reached_apart_are_one_object(pair):
 
 
 def test_equal_fields_built_apart_share_no_values():
-    f, g = (field_define([-1, 1, 1, 1], 0, 1) for _ in range(2))
+    f, g = (NumberField([-1, 1, 1, 1], 0, 1) for _ in range(2))
     assert f == g and f is not g
     x, y = f.gen * f.gen + 1, g.gen * g.gen + 1
     assert x == y and hash(x) == hash(y)
@@ -252,7 +252,7 @@ def test_equal_fields_built_apart_share_no_values():
 def test_enclosures_cached_before_refinement_still_decide_exactly(coeff_lists, refines):
     """Order tests read enclosures cached at an earlier, wider isolating
     interval; every answer still agrees with the reference."""
-    field = field_define([-1, 1, 1, 1], 0, 1)
+    field = NumberField([-1, 1, 1, 1], 0, 1)
     xs = [(field.element(c), RefScalar(field, c)) for c in coeff_lists]
     for x, _ in xs:
         x.enclosure()

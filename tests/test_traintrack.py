@@ -10,7 +10,6 @@ from ripslab.traintrack import (
     _pf_eigenvector,
     _pf_field,
     _primitivity_exponent,
-    approx_float,
     MapSyntaxError,
     MissingInverse,
     NotPrimitive,
@@ -129,7 +128,7 @@ def test_transition_tribonacci(trib):
     assert td.matrix == ((1, 1, 1), (1, 0, 0), (0, 1, 0))
     assert td.primitivity_exponent == 3
     assert td.minimal_polynomial() == (-1, -1, -1, 1)
-    assert abs(approx_float(td.dilatation) - 1.8392867552141612) < 1e-6
+    assert abs(float(td.dilatation.to_decimal(6)) - 1.8392867552141612) < 1e-6
     lam = td.dilatation
     one = td.field.rational(1)
     assert td.eigenvector == (lam * lam, lam, one)
@@ -150,7 +149,7 @@ def test_transition_fibonacci(fib):
     assert td.matrix == ((1, 1), (1, 0))
     assert td.minimal_polynomial() == (-1, -1, 1)
     assert td.eigenvector == (td.field.gen, td.field.rational(1))
-    assert abs(approx_float(td.dilatation, 1e-12) - 1.6180339887498949) < 1e-9
+    assert abs(float(td.dilatation.to_decimal(12)) - 1.6180339887498949) < 1e-9
 
 
 def test_not_primitive_permutation():
@@ -377,3 +376,23 @@ def test_pf_field_and_eigenvector_match_sympy(mat):
         assert _primitivity_exponent(mat) is None
     else:
         assert [(v.num, v.den) for v in vec] == [(v.num, v.den) for v in ref_vec]
+
+
+def test_pf_field_chains_each_polynomial_once(trib, fib, monkeypatch):
+    """One Sturm chain of the squarefree characteristic polynomial serves
+    its integer roots and the bisection for lambda; the field's own root
+    count makes the only other one, from degree 3."""
+    from ripslab import scalar, traintrack
+
+    chain, calls = scalar.sturm_chain, []
+
+    def counting(p):
+        calls.append(p)
+        return chain(p)
+
+    for module in (scalar, traintrack):
+        monkeypatch.setattr(module, "sturm_chain", counting)
+    for m, expected in ((trib, 2), (fib, 1)):
+        calls.clear()
+        transition(m)
+        assert len(calls) == expected
