@@ -48,7 +48,7 @@ COMMANDS = (
             for argv in (("validate",), ("strata",), ("rips", "step"),
                          ("rips", "classify", "--max-iter", "12")))
     + tuple(walk + ("--depth", depth, path) for path in SYSTEMS
-            for walk in WALKS for depth in ("2", "3"))
+            for walk in WALKS for depth in map(str, range(1, 9)))
     + tuple(("wh", "at", "--depth", "3", "--point", point, "--direction", d, path)
             for path, point, d in TOP_ROWS)
     + tuple(("validate", f"corpus/{name}.bands")
