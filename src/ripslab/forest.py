@@ -7,8 +7,9 @@ finite unions of subtrees are represented canonically by
 :class:`Subforest` (per-edge closed intervals plus isolated points), so
 set equality -- the Rips halting test -- is representation equality.
 Components, membership, germs, the closed-span view that the charts of
-other modules read (`Subforest.spans`, `from_spans`) and the one sweep
-over it (`coverage`) are all derived from that form here.  Outside this
+other modules read (`Subforest.spans`, `from_spans`) and the two sweeps
+over it, of covers (`coverage`) and of meeting pairs (`meetings`), are
+all derived from that form here.  Outside this
 module only `rips._component_index`, `whitehead._scan` and
 `fileformat.serialize_system` read it.
 
@@ -26,6 +27,7 @@ from typing import Iterable, Sequence
 from .scalar import ZERO, Scalar, ScalarLike
 
 _NO_VERTICES: frozenset[str] = frozenset()
+_START = operator.itemgetter(0)
 _END = operator.itemgetter(1)
 
 
@@ -637,6 +639,49 @@ def coverage(sets: Sequence[Subforest], keys: Sequence
                 cover[k] += 1
             held[j].append(key)
         out[cell] = (ends, held, cover)
+    return out
+
+
+def meetings(host: MetricForest, sets: Sequence[Sequence[tuple[str, Scalar, Scalar]]],
+             keys: Sequence) -> dict[tuple[int, int], list[tuple[str, Scalar, Scalar]]]:
+    """The index pairs i < j of the sets, each given by closed spans
+    (cell, lo, hi), that meet and whose keys differ, with the spans of
+    their intersection.  A span end at a vertex is also listed as (x, x)
+    on every other edge at it, as `Subforest.spans` lists a vertex, so
+    two sets meet exactly when two of their spans on one cell do.  One
+    sweep per cell in order of span starts pairs each span with the
+    earlier ones not yet ended, at output cost (Shamos and Hoey 1976)."""
+    # per edge: (1 for a span's lo or 2 for its hi, the offset of the vertex
+    # there, the vertex's addresses on the other edges at it)
+    fans: dict[str, list] = {}
+    for e in host.edges:
+        for k, (x, v) in enumerate(((ZERO, e.u), (e.length, e.v)), start=1):
+            others = [a for a in host.addresses(Point(vertex=v)) if a[0] != e.id]
+            if others:
+                fans.setdefault(e.id, []).append((k, x, others))
+    rows: dict[str, list] = {}
+    for i, spans in enumerate(sets):
+        for span in spans:
+            cell, lo, hi = span
+            rows.setdefault(cell, []).append((lo, hi, i))
+            for k, x, others in fans.get(cell, ()):
+                if span[k] == x:
+                    for c, z in others:
+                        rows.setdefault(c, []).append((z, z, i))
+    out: dict[tuple[int, int], list] = {}
+    for cell, row in rows.items():
+        row.sort(key=_START)
+        live: list[tuple[Scalar, int]] = []
+        for lo, hi, i in row:
+            still = []
+            for end, j in live:
+                if end >= lo:
+                    still.append((end, j))
+                    if keys[j] != keys[i]:
+                        out.setdefault((j, i) if j < i else (i, j), []).append(
+                            (cell, lo, hi if hi <= end else end))
+            still.append((hi, i))
+            live = still
     return out
 
 

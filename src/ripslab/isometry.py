@@ -58,10 +58,14 @@ def extend_chart(chart: list, band: dict) -> list:
     return out
 
 
+def chart_spans(chart: list) -> list[tuple[str, Scalar, Scalar]]:
+    """The closed spans (cell, lo, hi) of a chart's domain, one per piece."""
+    return [(cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
+            for cell, _, flip, t, lo, hi in chart]
+
+
 def chart_domain(host: MetricForest, chart: list) -> Subforest:
-    return Subforest.from_spans(host, [
-        (cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
-        for cell, _, flip, t, lo, hi in chart])
+    return Subforest.from_spans(host, chart_spans(chart))
 
 
 def _map_point(host: MetricForest, chart: dict, p: Point) -> Point | None:

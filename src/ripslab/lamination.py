@@ -12,12 +12,11 @@ decided here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .forest import MetricForest, Point, Subforest, coverage
-from .isometry import BandSystem, chart_domain, extend_chart, identity_chart
+from .forest import MetricForest, Point, Subforest, meetings
+from .isometry import BandSystem, chart_domain, chart_spans, extend_chart, identity_chart
 
 
 class LaminationError(Exception):
@@ -90,18 +89,6 @@ def _drop_covered(host: MetricForest, chart: list) -> list:
             or not image.contains(host.cell_point(p[1], p[4]))]
 
 
-def _meeting(sets: list[Subforest], keys: list) -> set[tuple[int, int]]:
-    """The index pairs i < j of the sets that meet and whose keys differ.
-    Two closed sets meet exactly when one holds a span end of the other,
-    so these are the pairs among the holders of each end (`coverage`)."""
-    pairs = set()
-    for _, held, _ in coverage(sets, range(len(sets))).values():
-        for h in held:
-            if len(h) > 1:
-                pairs.update(itertools.combinations(h, 2))
-    return {(i, j) for i, j in pairs if keys[i] != keys[j]}
-
-
 def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], list]]:
     """Depth-first enumeration of admissible words with their charts.  A
     letter x is tried after y only if dom(x) meets range(y) = dom(y')."""
@@ -109,10 +96,13 @@ def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], lis
         raise ValueError("depth must be >= 1")
     els = system.elements()
     bands = [(a.label, a.chart) for a in els]
-    meet = _meeting([a.domain for a in els], [a.label for a in els])
-    follow = {inverse_label(a.label): [b for j, b in enumerate(bands)
-                                       if (min(i, j), max(i, j)) in meet]
-              for i, a in enumerate(els)}
+    near: list[list[int]] = [[] for _ in els]
+    for i, j in meetings(system.forest, [a.domain.spans() for a in els],
+                         [a.label for a in els]):
+        near[i].append(j)
+        near[j].append(i)
+    follow = {inverse_label(a.label): [bands[j] for j in sorted(n)]
+              for a, n in zip(els, near)}
 
     def rec(word, chart):
         for letter, band in follow[word[-1]] if word else bands:
@@ -138,14 +128,15 @@ def dotted_words(system: BandSystem, depth: int) -> list[LeafWord]:
 
     A pair of one-sided words is admissible when both domains meet and
     their first letters differ (so the two rays leave the dot along
-    distinct bands and the full word is reduced across the dot).  Only
-    the pairs of sides that `_meeting` finds are intersected.
+    distinct bands and the full word is reduced across the dot).  The
+    sides' domain spans are read off their charts, and one `meetings`
+    sweep gives the pairs and their intersections.
     """
-    sides = [(w, chart_domain(system.forest, chart))
-             for w, chart in _walk(system, depth) if len(w) == depth]
-    pairs = _meeting([dom for _, dom in sides], [w[0] for w, _ in sides])
-    return sorted((LeafWord(*sorted((u, v)), du.intersect(dv)) for (u, du), (v, dv)
-                   in ((sides[i], sides[j]) for i, j in pairs)), key=LeafWord.key)
+    sides = [(w, chart_spans(chart)) for w, chart in _walk(system, depth) if len(w) == depth]
+    met = meetings(system.forest, [spans for _, spans in sides], [w[0] for w, _ in sides])
+    return sorted((LeafWord(*sorted((sides[i][0], sides[j][0])),
+                            Subforest.from_spans(system.forest, spans))
+                   for (i, j), spans in met.items()), key=LeafWord.key)
 
 
 def limit_set(system: BandSystem, depth: int) -> LimitSetApprox:

@@ -18,6 +18,7 @@ from ripslab.forest import (
     MetricForest,
     Point,
     Subforest,
+    meetings,
 )
 from ripslab.isometry import BandSystem
 from ripslab.scalar import NumberField, rational as Q
@@ -537,3 +538,85 @@ def test_structure_at_shared_vertices_and_lone_points():
         assert len(s.components()) == n
         check_structure(s, pts)
     assert [d.edge for d in star.germ_directions(b)] == ["f0", "f1", "f3"]
+
+
+# -- the meetings sweep against all-pairs intersect ----------------------------
+
+def cells(host):
+    """(cell, length) of each edge and of each vertex no edge meets."""
+    lone = set(host.vertices) - {v for e in host.edges for v in (e.u, e.v)}
+    return [(e.id, e.length) for e in host.edges] + [(v, Q(0)) for v in sorted(lone)]
+
+
+@st.composite
+def span_sets(draw, host):
+    """2-5 sets of 0-4 closed spans, with 0-2 as keys.  Ends lie on a grid
+    of quarters of each edge, so spans often touch, are points, or end at
+    a vertex."""
+    cs = cells(host)
+    sets = []
+    for _ in range(draw(st.integers(2, 5))):
+        spans = []
+        for _ in range(draw(st.integers(0, 4))):
+            cell, length = draw(st.sampled_from(cs))
+            i, j = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+            spans.append((cell, length * Q(i, 4), length * Q(j, 4)))
+        sets.append(spans)
+    return sets, [draw(st.integers(0, 2)) for _ in sets]
+
+
+def check_meetings(host, sets, keys):
+    """Each pair of sets with different keys meets, and meets in the given
+    spans, exactly as intersecting them as subforests says."""
+    doms = [Subforest.from_spans(host, spans) for spans in sets]
+    want = {}
+    for i, j in combinations(range(len(sets)), 2):
+        common = doms[i].intersect(doms[j])
+        if keys[i] != keys[j] and not common.is_empty:
+            want[(i, j)] = common
+    got = meetings(host, sets, keys)
+    assert {ij: Subforest.from_spans(host, spans) for ij, spans in got.items()} == want
+    return want
+
+
+MEETING_HOSTS = {
+    "tripod": lambda: tripod_system().forest,
+    "forest/Q": forest_with_lone_vertex,
+    **{f"zigzag/{name}": functools.partial(lambda n: zigzag(corpus(n)).forest, name)
+       for name in ("e_surf.bands", "e_trim.bands", "bk_itm.bands")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEETING_HOSTS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_meetings_match_all_pairs_intersect(name, data):
+    host = MEETING_HOSTS[name]()
+    check_meetings(host, *data.draw(span_sets(host)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_meetings_match_all_pairs_intersect_on_random_forests(data):
+    host, _ = data.draw(random_forests())
+    check_meetings(host, *data.draw(span_sets(host)))
+
+
+def test_meetings_at_a_vertex_a_touch_point_and_a_lone_vertex():
+    """Sets that share only the vertex c, reached along different edges
+    or listed as a point on one edge; only the point 1 of e1; only the
+    vertex z that no edge meets.  A pair with equal keys is not listed."""
+    host = tripod_system().forest  # e1 = c-a, e2 = b-c, e3 = c-d, lone z
+    c, z = host.vertex_point("c"), host.vertex_point("z")
+    one, two = Q(1), Q(2)
+    cases = [
+        ([("e1", Q(0), one)], [("e2", one, two)], c),
+        ([("e3", Q(0), Q(0))], [("e2", two, two)], c),
+        ([("e1", Q(0), one)], [("e3", Q(0), Q(0))], c),
+        ([("e1", Q(0), one)], [("e1", one, two)], host.point("e1", one)),
+        ([("z", Q(0), Q(0)), ("e1", Q(0), one)], [("z", Q(0), Q(0))], z),
+    ]
+    for a, b, p in cases:
+        want = check_meetings(host, [a, b], ["x", "y"])
+        assert want == {(0, 1): Subforest(host, {}, frozenset([p]))}
+        assert meetings(host, [a, b], ["x", "x"]) == {}

@@ -361,6 +361,21 @@ def test_walk_tries_a_letter_only_where_its_domain_meets_the_last_range(
         assert expected * 5 < len(els) + len(words) * (len(els) - 1)
 
 
+@pytest.mark.parametrize("system", [step6, tripod])
+def test_dotted_words_pair_sides_off_their_charts(monkeypatch, system):
+    """dotted_words reads each side's domain spans off its chart and pairs
+    them in one sweep: it builds no side's domain and intersects no pair."""
+    s = system()
+    calls = []
+    intersect, domain = Subforest.intersect, lamination.chart_domain
+    monkeypatch.setattr(Subforest, "intersect",
+                        lambda a, b: calls.append("intersect") or intersect(a, b))
+    monkeypatch.setattr(lamination, "chart_domain",
+                        lambda host, chart: calls.append("chart_domain") or domain(host, chart))
+    assert dotted_words(s, 4)
+    assert calls == []
+
+
 # -- the walk and the sweep against the oracles -----------------------------
 
 SYSTEMS = {"bk_itm": lambda: corpus("bk_itm.bands"),
