@@ -11,7 +11,10 @@ other modules read (`Subforest.spans`, `from_spans`) and the two sweeps
 over it, of covers (`coverage`) and of meeting pairs (`meetings`), are
 all derived from that form here.  Outside this
 module only `rips._component_index`, `whitehead._scan` and
-`fileformat.serialize_system` read it.
+`fileformat.serialize_system` read it.  Arcs are read off one walk,
+`MetricForest.arc`, in pieces by arc length: points on an arc, germs,
+hulls and the marker charts of `isometry` all come from it, and no
+other module reads the pieces of `MetricForest.path`.
 
 Every order is decided by comparing two values, which reads their
 cached enclosures, never by building their difference to read its sign.
@@ -155,7 +158,6 @@ class MetricForest:
                     self._depth[nxt] = self._depth[cur] + 1
                     stack.append(nxt)
             comp += 1
-        self.n_components = comp
 
     # -- points -----------------------------------------------------------
 
@@ -231,8 +233,6 @@ class MetricForest:
         return up + list(reversed(down))
 
     def distance(self, p: Point, q: Point) -> Scalar:
-        if self.component_of(p) != self.component_of(q):
-            raise DifferentComponents("points lie in different trees")
         return self.path(p, q)[0]
 
     def _origin(self, p: Point) -> str:
@@ -241,7 +241,10 @@ class MetricForest:
     def path(self, p: Point, q: Point) -> tuple[Scalar, list[tuple[str, Scalar, Scalar]]]:
         """Exact distance and traversal pieces (edge_id, from_off, to_off):
         the vertex path between the origins of p's and q's cells, with a
-        first or last step along p's or q's own edge cut at that point."""
+        first or last step along p's or q's own edge cut at that point.
+        Raises DifferentComponents when p and q lie in different trees."""
+        if self.component_of(p) != self.component_of(q):
+            raise DifferentComponents("points lie in different trees")
         if (not p.is_vertex and not q.is_vertex and p.edge == q.edge):
             return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
         pieces: list[tuple[str, Scalar, Scalar]] = []
@@ -265,20 +268,28 @@ class MetricForest:
                 total = total + q.offset
         return total, pieces
 
+    def arc(self, p: Point, q: Point) -> list[tuple[Scalar, Scalar, str, bool, Scalar]]:
+        """The arc [p, q] by arc length s from p: pieces (s0, s1, edge,
+        flip, t), end to end from 0 to the distance, each putting s in
+        [s0, s1] at offset s + t of the edge, or at t - s if flip."""
+        out = []
+        s = ZERO
+        for e, f, ft in self.path(p, q)[1]:
+            flip = ft < f
+            s1 = s + (f - ft if flip else ft - f)
+            out.append((s, s1, e, flip, f + s if flip else f - s))
+            s = s1
+        return out
+
     def point_at(self, p: Point, q: Point, dist: Scalar) -> Point:
         """The point on the arc [p, q] at exact distance `dist` from p."""
-        total, pieces = self.path(p, q)
-        if dist.sign() < 0 or dist > total:
-            raise ForestError("distance outside the arc")
-        acc = ZERO
-        for eid, f, t in pieces:
-            seg = abs(t - f)
-            if acc + seg >= dist:
-                rem = dist - acc
-                off = f + rem if t > f else f - rem
-                return self.point(eid, off)
-            acc = acc + seg
-        return q
+        if dist.sign() >= 0:
+            for _, s1, e, flip, t in self.arc(p, q):
+                if dist <= s1:
+                    return self.point(e, t - dist if flip else dist + t)
+            if dist.sign() == 0:  # p == q
+                return q
+        raise ForestError("distance outside the arc")
 
     # -- directions -------------------------------------------------------
 
@@ -292,39 +303,28 @@ class MetricForest:
 
     def direction_towards(self, p: Point, q: Point) -> Direction:
         """The germ at p of the arc [p, q]; requires p != q."""
-        _, pieces = self.path(p, q)
+        pieces = self.arc(p, q)
         if not pieces:
             raise ForestError("no direction from a point to itself")
-        eid, f, t = pieces[0]
-        return Direction(p, eid, 1 if t > f else -1)
+        _, _, e, flip, _ = pieces[0]
+        return Direction(p, e, -1 if flip else 1)
 
     # -- sets -------------------------------------------------------------
 
     def segment(self, p: Point, q: Point) -> "Subforest":
-        if self.component_of(p) != self.component_of(q):
-            raise DifferentComponents("points lie in different trees")
-        if p == q:
-            return Subforest(self, {}, frozenset([p]))
-        _, pieces = self.path(p, q)
-        intervals: dict[str, list[tuple[Scalar, Scalar]]] = {}
-        for eid, f, t in pieces:
-            lo, hi = (f, t) if t > f else (t, f)
-            intervals.setdefault(eid, []).append((lo, hi))
-        return Subforest(self, intervals, frozenset())
+        return self.hull((p, q))
 
     def hull(self, points: Sequence[Point]) -> "Subforest":
-        """Convex hull of finitely many points of one component."""
-        pts = list(points)
-        if not pts:
+        """Convex hull of finitely many points of one tree: the first point
+        and the arcs from it to the others."""
+        if not points:
             return Subforest.empty(self)
-        comp = self.component_of(pts[0])
-        for p in pts[1:]:
-            if self.component_of(p) != comp:
-                raise DifferentComponents("hull generators span components")
-        out = Subforest(self, {}, frozenset([pts[0]]))
-        for p in pts[1:]:
-            out = out.union(self.segment(pts[0], p))
-        return out
+        cell, x = self.addresses(points[0])[0]
+        spans = [(cell, x, x)]
+        for q in points[1:]:
+            spans += [(e, t - s1, t - s0) if flip else (e, s0 + t, s1 + t)
+                      for s0, s1, e, flip, t in self.arc(points[0], q)]
+        return Subforest.from_spans(self, spans)
 
     def whole(self) -> "Subforest":
         intervals = {e.id: [(ZERO, e.length)] for e in self.edges}

@@ -73,19 +73,6 @@ def _map_point(host: MetricForest, chart: dict, p: Point) -> Point | None:
     return host.cell_point(hit[0][1], hit[0][4]) if hit else None
 
 
-def _arc(path: list) -> list:
-    """The pieces (s0, s1, edge, flip, t) of a `MetricForest.path`: arc
-    length s in [s0, s1] lies on the edge at s + t, or at t - s if flip."""
-    out = []
-    for e, f, ft in path:
-        d = ft - f
-        flip = d.sign() < 0
-        n, s = -d if flip else d, out[-1][1] if out else ZERO
-        out.append((s, s + n, e, flip, f + s if flip else f - s) if out
-                   else (ZERO, n, e, flip, f))
-    return out
-
-
 def _marker_chart(band: "PartialIsometry") -> dict[str, list]:
     """The interval pieces of a band's chart, from its markers: the arc
     from the first marker to each other one read beside its image arc."""
@@ -93,7 +80,7 @@ def _marker_chart(band: "PartialIsometry") -> dict[str, list]:
     chart: dict[str, list] = {}
     for m, i in band.correspondence[1:]:
         for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
-                _arc(host.path(m0, m)[1]), _arc(host.path(i0, i)[1])):
+                host.arc(m0, m), host.arc(i0, i)):
             a, b = max(s0, r0), min(s1, r1)
             if a < b:
                 piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (

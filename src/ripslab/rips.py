@@ -25,7 +25,7 @@ from typing import Optional
 
 from .fileformat import PARSE_ERRORS, parse_system, save_system
 from .forest import Point, Subforest
-from .isometry import ValenceStratification, ValidationError  # noqa: F401  (re-exported)
+from .isometry import ValenceStratification  # noqa: F401  (re-exported)
 from .isometry import BandSystem, PartialIsometry
 from .scalar import Scalar, rational
 

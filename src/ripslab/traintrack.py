@@ -513,13 +513,10 @@ class WhGraph:
         return "\n".join(lines)
 
 
-def stable_whitehead_graph(m: RoseMap,
-                           iterate_budget: Optional[int] = None) -> WhGraph:
+def stable_whitehead_graph(m: RoseMap, iterate_budget: int) -> WhGraph:
     """Graph on fixed directions whose edges are the taken fixed turns."""
     if not is_rotationless(m):
         raise NotRotationless("apply rotationless_power first")
-    if iterate_budget is None:
-        iterate_budget = 2 * m.rank
     if iterate_budget < 1:
         raise ValueError("iterate_budget must be >= 1")
     fixed = set(direction_dynamics(m).fixed)

@@ -15,6 +15,7 @@ from ripslab import rips
 from ripslab.cli import main
 from ripslab.fileformat import parse_system
 from ripslab.forest import Subforest
+from ripslab.isometry import ValidationError
 from ripslab.traintrack import parse_map, rotationless_power, \
     stable_whitehead_graph
 
@@ -240,7 +241,7 @@ def test_validation_error_later_in_resumed_run_is_internal(tmp_path,
                    "--checkpoint", str(ck), bands)[0] == 0
 
     def broken(system):
-        raise rips.ValidationError(["invariant broken"])
+        raise ValidationError(["invariant broken"])
 
     monkeypatch.setattr(rips, "rips_step", broken)
     assert run_cli("rips", "classify", "--resume",

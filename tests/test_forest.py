@@ -403,6 +403,94 @@ def test_path_matches_oracle_on_random_forests(forest):
     check_paths(*forest)
 
 
+# -- arcs, hulls and points on arcs against the walks over `path` they replace -
+
+def reference_segment(host, p, q):
+    """The arc [p, q] as a subforest, one interval per `path` piece."""
+    if p == q:
+        return Subforest(host, {}, frozenset([p]))
+    intervals = {}
+    for eid, f, t in host.path(p, q)[1]:
+        intervals.setdefault(eid, []).append((f, t) if t > f else (t, f))
+    return Subforest(host, intervals)
+
+
+def reference_hull(host, points):
+    """The first point, and the union of the segments from it to the
+    other points."""
+    out = Subforest(host, {}, frozenset(points[:1]))
+    for p in points[1:]:
+        out = out.union(reference_segment(host, points[0], p))
+    return out
+
+
+def reference_point_at(host, p, q, dist):
+    """The point at distance dist from p on [p, q], by a running sum of
+    the `path` pieces' lengths."""
+    total, pieces = host.path(p, q)
+    if dist.sign() < 0 or dist > total:
+        raise ForestError("distance outside the arc")
+    acc = Q(0)
+    for eid, f, t in pieces:
+        seg = abs(t - f)
+        if acc + seg >= dist:
+            rem = dist - acc
+            return host.point(eid, f + rem if t > f else f - rem)
+        acc = acc + seg
+    return q
+
+
+def check_arcs(host, points, rng, pairs=60):
+    """On sampled pairs of points: `arc` runs end to end from 0 to the
+    distance, each piece end at its arc length from p and from q; `segment`,
+    `point_at` and `hull` agree with the references, and across trees
+    each of them raises DifferentComponents."""
+    for _ in range(pairs):
+        p, q = rng.choice(points), rng.choice(points)
+        if host.component_of(p) != host.component_of(q):
+            for f in (host.arc, host.segment, lambda p, q: host.hull([p, q])):
+                with pytest.raises(DifferentComponents):
+                    f(p, q)
+            with pytest.raises(DifferentComponents):
+                host.point_at(p, q, Q(0))
+            continue
+        d, pieces = host.distance(p, q), host.arc(p, q)
+        assert [s0 for s0, *_ in pieces] + [d] == [Q(0)] + [s1 for _, s1, *_ in pieces]
+        for s0, s1, e, flip, t in pieces:
+            assert s0 <= s1
+            for s in (s0, s1):
+                x = host.point(e, t - s if flip else s + t)
+                assert (host.distance(p, x), host.distance(x, q)) == (s, d - s), (p, q, s)
+        assert host.segment(p, q) == reference_segment(host, p, q), (p, q)
+        for s in [Q(0), d] + [s1 for _, s1, *_ in pieces] + [d * Q(k, 7) for k in (1, 3, 6)]:
+            assert host.point_at(p, q, s) == reference_point_at(host, p, q, s), (p, q, s)
+        for s in (Q(-1, 8), d + Q(1, 8)):
+            with pytest.raises(ForestError):
+                host.point_at(p, q, s)
+    trees = {}
+    for p in points:
+        trees.setdefault(host.component_of(p), []).append(p)
+    for tree in trees.values():
+        for k in (1, 2, 3, 5):
+            gens = [rng.choice(tree) for _ in range(k)]
+            assert host.hull(gens) == reference_hull(host, gens), gens
+    assert host.hull([]).is_empty
+
+
+def test_arcs_match_reference_walks_on_tripod_and_zigzag_hosts():
+    rng = random.Random(25)
+    hosts = [tripod_system().forest] + [zigzag(corpus(name)).forest for name in
+                                 ("e_surf.bands", "e_trim.bands", "bk_itm.bands")]
+    for host in hosts:
+        check_arcs(host, sample_points(host, host.whole(), rng, 2), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_forests(), st.randoms(use_true_random=False))
+def test_arcs_match_reference_walks_on_random_forests(forest, rng):
+    check_arcs(*forest, rng, pairs=20)
+
+
 # -- exact decisions within 10^-12 of an edge end or of each other -------------
 
 # an edge length and a gap below 10^-12: L^60 is about 1.3 * 10^-16

@@ -1,6 +1,6 @@
 """Checks over the source of `src/ripslab`, read as syntax trees: every
 public module-level name has a reader in the program or the benchmark,
-and sympy is imported in one place."""
+sympy is imported in one place, and only `forest` reads path pieces."""
 
 import ast
 import pathlib
@@ -66,3 +66,14 @@ def test_sympy_is_imported_in_one_place():
              and any(a.name.split(".")[0] == "sympy" for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"]
     assert [f for f, _ in sites] == ["scalar.py"], sites
+
+
+def test_only_forest_reads_path_pieces():
+    """`MetricForest.path`'s piece layout stays inside `forest`: every
+    other module reads an arc through `MetricForest.arc`."""
+    calls = [(f, node.lineno) for f, tree in _trees(SRC).items() if f != "forest.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "path"
+             and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "os")]
+    assert calls == []
