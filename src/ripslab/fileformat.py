@@ -319,7 +319,8 @@ def parse_system_text(text: str) -> BandSystem:
         bands.append(band_from_markers(forest, name, corr))
 
     system = BandSystem(forest, tuple(bands), support=support, field=field)
-    problems = system.validate()
+    # band_from_markers validated each band as it built it
+    problems = [v for b in bands for v in system.leaving_support(b)]
     if problems:
         raise ValidationError(problems)
     return system

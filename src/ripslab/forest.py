@@ -303,10 +303,9 @@ class MetricForest:
 
     def direction_towards(self, p: Point, q: Point) -> Direction:
         """The germ at p of the arc [p, q]; requires p != q."""
-        pieces = self.arc(p, q)
-        if not pieces:
+        if p == q:
             raise ForestError("no direction from a point to itself")
-        _, _, e, flip, _ = pieces[0]
+        _, _, e, flip, _ = self.arc(p, q)[0]
         return Direction(p, e, -1 if flip else 1)
 
     # -- sets -------------------------------------------------------------
@@ -503,7 +502,9 @@ class Subforest:
         """Connected components, canonically ordered: intervals are joined
         through the vertices they reach, and each isolated point is one.
         Each component's intervals are a subsequence of this set's, so they
-        are in canonical form already."""
+        are in canonical form already; one interval alone is the set."""
+        if not self.points and [len(ivs) for ivs in self.intervals.values()] == [1]:
+            return [self]
         parent: dict[tuple[str, int], tuple[str, int]] = {}
 
         def find(i):

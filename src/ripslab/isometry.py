@@ -167,16 +167,20 @@ class PartialIsometry:
         return q
 
     def image_of(self, s: Subforest) -> Subforest:
-        """Exact image of a subset s of the domain."""
+        """Exact image of a subset s of the domain; of the whole domain, the
+        range, with no chart read."""
+        if s == self.domain:
+            return self.range
         return _clip(self.host, self.chart, s)[1]
 
     def restrict(self, d: Subforest) -> "PartialIsometry | None":
-        """Maximal restriction of the map to domain `intersect` d, charted."""
+        """Maximal restriction of the map to domain `intersect` d, charted;
+        to the whole domain, the map itself."""
+        if d == self.domain:
+            return self
         nd = self.domain.intersect(d)
         if nd.is_empty:
             return None
-        if nd == self.domain:
-            return self
         chart, image = _clip(self.host, self.chart, nd)
         corr = tuple((m, _map_point(self.host, chart, m)) for m in nd.extremal_points())
         return PartialIsometry(self.name, nd, image, corr, self.inverted, _chart=chart)
@@ -206,14 +210,15 @@ class PartialIsometry:
                         f"{mi!r},{mj!r} ({dd!r} vs {dr!r})")
         if bad:
             return bad
-        dom_pts = [m for m, _ in corr]
-        img_pts = [i for _, i in corr]
-        if host.hull(dom_pts) != self.domain:
-            bad.append(f"band {self.label}: markers do not span the domain "
-                       "(missing extremal markers)")
-        if host.hull(img_pts) != self.range:
-            bad.append(f"band {self.label}: surjectivity violation "
-                       "(marker images do not span the range)")
+        # a set holding the markers is their hull iff it is one subtree
+        # whose extremal points are all markers; so no hull is built here
+        for s, pts, what in (
+                (self.domain, {m for m, _ in corr},
+                 "markers do not span the domain (missing extremal markers)"),
+                (self.range, {i for _, i in corr},
+                 "surjectivity violation (marker images do not span the range)")):
+            if len(s.components()) != 1 or not pts.issuperset(s.extremal_points()):
+                bad.append(f"band {self.label}: {what}")
         # consistency on branch points of the domain hull
         branch = [p for p, n in self.domain.end_counts().items() if n >= 3]
         for b in branch:
@@ -270,14 +275,13 @@ class BandSystem:
         raise IsometryError(f"no band labeled {label!r}")
 
     def validate(self) -> list[str]:
-        bad: list[str] = []
-        for b in self.bands:
-            bad.extend(b.validate())
-            if not b.domain.issubset(self.support):
-                bad.append(f"band {b.label}: domain leaves the support")
-            if not b.range.issubset(self.support):
-                bad.append(f"band {b.label}: range leaves the support")
-        return bad
+        return [v for b in self.bands for v in b.validate() + self.leaving_support(b)]
+
+    def leaving_support(self, b: PartialIsometry) -> list[str]:
+        """The violations of a band whose domain or range leaves the support."""
+        return [f"band {b.label}: {side} leaves the support"
+                for side, s in (("domain", b.domain), ("range", b.range))
+                if not s.issubset(self.support)]
 
     @cached_property
     def strata(self) -> ValenceStratification:

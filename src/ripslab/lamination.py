@@ -103,17 +103,22 @@ def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], lis
         near[j].append(i)
     follow = {inverse_label(a.label): [bands[j] for j in sorted(n)]
               for a, n in zip(els, near)}
+    yield from _extensions(system.forest, follow, depth, (),
+                           identity_chart(system.support), bands)
 
-    def rec(word, chart):
-        for letter, band in follow[word[-1]] if word else bands:
-            nxt = _drop_covered(system.forest, extend_chart(chart, band))
-            if nxt:
-                ext = word + (letter,)
-                yield ext, nxt
-                if len(ext) < depth:
-                    yield from rec(ext, nxt)
 
-    yield from rec((), identity_chart(system.support))
+def _extensions(host: MetricForest, follow: dict, depth: int, word: tuple,
+                chart: list, letters: list) -> Iterator[tuple[tuple[str, ...], list]]:
+    """The admissible extensions of a word by one of the given letters and
+    then by letters that may follow, depth first; not a closure, so that no
+    reference cycle keeps a finished walk's system alive."""
+    for letter, band in letters:
+        nxt = _drop_covered(host, extend_chart(chart, band))
+        if nxt:
+            ext = word + (letter,)
+            yield ext, nxt
+            if len(ext) < depth:
+                yield from _extensions(host, follow, depth, ext, nxt, follow[letter])
 
 
 def admissible_words(system: BandSystem, depth: int

@@ -72,7 +72,8 @@ def rips_step(system: BandSystem) -> BandSystem:
     these sets are disjoint and closed with union D, so they are exactly
     its components.  A new band's label extends its parent's with (i, j),
     read off its first marker and that marker's image, so lineage is
-    always recoverable; the new bands of a parent are ordered by (i, j).
+    always recoverable; the new bands of a parent are ordered by (i, j),
+    and each keeps its chart under its new label.
     """
     K = overlap_set(system)
     component = _component_index(K)
@@ -85,7 +86,7 @@ def rips_step(system: BandSystem) -> BandSystem:
             m, i = b.correspondence[0]
             pieces.append((component(m), component(i), b))
         for ci, cj, b in sorted(pieces, key=lambda t: t[:2]):
-            new_bands.append(replace(b, name=f"{a.name}.{ci}_{cj}"))
+            new_bands.append(replace(b, name=f"{a.name}.{ci}_{cj}", _chart=b.chart))
     return BandSystem(system.forest, tuple(new_bands), support=K,
                       field=system.field)
 

@@ -628,6 +628,40 @@ def test_structure_at_shared_vertices_and_lone_points():
     assert [d.edge for d in star.germ_directions(b)] == ["f0", "f1", "f3"]
 
 
+def test_single_interval_is_its_own_component():
+    """A set of one interval and no isolated point is its one component, as
+    the union-find oracle finds it; with a second interval or a point the
+    set is split as before."""
+    for name in sorted(STRUCTURE_HOSTS):
+        host, grids, pts = STRUCTURE_HOSTS[name]
+        for eid, grid in grids.items():
+            for lo, hi in combinations(grid, 2):
+                s = Subforest(host, {eid: [(lo, hi)]})
+                assert s.components() == oracles.reference_components(s) == [s]
+                assert s.components()[0] is s
+                for other in (Subforest(host, {}, frozenset([p])) for p in pts[:3]):
+                    t = s.union(other)
+                    assert t.components() == oracles.reference_components(t)
+    host = STRUCTURE_HOSTS["tripod/Q"][0]
+    two = Subforest(host, {"l1": [(Q(0), Q(1, 2))], "l2": [(Q(0), Q(1, 2))]})
+    assert two.components() == oracles.reference_components(two) == [two]
+    assert two.components()[0] is not two
+
+
+def test_direction_towards_itself_raises_at_vertices_and_edge_points():
+    rng = random.Random(26)
+    host = tripod_system().forest
+    pts = sample_points(host, host.whole(), rng, 2)
+    assert any(p.is_vertex for p in pts) and any(not p.is_vertex for p in pts)
+    for p in pts:
+        with pytest.raises(ForestError):
+            host.direction_towards(p, p)
+        for q in pts:
+            if q != p and host.component_of(q) == host.component_of(p):
+                d = host.direction_towards(p, q)
+                assert d.base == p and host.segment(p, q).extends_in(d)
+
+
 # -- the meetings sweep against all-pairs intersect ----------------------------
 
 def cells(host):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hosts import is_point, refine, summary
 import oracles
 from ripslab import isometry
+from ripslab.fileformat import parse_system_text
 from ripslab.forest import Edge, MetricForest, Point
 from ripslab.isometry import (
     BandSystem,
@@ -284,3 +285,89 @@ def test_chart_matches_markers_on_tripod():
 def test_chart_fuzz(system, rng):
     for band in system.elements():
         check_chart(band, rng)
+
+
+# -- the whole-set identities of image_of and restrict -------------------------
+
+def bk_rational(L):
+    """The band layout of bk_itm over Q, with the generator replaced by L."""
+    L2 = L * L
+    return parse_system_text("\n".join([
+        "tree", "vertex u", "vertex v", "edge e0 u v 1",
+        "band a", f"map e0:0 -> e0:{1 - L}", f"map e0:{L} -> e0:1",
+        "band b", f"map e0:0 -> e0:{1 - L2}", f"map e0:{L2} -> e0:1",
+        "band c", f"map e0:0 -> e0:{L + L2}", f"map e0:{1 - L - L2} -> e0:1",
+    ]) + "\n")
+
+
+def check_whole_band_identities(system, steps=30):
+    """At every step of a run, every band and its inverse: its chart clipped
+    to its whole domain maps it onto its range, which `image_of` returns
+    unread, and restricted to its whole domain it is itself."""
+    for rec in run(system, steps).steps:
+        for band in rec.system.elements():
+            assert isometry._clip(band.host, band.chart, band.domain)[1] == band.range, band
+            assert band.image_of(band.domain) is band.range
+            assert band.restrict(band.domain) is band
+
+
+@pytest.mark.parametrize("name", ["bk_itm", "bk_rational", "e_trim", "tripod",
+                                  "zigzag/e_trim", "zigzag/bk_itm"])
+def test_whole_band_identities_along_runs(name):
+    if name == "bk_rational":
+        # just below the real root of L^3 + L^2 + L - 1, so 30 steps shadow bk_itm
+        system = bk_rational(Fraction(543689012, 10 ** 9))
+    elif name == "tripod":
+        system = tripod()
+    else:
+        system = corpus(name.rpartition("/")[2] + ".bands")
+        system = zigzag(system) if name.startswith("zigzag") else system
+    check_whole_band_identities(system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(interval_systems())
+def test_whole_band_identities_fuzz(system):
+    check_whole_band_identities(system)
+
+
+# -- validation reads the hulls that band_from_markers built -------------------
+
+def test_parse_builds_each_band_hull_once(monkeypatch):
+    """band_from_markers builds a band's domain and range as hulls; neither
+    its validation nor the system's validation builds them again."""
+    calls = []
+    hull = MetricForest.hull
+
+    def counting(host, points):
+        calls.append(points)
+        return hull(host, points)
+
+    monkeypatch.setattr(MetricForest, "hull", counting)
+    system = corpus("bk_itm.bands")
+    assert len(system.bands) == 3 and len(calls) == 6
+
+
+@pytest.mark.parametrize("name", ["e_trim.bands", "bk_itm.bands", "tripod"])
+def test_validate_spans_match_hulls(name):
+    """validate reports unspanned domains and ranges exactly where the hull
+    of the markers, or of their images, is not the domain or the range:
+    with all markers, with one left out, and with the whole tree of the
+    markers as domain."""
+    system = tripod() if name == "tripod" else corpus(name)
+    seen = set()
+    for rec in run(system, 3).steps:
+        for band in rec.system.elements():
+            host, corr = band.host, band.correspondence
+            cases = [corr] + [corr[:k] + corr[k + 1:] for k in range(len(corr))] + [corr[:1]]
+            for sub in filter(None, cases):
+                tree = next(c for c in host.whole().components() if c.contains(sub[0][0]))
+                for domain in (band.domain, tree):
+                    bad = PartialIsometry(band.name, domain, band.range, sub).validate()
+                    spans = host.hull([m for m, _ in sub]) == domain
+                    seen.add(spans)
+                    assert any("do not span the domain" in v for v in bad) != spans, (band, sub)
+                    if domain is band.domain:
+                        assert any("surjectivity" in v for v in bad) == (
+                            host.hull([i for _, i in sub]) != band.range), (band, sub)
+    assert seen == {True, False}

@@ -1,5 +1,7 @@
+import gc
 import importlib.resources as resources
 import os
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +24,7 @@ from ripslab.lamination import (
 )
 from ripslab.rips import lineage, rips_step
 from ripslab.scalar import rational as Q
-from ripslab.whitehead import wh_scan
+from ripslab.whitehead import detect_pattern, wh_scan
 
 from hosts import is_point
 import oracles
@@ -445,3 +447,23 @@ def test_word_charts_carry_no_covered_point_pieces():
             points += len(pts)
     assert points
     check_walk(s, 5, brute=False)
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: wh_scan(s, 3), lambda s: detect_pattern(s, 3), lambda s: limit_set(s, 3),
+    lambda s: leaves_at(s, s.forest.vertex_point("u"), 3), lambda s: admissible_words(s, 3)],
+    ids=["wh_scan", "detect_pattern", "limit_set", "leaves_at", "admissible_words"])
+def test_dropped_system_after_a_walk_is_freed_without_the_cycle_collector(read):
+    """No reference cycle of a finished word walk holds the system, so once
+    the system and what was read off it are dropped, reference counting
+    alone frees the system and its field.  The collector is off during the
+    read too, as a collection there could free such a cycle by chance."""
+    system = corpus("bk_itm.bands")
+    refs = weakref.ref(system), weakref.ref(system.field)
+    gc.disable()
+    try:
+        result = read(system)
+        del system, result
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -386,6 +386,24 @@ def test_run_reads_charts_off_markers_only_for_parsed_bands(monkeypatch):
     assert sorted(built) == sorted(b.label for b in system.bands)
 
 
+def test_run_derives_an_inverse_chart_only_where_a_range_leaves_k1(monkeypatch):
+    """rips_step maps each band's range through its inverse, but a range
+    that lies in K' maps onto the whole domain, which image_of returns with
+    no chart read; so a run of bk_itm derives about one inverse chart per
+    step, not one per band (960 in 30 steps)."""
+    derived = []
+    inverse_chart = isometry._inverse_chart
+
+    def counting(chart):
+        derived.append(chart)
+        return inverse_chart(chart)
+
+    monkeypatch.setattr(isometry, "_inverse_chart", counting)
+    trace = run(corpus("bk_itm.bands"), 30)
+    assert len(trace.steps) == 31 and not trace.halted
+    assert len(derived) <= 40
+
+
 def test_run_numbers_steps_from_start(e_trim, tmp_path):
     trace = run(e_trim, 2, checkpoint=str(tmp_path), start=3)
     assert [r.index for r in trace.steps] == [3, 4, 5]
