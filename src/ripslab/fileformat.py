@@ -106,70 +106,71 @@ def _tokenize(text: str, line: int) -> list[str]:
 def _parse_poly(text: str, line: int, gen: bool) -> Poly:
     """Parse a sum of terms c, c*L^k, L^k into ascending coefficients.
 
-    The generator L is rejected unless `gen` is set."""
-    toks = _tokenize(text, line)
+    The generator L is rejected unless `gen` is set.  The parsers below
+    read the tokens off the end of one reversed list, the cursor."""
+    toks = _tokenize(text, line)[::-1]
     if not toks:
         raise BandsSyntaxError(line, "empty scalar expression")
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def parse_factor() -> Poly:
-        t = take()
-        if t == "(":
-            v = parse_expr()
-            if take() != ")":
-                raise BandsSyntaxError(line, "unbalanced parenthesis")
-            return v
-        if t == "L":
-            if not gen:
-                raise BandsSyntaxError(
-                    line, "generator L used without a field declaration")
-            k = 1
-            if peek() == "^":
-                take()
-                k = take()
-                if k is None or not k.isdigit():
-                    raise BandsSyntaxError(line, "bad exponent")
-            return (Fraction(0),) * int(k) + (Fraction(1),)
-        if t is None or t in "+-*^)":
-            raise BandsSyntaxError(line, f"unexpected token {t!r}")
-        try:
-            return _trim([Fraction(t)])
-        except ZeroDivisionError:
-            raise BandsSyntaxError(line, f"zero denominator in {t!r}") from None
-
-    def parse_term() -> Poly:
-        v = parse_factor()
-        while peek() == "*":
-            take()
-            v = _pmul(v, parse_factor())
-        return v
-
-    def parse_expr() -> Poly:
-        neg = False
-        if peek() in ("+", "-"):
-            neg = take() == "-"
-        v = parse_term()
-        if neg:
-            v = _pneg(v)
-        while peek() in ("+", "-"):
-            op = take()
-            w = parse_term()
-            v = _padd(v, _pneg(w) if op == "-" else w)
-        return v
-
-    value = parse_expr()
-    if pos != len(toks):
+    value = _parse_expr(toks, line, gen)
+    if toks:
         raise BandsSyntaxError(line, f"trailing tokens in {text!r}")
     return value
+
+
+def _peek(toks: list[str]) -> Optional[str]:
+    return toks[-1] if toks else None
+
+
+def _take(toks: list[str]) -> Optional[str]:
+    return toks.pop() if toks else None
+
+
+def _parse_factor(toks: list[str], line: int, gen: bool) -> Poly:
+    t = _take(toks)
+    if t == "(":
+        v = _parse_expr(toks, line, gen)
+        if _take(toks) != ")":
+            raise BandsSyntaxError(line, "unbalanced parenthesis")
+        return v
+    if t == "L":
+        if not gen:
+            raise BandsSyntaxError(
+                line, "generator L used without a field declaration")
+        k = "1"
+        if _peek(toks) == "^":
+            _take(toks)
+            k = _take(toks)
+            if k is None or not k.isdigit():
+                raise BandsSyntaxError(line, "bad exponent")
+        return (Fraction(0),) * int(k) + (Fraction(1),)
+    if t is None or t in "+-*^)":
+        raise BandsSyntaxError(line, f"unexpected token {t!r}")
+    try:
+        return _trim([Fraction(t)])
+    except ZeroDivisionError:
+        raise BandsSyntaxError(line, f"zero denominator in {t!r}") from None
+
+
+def _parse_term(toks: list[str], line: int, gen: bool) -> Poly:
+    v = _parse_factor(toks, line, gen)
+    while _peek(toks) == "*":
+        _take(toks)
+        v = _pmul(v, _parse_factor(toks, line, gen))
+    return v
+
+
+def _parse_expr(toks: list[str], line: int, gen: bool) -> Poly:
+    neg = False
+    if _peek(toks) in ("+", "-"):
+        neg = _take(toks) == "-"
+    v = _parse_term(toks, line, gen)
+    if neg:
+        v = _pneg(v)
+    while _peek(toks) in ("+", "-"):
+        op = _take(toks)
+        w = _parse_term(toks, line, gen)
+        v = _padd(v, _pneg(w) if op == "-" else w)
+    return v
 
 
 def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scalar:

@@ -9,7 +9,7 @@ span (`Subforest.spans`).  Only a band built from its markers
 parent's chart, clipped, and an inverse inverts its forward chart.
 A band system couples a host forest with finitely many positively-labeled
 bands; inverses are derived, so the label set and its inverses never
-collide.  Its valence stratification is computed once, on first use.
+collide.  Its strata and what others derive from it are computed once.
 """
 
 from __future__ import annotations
@@ -219,7 +219,9 @@ class PartialIsometry:
                  "surjectivity violation (marker images do not span the range)")):
             if len(s.components()) != 1 or not pts.issuperset(s.extremal_points()):
                 bad.append(f"band {self.label}: {what}")
-        # consistency on branch points of the domain hull
+        if bad:
+            return bad
+        # consistency on branch points of the domain, now the markers' hull
         branch = [p for p, n in self.domain.end_counts().items() if n >= 3]
         for b in branch:
             images = set()
@@ -287,6 +289,11 @@ class BandSystem:
     def strata(self) -> ValenceStratification:
         """The valence stratification, computed on first use."""
         return ValenceStratification(self)
+
+    @cached_property
+    def derived(self) -> dict:
+        """What other modules derive from the system, kept and freed with it."""
+        return {}
 
     def max_domain_diameter(self) -> Scalar:
         """The largest band domain diameter (a range has its domain's)."""

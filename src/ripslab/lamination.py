@@ -90,35 +90,38 @@ def _drop_covered(host: MetricForest, chart: list) -> list:
 
 
 def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], list]]:
-    """Depth-first enumeration of admissible words with their charts.  A
-    letter x is tried after y only if dom(x) meets range(y) = dom(y')."""
+    """Depth-first enumeration of admissible words with their charts, off
+    the system's one word trie, made on the first read and grown by deeper
+    ones.  A letter x is tried after y only if dom(x) meets range(y) = dom(y')."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    els = system.elements()
-    bands = [(a.label, a.chart) for a in els]
-    near: list[list[int]] = [[] for _ in els]
-    for i, j in meetings(system.forest, [a.domain.spans() for a in els],
-                         [a.label for a in els]):
-        near[i].append(j)
-        near[j].append(i)
-    follow = {inverse_label(a.label): [bands[j] for j in sorted(n)]
-              for a, n in zip(els, near)}
-    yield from _extensions(system.forest, follow, depth, (),
-                           identity_chart(system.support), bands)
+    if "words" not in system.derived:
+        els = system.elements()
+        bands = [(a.label, a.chart) for a in els]
+        near: list[list[int]] = [[] for _ in els]
+        for i, j in meetings(system.forest, [a.domain.spans() for a in els],
+                             [a.label for a in els]):
+            near[i].append(j)
+            near[j].append(i)
+        follow = {inverse_label(a.label): [bands[j] for j in sorted(n)]
+                  for a, n in zip(els, near)}
+        system.derived["words"] = (system.forest, follow,
+                                   [(), identity_chart(system.support), bands, None])
+    return ((w, chart) for w, chart, _, _ in _descend(*system.derived["words"], depth))
 
 
-def _extensions(host: MetricForest, follow: dict, depth: int, word: tuple,
-                chart: list, letters: list) -> Iterator[tuple[tuple[str, ...], list]]:
-    """The admissible extensions of a word by one of the given letters and
-    then by letters that may follow, depth first; not a closure, so that no
-    reference cycle keeps a finished walk's system alive."""
-    for letter, band in letters:
-        nxt = _drop_covered(host, extend_chart(chart, band))
-        if nxt:
-            ext = word + (letter,)
-            yield ext, nxt
-            if len(ext) < depth:
-                yield from _extensions(host, follow, depth, ext, nxt, follow[letter])
+def _descend(host: MetricForest, follow: dict, node: list, depth: int) -> Iterator[list]:
+    """The trie nodes [word, chart, letters that may follow, children]
+    below a node, to length depth, depth first.  A node's children are
+    made on its first visit; the trie holds no reference to the system."""
+    word, chart, letters, children = node
+    if children is None:
+        children = node[3] = [[word + (x,), nxt, follow[x], None] for x, band in letters
+                              if (nxt := _drop_covered(host, extend_chart(chart, band)))]
+    for child in children:
+        yield child
+        if len(child[0]) < depth:
+            yield from _descend(host, follow, child, depth)
 
 
 def admissible_words(system: BandSystem, depth: int
@@ -128,20 +131,25 @@ def admissible_words(system: BandSystem, depth: int
             for w, chart in _walk(system, depth)]
 
 
-def dotted_words(system: BandSystem, depth: int) -> list[LeafWord]:
+def dotted_words(system: BandSystem, depth: int) -> tuple[LeafWord, ...]:
     """Admissible dotted words of side-length depth, up to reversal.
 
     A pair of one-sided words is admissible when both domains meet and
     their first letters differ (so the two rays leave the dot along
     distinct bands and the full word is reduced across the dot).  The
     sides' domain spans are read off their charts, and one `meetings`
-    sweep gives the pairs and their intersections.
+    sweep gives the pairs and their intersections.  Computed once per
+    system and depth.
     """
-    sides = [(w, chart_spans(chart)) for w, chart in _walk(system, depth) if len(w) == depth]
-    met = meetings(system.forest, [spans for _, spans in sides], [w[0] for w, _ in sides])
-    return sorted((LeafWord(*sorted((sides[i][0], sides[j][0])),
-                            Subforest.from_spans(system.forest, spans))
-                   for (i, j), spans in met.items()), key=LeafWord.key)
+    key = ("dotted_words", depth)
+    if key not in system.derived:
+        sides = [(w, chart_spans(chart)) for w, chart in _walk(system, depth) if len(w) == depth]
+        met = meetings(system.forest, [spans for _, spans in sides], [w[0] for w, _ in sides])
+        system.derived[key] = tuple(sorted(
+            (LeafWord(*sorted((sides[i][0], sides[j][0])),
+                      Subforest.from_spans(system.forest, spans))
+             for (i, j), spans in met.items()), key=LeafWord.key))
+    return system.derived[key]
 
 
 def limit_set(system: BandSystem, depth: int) -> LimitSetApprox:

@@ -39,7 +39,8 @@ TRANSCRIPT = os.path.join(DATA, "cli_transcript.txt")
 TT_ACTIONS = ("check", "matrix", "pf", "rotationless", "swg")
 MAPS = ("corpus/tribonacci.map", "corpus/fibonacci.map",
         "data/integer_eigenvalue.map", "data/cubic.map", "data/quartic.map",
-        "data/mixed_root.map", "data/repeated_root.map")
+        "data/mixed_root.map", "data/repeated_root.map",
+        "data/reducible.map", "data/periodic.map", "data/not_train_track.map")
 
 SYSTEMS = ("corpus/e_surf.bands", "corpus/e_trim.bands", "corpus/bk_itm.bands")
 WALKS = (("words",), ("limitset",), ("pattern",), ("k33",), ("wh", "scan"))
@@ -53,6 +54,12 @@ LOADERS = (("validate",), ("rips", "step"), ("rips", "run"), ("rips", "classify"
            ("strata",), ("words",), ("limitset",), ("pattern",), ("k33",), ("wh", "scan"),
            ("wh", "at", "--point", "u", "--direction", "e0:+"))
 
+# each exits 1 with its message on stderr
+USAGE_ERRORS = (("tt", "check"), ("words", "--depth", "0", "corpus/e_surf.bands"),
+                ("rips", "classify", "--diam-ratio", "3/2", "corpus/e_trim.bands"),
+                ("rips", "run", "--resume", "corpus/e_trim.bands"),
+                ("wh", "at", "corpus/e_surf.bands"), ("corpus", "show"))
+
 COMMANDS = (
     tuple(("tt", action, path) for path in MAPS for action in TT_ACTIONS)
     + tuple(argv + (path,) for path in SYSTEMS
@@ -63,7 +70,8 @@ COMMANDS = (
     + tuple(("wh", "at", "--depth", "3", "--point", point, "--direction", d, path)
             for path, point, d in TOP_ROWS)
     + tuple(argv + (path,) for argv in LOADERS for path in BAD)
-    + (("corpus", "list"), ("corpus", "show", "bk_itm.oracle")))
+    + (("corpus", "list"), ("corpus", "show", "bk_itm.oracle"))
+    + USAGE_ERRORS)
 
 # run in this order, sharing one checkpoint directory per system
 CHECKPOINT_RUNS = (

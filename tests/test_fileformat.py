@@ -1,3 +1,4 @@
+import gc
 import importlib.resources as resources
 import os
 import subprocess
@@ -113,6 +114,21 @@ def test_parse_corpus_bk_itm():
     b = s.field.gen
     assert s.band("c").domain.volume() == b * b * b
     assert not s.validate()
+
+
+def test_parse_leaves_no_garbage_for_the_cycle_collector():
+    """A parse makes no reference cycle: with the collector off, reference
+    counting alone frees every object of a parsed and dropped system."""
+    with open(corpus("bk_itm.bands"), encoding="utf-8") as fh:
+        text = fh.read()
+    parse_system_text(text)
+    gc.collect()
+    gc.disable()
+    try:
+        parse_system_text(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_tree_with_branch():

@@ -130,6 +130,19 @@ def test_validate_surjectivity_violation(line3):
     assert any("surjectivity" in v for v in problems)
 
 
+def test_validate_reports_a_domain_with_a_branch_point_in_another_tree():
+    """A domain that is not the markers' hull, here the whole tripod host
+    with its branch point c, while the markers sit at the lone vertex z,
+    is reported as a violation: the branch-point check, which measures
+    from the markers to c, is not reached."""
+    host = tripod().forest
+    a, z = host.vertex_point("a"), host.vertex_point("z")
+    bad = PartialIsometry("p", host.whole(), host.whole(), ((z, a), (z, a)), True)
+    assert bad.validate() == [
+        "band p': markers do not span the domain (missing extremal markers)",
+        "band p': surjectivity violation (marker images do not span the range)"]
+
+
 def test_arc_band_rejects_unequal_lengths(line3):
     with pytest.raises(ValidationError):
         band_from_markers(line3, "x", ((line3.point("e0", 0), line3.point("e0", 1)),

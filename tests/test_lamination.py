@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ripslab import lamination
-from ripslab.fileformat import parse_system
+from ripslab.fileformat import parse_system, parse_system_text, serialize_system
 from ripslab.forest import Edge, MetricForest, Subforest
 from ripslab.isometry import BandSystem, PartialIsometry, band_from_markers, chart_domain
 from ripslab.lamination import (
@@ -346,17 +346,19 @@ def test_walk_tries_a_letter_only_where_its_domain_meets_the_last_range(
         monkeypatch, system):
     """After a word ending in y the walk extends by x only if dom(x) meets
     range(y) (tested here by intersecting): one extend_chart per such
-    (word, letter), on bk_itm_step6 far fewer than per reduced extension."""
+    (word, letter), on bk_itm_step6 far fewer than per reduced extension.
+    The reads at depths 3 and 4 share one walk, so together they make the
+    calls of one walk to depth 4."""
     s = system()
     els = s.elements()
     meets = {(y.label, x.label) for y in els for x in els
              if x.label != inverse_label(y.label) and not y.range.intersect(x.domain).is_empty}
-    words = [w for w, _ in admissible_words(s, 3)]
-    expected = len(els) + sum((w[-1], x.label) in meets for w in words for x in els)
     calls = []
     extend = lamination.extend_chart
     monkeypatch.setattr(lamination, "extend_chart",
                         lambda chart, band: calls.append(band) or extend(chart, band))
+    words = [w for w, _ in admissible_words(s, 3)]
+    expected = len(els) + sum((w[-1], x.label) in meets for w in words for x in els)
     assert admissible_words(s, 4) == oracles.reference_walk(s, 4)
     assert len(calls) == expected
     if system is step6:
@@ -447,6 +449,38 @@ def test_word_charts_carry_no_covered_point_pieces():
             points += len(pts)
     assert points
     check_walk(s, 5, brute=False)
+
+
+def reparse(system):
+    """A maker of fresh parses of the system's text."""
+    text = serialize_system(system)
+    return lambda: parse_system_text(text)
+
+
+def check_shared_walk(make, depths):
+    """Reads at the depths in the given order on one system share its
+    walk, each deepening it or reading off it; they equal the same reads
+    on a fresh system, which walks from scratch, and the marker walk of
+    the oracles."""
+    system = make()
+    for depth in depths:
+        fresh = make()
+        words, pairs = admissible_words(system, depth), dotted(system, depth)
+        assert words == admissible_words(fresh, depth) == oracles.reference_walk(system, depth)
+        assert pairs == dotted(fresh, depth) == oracles.reference_dotted_words(system, depth)
+        assert scan_rows(system, depth) == scan_rows(fresh, depth)
+        assert limit_set(system, depth) == limit_set(fresh, depth)
+
+
+@settings(max_examples=12, deadline=None)
+@given(interval_systems().map(reparse),
+       st.lists(st.integers(1, 3), min_size=2, max_size=3, unique=True))
+def test_shared_walk_reads_as_fresh_walks(make, depths):
+    check_shared_walk(make, depths)
+
+
+def test_shared_walk_reads_as_fresh_walks_on_the_tripod():
+    check_shared_walk(tripod, [3, 1, 4, 2])
 
 
 @pytest.mark.parametrize("read", [

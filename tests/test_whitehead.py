@@ -295,23 +295,45 @@ def test_widened_enclosures_change_no_answer(monkeypatch, widening):
 
 
 def test_each_read_walks_once(monkeypatch):
-    """Every reader at depth 4 extends as many charts as one
-    admissible_words at depth 4: one walk per read, none repeated."""
+    """The readers of one system share one walk.  The six readers at depth
+    4 together extend as many charts as one walk to depth 4; a following
+    depth-5 read extends only the words of length 4, with the calls that
+    a walk to depth 5 makes beyond one to depth 4.  On a fresh parse each
+    reader still walks once."""
     calls = []
     extend = lamination.extend_chart
 
     def counted(chart, band):
-        calls.append(band)
+        calls.append(chart)
         return extend(chart, band)
 
     monkeypatch.setattr(lamination, "extend_chart", counted)
-    s = corpus("bk_itm.bands")
-    x, d, _ = wh_scan(s, 4)[0]
-    counts = []
-    for read in (lambda: admissible_words(s, 4), lambda: wh_scan(s, 4),
-                 lambda: detect_pattern(s, 4), lambda: limit_set(s, 4),
-                 lambda: leaves_at(s, x, 4), lambda: directional_whitehead(s, x, d, 4)):
+
+    def walk(depth):
         del calls[:]
-        read()
-        counts.append(len(calls))
-    assert counts[0] and counts == counts[:1] * 6
+        admissible_words(corpus("bk_itm.bands"), depth)
+        return len(calls)
+
+    def at_u(s):
+        x = s.forest.vertex_point("u")
+        return x, Direction(x, "e0", 1)
+
+    one_walk, deeper = walk(4), walk(5)
+    reads = (lambda s: admissible_words(s, 4), lambda s: wh_scan(s, 4),
+             lambda s: detect_pattern(s, 4), lambda s: limit_set(s, 4),
+             lambda s: leaves_at(s, at_u(s)[0], 4),
+             lambda s: directional_whitehead(s, *at_u(s), 4))
+    for read in reads:
+        del calls[:]
+        read(corpus("bk_itm.bands"))
+        assert len(calls) == one_walk
+    s = corpus("bk_itm.bands")
+    del calls[:]
+    for read in reads:
+        read(s)
+    assert len(calls) == one_walk > 0
+    ends = {id(chart) for w, chart in lamination._walk(s, 4) if len(w) == 4}
+    del calls[:]
+    wh_scan(s, 5)
+    assert len(calls) == deeper - one_walk > 0
+    assert all(id(chart) in ends for chart in calls)
