@@ -10,8 +10,8 @@ Components, membership, germs, the closed-span view that the charts of
 other modules read (`Subforest.spans`, `from_spans`) and the two sweeps
 over it, of covers (`coverage`) and of meeting pairs (`meetings`), are
 all derived from that form here.  Outside this
-module only `rips._component_index`, `whitehead._scan` and
-`fileformat.serialize_system` read it.  Arcs are read off one walk,
+module only the Rips step's locator (`rips._locator`), `whitehead._scan`
+and `fileformat.serialize_system` read it.  Arcs are read off one walk,
 `MetricForest.arc`, in pieces by arc length: points on an arc, germs,
 hulls and the marker charts of `isometry` all come from it, and no
 other module reads the pieces of `MetricForest.path`.
@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalar import ZERO, Scalar, ScalarLike
+from .scalar import ZERO, Scalar, ScalarLike, total
 
 _NO_VERTICES: frozenset[str] = frozenset()
 _START = operator.itemgetter(0)
@@ -248,25 +248,25 @@ class MetricForest:
         if (not p.is_vertex and not q.is_vertex and p.edge == q.edge):
             return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
         pieces: list[tuple[str, Scalar, Scalar]] = []
-        total = ZERO
+        length = ZERO
         for fv, e, _ in self._vertex_path(self._origin(p), self._origin(q)):
             pieces.append((e.id, ZERO, e.length) if fv == e.u else (e.id, e.length, ZERO))
-            total = total + e.length
+            length = length + e.length
         if not p.is_vertex:
             if pieces and pieces[0][0] == p.edge:  # the arc leaves p's edge at its end v
                 pieces[0] = (p.edge, p.offset, pieces[0][2])
-                total = total - p.offset
+                length = length - p.offset
             else:
                 pieces.insert(0, (p.edge, p.offset, ZERO))
-                total = total + p.offset
+                length = length + p.offset
         if not q.is_vertex:
             if pieces and pieces[-1][0] == q.edge:  # the arc enters q's edge at its end v
                 pieces[-1] = (q.edge, pieces[-1][1], q.offset)
-                total = total - q.offset
+                length = length - q.offset
             else:
                 pieces.append((q.edge, ZERO, q.offset))
-                total = total + q.offset
-        return total, pieces
+                length = length + q.offset
+        return length, pieces
 
     def arc(self, p: Point, q: Point) -> list[tuple[Scalar, Scalar, str, bool, Scalar]]:
         """The arc [p, q] by arc length s from p: pieces (s0, s1, edge,
@@ -352,7 +352,7 @@ class Subforest:
     can reach its origin vertex, and only its last one its far vertex.
     """
 
-    __slots__ = ("host", "intervals", "points", "_hash", "_vertices")
+    __slots__ = ("host", "intervals", "points", "_hash", "_vertices", "_diameter")
 
     def __init__(self, host: MetricForest,
                  intervals: dict[str, Iterable[tuple[Scalar, Scalar]]],
@@ -379,7 +379,7 @@ class Subforest:
         self.host = host
         self.intervals = intervals
         self.points = frozenset(p for p in points if self.interval_at(p) is None)
-        self._hash = self._vertices = None
+        self._hash = self._vertices = self._diameter = None
 
     @classmethod
     def empty(cls, host: MetricForest) -> "Subforest":
@@ -416,11 +416,8 @@ class Subforest:
         return not self.intervals and not self.points
 
     def volume(self) -> Scalar:
-        total = ZERO
-        for ivs in self.intervals.values():
-            for lo, hi in ivs:
-                total = total + (hi - lo)
-        return total
+        ivs = [iv for v in self.intervals.values() for iv in v]
+        return total(map(_END, ivs), map(_START, ivs))
 
     def interval_vertices(self) -> frozenset[str]:
         """Vertices reached by an interval end (0 or the edge length), kept."""
@@ -572,21 +569,18 @@ class Subforest:
         return iv is not None and (off < iv[1] if d.toward == 1 else iv[0] < off)
 
     def diameter(self) -> Scalar:
-        """Max distance between extremal points (0 for points/empty)."""
-        ivs = [iv for v in self.intervals.values() for iv in v]
-        if len(ivs) == 1 and not self.points:
-            return ivs[0][1] - ivs[0][0]
-        ext = self.extremal_points()
-        best = ZERO
-        for i in range(len(ext)):
-            for j in range(i + 1, len(ext)):
-                try:
-                    d = self.host.distance(ext[i], ext[j])
-                except DifferentComponents:
-                    continue
-                if d > best:
-                    best = d
-        return best
+        """Max distance between extremal points (0 for points/empty), kept."""
+        if self._diameter is None:
+            ivs = [iv for v in self.intervals.values() for iv in v]
+            if len(ivs) == 1 and not self.points:
+                self._diameter = ivs[0][1] - ivs[0][0]
+            else:
+                host, ext = self.host, self.extremal_points()
+                self._diameter = max((host.distance(p, q) for i, p in enumerate(ext)
+                                      for q in ext[i + 1:]
+                                      if host.component_of(p) == host.component_of(q)),
+                                     default=ZERO)
+        return self._diameter
 
     def issubset(self, other: "Subforest") -> bool:
         return self.intersect(other) == self

@@ -315,11 +315,12 @@ class ValenceStratification:
     def __init__(self, system: BandSystem):
         self.forest = system.forest
         self.support = system.support
-        els = system.elements()
+        bands = system.bands  # A+- has the domains and ranges of its bands
         self._pieces = []
         self._peaks = []
         for cell, (ends, held, cover) in coverage(
-                [a.domain for a in els], [a.name for a in els]).items():
+                [b.domain for b in bands] + [b.range for b in bands],
+                [b.name for b in bands] * 2).items():
             self._pieces.append((cell, ends, cover))
             # cover[-1], after the last end, is 0 as before the first one
             self._peaks.extend((cell, x, len(h), len(set(h)))

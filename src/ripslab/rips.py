@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fileformat import PARSE_ERRORS, parse_system, save_system
-from .forest import Point, Subforest
+from .forest import Subforest
 from .isometry import ValenceStratification  # noqa: F401  (re-exported)
 from .isometry import BandSystem, PartialIsometry
 from .scalar import Scalar, rational
@@ -47,20 +47,29 @@ def overlap_set(system: BandSystem) -> Subforest:
     return system.strata.overlap()
 
 
-def _component_index(K: Subforest):
-    """The map sending a point of K to the index of its component in
-    `K.components()`: isolated points and whole intervals by dict, any
-    other point through the interval of K holding it."""
+def _locator(K: Subforest):
+    """meet(S), the set K n S, and component(S), the index in
+    `K.components()` of the component holding a nonempty connected subset
+    S of K.  A set that is one stored interval or lone point of K is met
+    and named by one dict read; any other is named by its first extremal
+    point, through the interval of K holding it."""
     index: dict = {}
     for ci, C in enumerate(K.components()):
         index.update((p, ci) for p in C.points)
-        index.update(((eid, iv), ci) for eid, ivs in C.intervals.items()
-                     for iv in ivs)
+        index.update(((eid, iv), ci) for eid, ivs in C.intervals.items() for iv in ivs)
 
-    def component(p: Point) -> int:
-        return index[p] if p in index else index[K.interval_at(p)]
+    def piece(S: Subforest):
+        pieces = [*S.points, *((e, iv) for e, ivs in S.intervals.items() for iv in ivs)]
+        return pieces[0] if len(pieces) == 1 else None
 
-    return component
+    def meet(S: Subforest) -> Subforest:
+        return S if piece(S) in index else K.intersect(S)
+
+    def component(S: Subforest) -> int:
+        key = piece(S)  # a connected S holding a lone point of K is that point
+        return index[key if key in index else K.interval_at(S.extremal_points()[0])]
+
+    return meet, component
 
 
 def rips_step(system: BandSystem) -> BandSystem:
@@ -71,22 +80,20 @@ def rips_step(system: BandSystem) -> BandSystem:
     for components C_i, C_j of K' each dom(a) n C_i n a^-1(C_j) is one;
     these sets are disjoint and closed with union D, so they are exactly
     its components.  A new band's label extends its parent's with (i, j),
-    read off its first marker and that marker's image, so lineage is
+    the components of K' holding its domain and its range, so lineage is
     always recoverable; the new bands of a parent are ordered by (i, j),
-    and each keeps its chart under its new label.
+    and each keeps its chart, domain and range under its new label.
     """
     K = overlap_set(system)
-    component = _component_index(K)
+    meet, component = _locator(K)
     new_bands: list[PartialIsometry] = []
     for a in system.bands:
-        D = K.intersect(a.inverse().image_of(a.range.intersect(K)))
-        pieces = []
-        for C in D.components():
-            b = a.restrict(C)
-            m, i = b.correspondence[0]
-            pieces.append((component(m), component(i), b))
-        for ci, cj, b in sorted(pieces, key=lambda t: t[:2]):
-            new_bands.append(replace(b, name=f"{a.name}.{ci}_{cj}", _chart=b.chart))
+        D = meet(a.inverse().image_of(meet(a.range)))
+        pieces = sorted(((component(b.domain), component(b.range), b)
+                         for b in map(a.restrict, D.components())), key=lambda t: t[:2])
+        new_bands += [PartialIsometry(f"{a.name}.{ci}_{cj}", b.domain, b.range,
+                                      b.correspondence, _chart=b.chart)
+                      for ci, cj, b in pieces]
     return BandSystem(system.forest, tuple(new_bands), support=K,
                       field=system.field)
 

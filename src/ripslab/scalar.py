@@ -731,6 +731,22 @@ def _intern(field: NumberField | None, num: tuple, den: int) -> Scalar:
     return s
 
 
+def total(plus: Iterable[Scalar], minus: Iterable[Scalar] = ()) -> Scalar:
+    """sum(plus) - sum(minus), exact, added over the least common
+    denominator of the terms: one reduction to lowest terms in all."""
+    terms = [(1, x) for x in plus] + [(-1, x) for x in minus]
+    fields = {x.field for _, x in terms} - {None}
+    if len(fields) > 1:
+        raise FieldMismatch(" vs ".join(map(repr, fields)))
+    den = math.lcm(*[x.den for _, x in terms])
+    num = [0] * max([len(x.num) for _, x in terms], default=0)
+    for s, x in terms:
+        m = s * (den // x.den)
+        for i, c in enumerate(x.num):
+            num[i] += c * m
+    return _canon(fields.pop() if fields else None, num, den)
+
+
 def _remover(table: dict):
     """The weak-reference callback that drops a dead value's entry from an
     intern table, unless its key already names a newer value."""

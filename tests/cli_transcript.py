@@ -80,6 +80,9 @@ CHECKPOINT_RUNS = (
     ("rips", "run", "--max-iter", "6", "--checkpoint", "checkpoint/bk_itm",
      "corpus/bk_itm.bands"),
     ("rips", "run", "--max-iter", "2", "--checkpoint", "checkpoint/bk_itm", "--resume",
+     "corpus/bk_itm.bands"),
+    # on to step 30, the run that the bk_itm oracle and benchmark pin
+    ("rips", "run", "--max-iter", "22", "--checkpoint", "checkpoint/bk_itm", "--resume",
      "corpus/bk_itm.bands"))
 
 BASES = (("corpus/", CORPUS), ("data/", DATA))

@@ -15,7 +15,9 @@ Rose-map dynamics use naive substitution on letter strings.  Subforest
 intersection, the valence strata and the Rips overlap set keep their
 pairwise or subset-wise, point-probing forms here, and subforest components
 and germs the union-find and linear-scan forms that the canonical-form
-reads replaced (`reference_components`, `reference_extends_in`); the
+reads replaced (`reference_components`, `reference_extends_in`), and
+subforest volume the interval-by-interval sum that the one-denominator
+sum replaced (`reference_volume`); the
 other forest/subforest set primitives are shared, as infrastructure.  The T±-pattern search keeps
 its per-row form: one directional Whitehead graph, and so one word walk,
 per row of the scan.  `RefScalar` keeps the ``Fraction``-coefficient
@@ -350,6 +352,16 @@ def brute_stratum_ge(system, i):
             intervals.setdefault(eid, []).extend(ivs)
         points.update(inter.points)
     return Subforest(system.forest, intervals, frozenset(points))
+
+
+def reference_volume(s):
+    """The total length of a subforest's intervals, added one interval
+    length at a time."""
+    total = ZERO
+    for ivs in s.intervals.values():
+        for lo, hi in ivs:
+            total = total + (hi - lo)
+    return total
 
 
 def reference_components(s):

@@ -21,7 +21,7 @@ from ripslab.forest import (
     meetings,
 )
 from ripslab.isometry import BandSystem
-from ripslab.scalar import NumberField, rational as Q
+from ripslab.scalar import NumberField, rational as Q, total
 from test_isometry import sample_points, zigzag
 from test_lamination import corpus, tripod as tripod_system
 
@@ -295,6 +295,64 @@ def test_canonical_results_equal_their_normalized_rebuild(name, data):
         assert s == again
         assert list(s.intervals) == list(again.intervals)
         assert all(type(ivs) is tuple for ivs in s.intervals.values())
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_volume_and_kept_diameter_match_references(name, data):
+    """volume is the interval-by-interval sum of `oracles.reference_volume`;
+    diameter is the farthest pair of interval ends and lone points in one
+    tree, computed on the first call and returned as is on the next."""
+    host, grids, pts = HOSTS[name]
+    s = data.draw(grid_subforests(host, grids, pts))
+    assert s.volume() == oracles.reference_volume(s)
+    ends = [host.point(eid, x) for eid, ivs in s.intervals.items()
+            for iv in ivs for x in iv] + list(s.points)
+    d = s.diameter()
+    assert d == max((host.distance(p, q) for p in ends for q in ends
+                     if host.component_of(p) == host.component_of(q)), default=Q(0))
+    assert s.diameter() is d
+
+
+# Q, and a field of each degree from 1 to 4 (x^4 - 2 is irreducible by
+# Eisenstein's criterion at 2, so its check, which loads sympy, is skipped)
+SUM_FIELDS = [None, NumberField([-2, 1], 1, 3), NumberField([-3, 0, 1], 1, 2),
+              NumberField([-1, -1, -1, 1], 1, 2),
+              NumberField([-2, 0, 0, 0, 1], 1, 2, check_irreducible=False)]
+
+
+@st.composite
+def field_values(draw, field):
+    """A plain rational, or a value of the field, with coefficients in
+    [-4, 4] of denominators up to 12."""
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=12),
+                           max_size=field.degree if field else 1))
+    if field is None or draw(st.booleans()):
+        return Q(coeffs[0] if coeffs else 0)
+    return field.element(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUM_FIELDS), st.data())
+def test_total_is_the_left_fold_of_additions(field, data):
+    """total(plus, minus) equals the left fold of + over plus and of -
+    over minus, in the same field, for empty, rational, field and mixed
+    terms; as volume, it equals the interval-by-interval sum."""
+    plus, minus = (data.draw(st.lists(field_values(field), max_size=6)) for _ in "+-")
+    added = functools.reduce(operator.add, plus, Q(0))
+    fold = functools.reduce(operator.sub, minus, added)
+    got = total(plus, minus)
+    assert got == fold and got.field is fold.field
+    assert total(plus) == added and total(plus).field is added.field
+    ends = sorted({abs(x) for x in plus + minus})  # each below 100
+    host = MetricForest(["u", "v"], [Edge("e0", "u", "v", Q(100))])
+    s = Subforest(host, {"e0": list(zip(ends[::2], ends[1::2]))})
+    assert s.volume() == oracles.reference_volume(s)
+
+
+def test_total_of_nothing_is_rational_zero():
+    assert total([]) == total([], []) == 0 and total([]).field is None
 
 
 def test_intersect_isolated_points_match_oracle(tripod):

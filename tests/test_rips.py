@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib.resources as resources
 import weakref
@@ -11,7 +12,7 @@ import oracles
 from ripslab import isometry
 from ripslab.fileformat import parse_system
 from ripslab.forest import Edge, MetricForest, Subforest
-from ripslab.isometry import BandSystem, band_from_markers
+from ripslab.isometry import BandSystem, PartialIsometry, band_from_markers
 from ripslab.rips import (
     Inconclusive,
     SurfaceType,
@@ -258,16 +259,20 @@ def test_strata_fuzz(system):
 
 def check_steps(system, steps=8):
     """rips_step against its per-(C_i, C_j) definition, on the system and
-    on each step after it, up to `steps` steps or the halt."""
+    on each step after it, up to `steps` steps or the halt; the oracle's
+    systems compared, in order."""
+    compared = []
     for _ in range(steps):
         got, want = rips_step(system), oracles.reference_rips_step(system)
+        compared.append(want)
         assert got.support == want.support
         assert ([(b.name, b.domain, b.range, b.correspondence) for b in got.bands]
                 == [(b.name, b.domain, b.range, b.correspondence)
                     for b in want.bands])
         if same_system(system, got):
-            return
+            break
         system = got
+    return compared
 
 
 @pytest.mark.parametrize("name", ["e_surf.bands", "e_trim.bands", "bk_itm.bands"])
@@ -285,6 +290,70 @@ def test_step_matches_oracle_on_tripod_and_step6():
 @given(interval_systems())
 def test_step_fuzz(system):
     check_steps(system)
+
+
+def piece_kind(S, K):
+    """How the step meets and names S, a nonempty connected subset of K:
+    by one dict read when S is a whole stored interval or a lone point of
+    K, otherwise through the interval of K holding a point of S."""
+    ivs = [(eid, iv) for eid, v in S.intervals.items() for iv in v]
+    if S.points:
+        return "lone point of K" if S.points <= K.points else "point in an interval of K"
+    if len(ivs) > 1:
+        return "across a vertex"
+    eid, iv = ivs[0]
+    return "stored interval of K" if iv in K.intervals.get(eid, ()) else "sub-interval"
+
+
+WHOLE = {"stored interval of K", "lone point of K"}
+
+
+def test_step_locator_branches_match_oracle_on_tripod_and_zigzag_hosts():
+    """The steps compared with `oracles.reference_rips_step` on the tripod
+    and on zigzag hosts (names, domains, ranges and markers equal) have
+    D-components of every kind the step's locator tells apart."""
+    kinds = {piece_kind(b.domain, want.support)
+             for system in (tripod(), zigzag(corpus("e_trim.bands")),
+                            zigzag(corpus("bk_itm.bands")))
+             for want in check_steps(system) for b in want.bands}
+    assert kinds == WHOLE | {"sub-interval", "point in an interval of K", "across a vertex"}
+
+
+def test_step_meets_and_locates_only_bands_k1_does_not_carry_whole(monkeypatch):
+    """A band whose domain and range are each one stored interval or lone
+    point of K' is met with K' and named by dict reads: over 30 steps of
+    bk_itm, 848 of the 960 bands stepped make no `Subforest.intersect` and
+    no `interval_at` call, and every band is mapped by one `image_of`.  A
+    band's calls are those from its inverse, which the step takes first,
+    to the next band's."""
+    owner, made = [None], collections.Counter()
+    inverse = PartialIsometry.inverse
+
+    def starting(self):
+        owner[0] = self.name
+        return inverse(self)
+
+    monkeypatch.setattr(PartialIsometry, "inverse", starting)
+    for cls, name in ((Subforest, "intersect"), (Subforest, "interval_at"),
+                      (PartialIsometry, "image_of")):
+        def counted(*args, _method=getattr(cls, name), _name=name):
+            made[_name, owner[0]] += 1
+            return _method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    system, carried, stepped = corpus("bk_itm.bands"), 0, 0
+    for _ in range(30):
+        K = overlap_set(system)
+        made.clear()
+        following = rips_step(system)
+        for b in system.bands:
+            whole = {piece_kind(b.domain, K), piece_kind(b.range, K)} <= WHOLE
+            if whole:
+                assert made["intersect", b.name] == made["interval_at", b.name] == 0, b.name
+            assert made["image_of", b.name] == 1
+            carried += whole
+        stepped += len(system.bands)
+        system = following
+    assert (carried, stepped) == (848, 960)
 
 
 # -- reducedness -----------------------------------------------------------
