@@ -496,12 +496,30 @@ class Subforest:
     # -- structure --------------------------------------------------------
 
     def components(self) -> list["Subforest"]:
-        """Connected components, canonically ordered: intervals are joined
-        through the vertices they reach, and each isolated point is one.
-        Each component's intervals are a subsequence of this set's, so they
-        are in canonical form already; one interval alone is the set."""
+        """Connected components, canonically ordered, as `component_index`
+        groups the pieces.  Each component's intervals are a subsequence
+        of this set's, so they are in canonical form already; one interval
+        alone is the set."""
         if not self.points and [len(ivs) for ivs in self.intervals.values()] == [1]:
             return [self]
+        out: list[tuple[dict[str, list], set]] = []
+        for piece, n in self.component_index().items():
+            if n == len(out):
+                out.append(({}, set()))
+            if isinstance(piece, Point):
+                out[n][1].add(piece)
+            else:
+                out[n][0].setdefault(piece[0], []).append(piece[1])
+        return [Subforest._canonical(self.host, {eid: tuple(v) for eid, v in ivs.items()},
+                                     frozenset(pts)) for ivs, pts in out]
+
+    def component_index(self) -> dict:
+        """The position in `components()` of the component holding each
+        stored interval (edge, interval) and each lone point, keyed in that
+        order: intervals are joined through the vertices they reach, each
+        lone point is one component, and components are ordered by the exact
+        key of their least interval start or point (an interval starting at
+        offset 0 keys as an edge point, not a vertex)."""
         parent: dict[tuple[str, int], tuple[str, int]] = {}
 
         def find(i):
@@ -515,22 +533,14 @@ class Subforest:
                 parent[find((eid, k))] = find(at[v])
             else:
                 at[v] = (eid, k)
-        groups: dict[tuple[str, int], dict[str, list]] = {}
+        groups: dict[tuple[str, int], list] = {}
         for eid, ivs in self.intervals.items():
             for k, iv in enumerate(ivs):
-                groups.setdefault(find((eid, k)), {}).setdefault(eid, []).append(iv)
-        out = [Subforest._canonical(self.host, {eid: tuple(v) for eid, v in ivs.items()})
-               for ivs in groups.values()]
-        out.extend(Subforest._canonical(self.host, {}, frozenset([p])) for p in self.points)
-        out.sort(key=Subforest._sort_key)
-        return out
-
-    def _sort_key(self):
-        """Exact key of the least interval start or isolated point; an
-        interval starting at offset 0 keys as an edge point, not a vertex."""
-        keys = [(1, eid, ivs[0][0]) for eid, ivs in self.intervals.items()]
-        keys.extend(point_key(p) for p in self.points)
-        return min(keys, default=(2,))
+                groups.setdefault(find((eid, k)), []).append((eid, iv))
+        keyed = [(min((1, eid, iv[0]) for eid, iv in g), g) for g in groups.values()]
+        keyed.extend((point_key(p), [p]) for p in self.points)
+        keyed.sort(key=_START)
+        return {piece: n for n, (_, g) in enumerate(keyed) for piece in g}
 
     def end_counts(self) -> dict[Point, int]:
         """Number of interval ends at each point, that is the number of

@@ -292,7 +292,9 @@ class BandSystem:
 
     @cached_property
     def derived(self) -> dict:
-        """What other modules derive from the system, kept and freed with it."""
+        """What other modules derive from the system, kept and freed with it:
+        `lamination`'s word trie ("words") and dotted words per depth, and
+        `whitehead`'s scan rows ("scan") and their edges per depth."""
         return {}
 
     def max_domain_diameter(self) -> Scalar:

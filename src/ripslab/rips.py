@@ -53,10 +53,7 @@ def _locator(K: Subforest):
     S of K.  A set that is one stored interval or lone point of K is met
     and named by one dict read; any other is named by its first extremal
     point, through the interval of K holding it."""
-    index: dict = {}
-    for ci, C in enumerate(K.components()):
-        index.update((p, ci) for p in C.points)
-        index.update(((eid, iv), ci) for eid, ivs in C.intervals.items() for iv in ivs)
+    index = K.component_index()
 
     def piece(S: Subforest):
         pieces = [*S.points, *((e, iv) for e, ivs in S.intervals.items() for iv in ivs)]

@@ -9,7 +9,9 @@ assembles into an abstract K_{3,3} (one part from the end classes at
 the three basepoints, the other from the three star arcs).
 
 All answers are relative to the depth used; a NotFound or a tentative
-end identification can be overturned at greater depth.
+end identification can be overturned at greater depth.  The scan that
+`wh_scan` and `detect_pattern` read is kept in `BandSystem.derived` for
+the life of the system: its rows once per system, their edges per depth.
 """
 
 from __future__ import annotations
@@ -164,42 +166,43 @@ def candidate_points(system: BandSystem) -> list[Point]:
 
 
 def _scan(system: BandSystem, depth: int
-          ) -> list[tuple[Point, Direction, tuple[LeafWord, ...]]]:
+          ) -> tuple[tuple[Point, Direction, tuple[LeafWord, ...]], ...]:
     """(x, d, edges at (x, d)) for every candidate point x and germ d of
     the support at x, from one walk of the dotted words; most edges first,
     ties broken by the exact point order of point_key and then by the
     direction.  A domain extends into d iff one of its intervals on d's
     edge holds x's offset there, with room toward d: each interval
     [lo, hi] is bisected into the sorted offsets of the rows of that edge
-    and sense, taking lo <= x < hi toward +1 and lo < x <= hi toward -1."""
-    forest = system.forest
-    rows = []
-    columns: dict[tuple[str, int], list[tuple[Scalar, list]]] = {}
-    for x in candidate_points(system):
-        for d in system.support.germ_directions(x):
-            edges: list[LeafWord] = []
-            rows.append((x, d, edges))
-            if not x.is_vertex:
-                off = x.offset
-            else:
-                off = ZERO if d.toward == 1 else forest.edge_of(d.edge).length
-            columns.setdefault((d.edge, d.toward), []).append((off, edges))
-    for column in columns.values():
-        column.sort(key=_OFFSET)
-    for leaf in dotted_words(system, depth):
-        for eid, ivs in leaf.domain.intervals.items():
-            for toward, cut in ((1, bisect.bisect_left), (-1, bisect.bisect_right)):
-                column = columns.get((eid, toward))
-                if column is None:
-                    continue
-                for lo, hi in ivs:
-                    for k in range(cut(column, lo, key=_OFFSET),
-                                   cut(column, hi, key=_OFFSET)):
-                        column[k][1].append(leaf)
-    out = [(x, d, tuple(edges)) for x, d, edges in rows]
-    out.sort(key=lambda r: (-len(r[2]), point_key(r[0]),
-                            (r[1].edge, r[1].toward)))
-    return out
+    and sense, taking lo <= x < hi toward +1 and lo < x <= hi toward -1.
+
+    Kept in `system.derived` for the life of the system: the rows (x, d)
+    in tie order and the sorted offsets of each (edge, sense) column, once
+    per system under "scan", and the result, once per depth."""
+    key = ("scan", depth)
+    if key not in system.derived:
+        if "scan" not in system.derived:
+            rows = sorted(((x, d) for x in candidate_points(system)
+                           for d in system.support.germ_directions(x)),
+                          key=lambda r: (point_key(r[0]), r[1].edge, r[1].toward))
+            columns: dict[tuple[str, int], list[tuple[Scalar, int]]] = {}
+            for i, (x, d) in enumerate(rows):
+                off = x.offset if not x.is_vertex else (
+                    ZERO if d.toward == 1 else system.forest.edge_of(d.edge).length)
+                columns.setdefault((d.edge, d.toward), []).append((off, i))
+            system.derived["scan"] = rows, {c: tuple(zip(*sorted(col, key=_OFFSET)))
+                                            for c, col in columns.items()}
+        rows, columns = system.derived["scan"]
+        edges: list[list[LeafWord]] = [[] for _ in rows]
+        for leaf in dotted_words(system, depth):
+            for eid, ivs in leaf.domain.intervals.items():
+                for toward, cut in ((1, bisect.bisect_left), (-1, bisect.bisect_right)):
+                    offs, at = columns.get((eid, toward), ((), ()))
+                    for lo, hi in ivs:
+                        for k in at[cut(offs, lo):cut(offs, hi)]:
+                            edges[k].append(leaf)
+        system.derived[key] = tuple((*rows[i], tuple(edges[i])) for i in
+                                    sorted(range(len(rows)), key=lambda i: -len(edges[i])))
+    return system.derived[key]
 
 
 def wh_scan(system: BandSystem, depth: int

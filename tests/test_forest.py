@@ -800,3 +800,23 @@ def test_meetings_at_a_vertex_a_touch_point_and_a_lone_vertex():
         want = check_meetings(host, [a, b], ["x", "y"])
         assert want == {(0, 1): Subforest(host, {}, frozenset([p]))}
         assert meetings(host, [a, b], ["x", "x"]) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_component_index_numbers_each_piece_by_its_component_on_random_forests(data):
+    """The index numbers each stored interval and lone point, and only
+    those, by the position in `components()` (and in the union-find
+    oracle's order) of the component holding it."""
+    host, pts = data.draw(random_forests())
+    sets, _ = data.draw(span_sets(host))
+    lone = data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    s = Subforest.from_spans(host, [span for spans in sets for span in spans]).union(
+        Subforest(host, {}, frozenset(lone)))
+    comps, want = oracles.reference_components(s), {}
+    for n, comp in enumerate(comps):
+        want.update((p, n) for p in comp.points)
+        want.update(((eid, iv), n) for eid, ivs in comp.intervals.items() for iv in ivs)
+    assert s.component_index() == want
+    assert list(s.component_index().values()) == sorted(want.values())
+    assert s.components() == comps

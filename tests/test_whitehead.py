@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from ripslab.fileformat import parse_system, parse_system_text
-from ripslab.forest import Direction, point_key
-from ripslab import lamination
+from ripslab.forest import Direction, Subforest, point_key
+from ripslab import lamination, whitehead
 from ripslab.lamination import LeafWord, admissible_words, leaves_at, limit_set
 from ripslab.rips import classify
 from ripslab.scalar import Scalar
@@ -337,3 +337,25 @@ def test_each_read_walks_once(monkeypatch):
     wh_scan(s, 5)
     assert len(calls) == deeper - one_walk > 0
     assert all(id(chart) in ends for chart in calls)
+
+
+def test_each_system_finds_its_germs_once_and_bins_each_depth_once(monkeypatch):
+    """wh_scan and detect_pattern at depth 3 and then at depth 4 read one
+    stored scan of the system: its candidate points and their germs are
+    found once, and the dotted words of each depth are binned once."""
+    found, germs, binned = [], [], []
+    candidates, germ_directions = whitehead.candidate_points, Subforest.germ_directions
+    dotted = whitehead.dotted_words
+    monkeypatch.setattr(whitehead, "candidate_points",
+                        lambda s: found.append(s) or candidates(s))
+    monkeypatch.setattr(Subforest, "germ_directions",
+                        lambda sub, p: germs.append(p) or germ_directions(sub, p))
+    monkeypatch.setattr(whitehead, "dotted_words",
+                        lambda s, depth: binned.append(depth) or dotted(s, depth))
+    s = corpus("bk_itm.bands")
+    for depth in (3, 4):
+        wh_scan(s, depth)
+        detect_pattern(s, depth)
+    assert len(found) == 1
+    assert germs == candidates(s)
+    assert binned == [3, 4]
