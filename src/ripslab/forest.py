@@ -352,7 +352,7 @@ class Subforest:
     can reach its origin vertex, and only its last one its far vertex.
     """
 
-    __slots__ = ("host", "intervals", "points", "_hash", "_vertices", "_diameter")
+    __slots__ = ("host", "intervals", "points", "_hash", "_vertices", "_diameter", "_spans")
 
     def __init__(self, host: MetricForest,
                  intervals: dict[str, Iterable[tuple[Scalar, Scalar]]],
@@ -379,7 +379,7 @@ class Subforest:
         self.host = host
         self.intervals = intervals
         self.points = frozenset(p for p in points if self.interval_at(p) is None)
-        self._hash = self._vertices = self._diameter = None
+        self._hash = self._vertices = self._diameter = self._spans = None
 
     @classmethod
     def empty(cls, host: MetricForest) -> "Subforest":
@@ -434,16 +434,18 @@ class Subforest:
             if ivs[-1][1] == e.length:
                 yield eid, len(ivs) - 1, e.v
 
-    def spans(self) -> list[tuple[str, Scalar, Scalar]]:
+    def spans(self) -> tuple[tuple[str, Scalar, Scalar], ...]:
         """The closed spans (cell, lo, hi) covering the set: its intervals,
         then each lone point and vertex of it as (x, x) on every edge at it
         that no interval reaches.  Two sets meet iff two of their spans on
-        one cell do."""
-        out = [(eid, lo, hi) for eid, ivs in self.intervals.items() for lo, hi in ivs]
-        for p in [Point(vertex=v) for v in self.interval_vertices()] + list(self.points):
-            out += [(c, x, x) for c, x in self.host.addresses(p)
-                    if _interval_at(self.intervals.get(c, ()), x) is None]
-        return out
+        one cell do.  Kept, as a tuple that no reader can change."""
+        if self._spans is None:
+            out = [(eid, lo, hi) for eid, ivs in self.intervals.items() for lo, hi in ivs]
+            for p in [Point(vertex=v) for v in self.interval_vertices()] + list(self.points):
+                out += [(c, x, x) for c, x in self.host.addresses(p)
+                        if _interval_at(self.intervals.get(c, ()), x) is None]
+            self._spans = tuple(out)
+        return self._spans
 
     # -- set algebra ------------------------------------------------------
 

@@ -102,17 +102,20 @@ def _inverse_chart(chart: dict) -> dict[str, list]:
     return out
 
 
-def _clip(host: MetricForest, chart: dict, s: Subforest) -> tuple[dict, Subforest]:
+def _clip(host: MetricForest, chart: dict, s: Subforest) -> tuple[dict, Subforest, dict]:
     """The chart restricted to a subset s of its domain, each piece clipped
-    to each span of s on its cell, and the image of s."""
-    out, image = {}, []
+    to each span of s on its cell; the image of s; and the image address
+    (tcell, y) of each clipped piece end (cell, x)."""
+    out, image, ends = {}, [], {}
     for cell, lo, hi in s.spans():
         for blo, bhi, c, flip, t in chart.get(cell, ()):
             if blo <= hi and lo <= bhi:
                 a, b = lo if lo >= blo else blo, hi if hi <= bhi else bhi
                 out.setdefault(cell, []).append((a, b, c, flip, t))
-                image.append((c, t - b, t - a) if flip else (c, a + t, b + t))
-    return out, Subforest.from_spans(host, image)
+                ia, ib = (t - a, t - b) if flip else (a + t, b + t)
+                image.append((c, ib, ia) if flip else (c, ia, ib))
+                ends[cell, a], ends[cell, b] = (c, ia), (c, ib)
+    return out, Subforest.from_spans(host, image), ends
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,16 @@ class PartialIsometry:
 
     def restrict(self, d: Subforest) -> "PartialIsometry | None":
         """Maximal restriction of the map to domain `intersect` d, charted;
-        to the whole domain, the map itself."""
+        to the whole domain, the map itself.  Its markers, the extremal
+        points of the new domain, are read beside their images off the clip."""
         if d == self.domain:
             return self
         nd = self.domain.intersect(d)
         if nd.is_empty:
             return None
-        chart, image = _clip(self.host, self.chart, nd)
-        corr = tuple((m, _map_point(self.host, chart, m)) for m in nd.extremal_points())
+        chart, image, ends = _clip(self.host, self.chart, nd)
+        corr = tuple((m, next(self.host.cell_point(*ends[a]) for a in self.host.addresses(m)
+                              if a in ends)) for m in nd.extremal_points())
         return PartialIsometry(self.name, nd, image, corr, self.inverted, _chart=chart)
 
     def validate(self) -> list[str]:
@@ -311,7 +316,9 @@ class ValenceStratification:
     cover on either side of it.  Kept: the ends and piece covers of each
     cell, and each end whose v exceeds the cover on both sides (a peak),
     with its v and the number of distinct band names holding it; every
-    other end lies in a piece of its own valence.
+    other end lies in a piece of its own valence.  A stratum K^{>=i} is
+    built in canonical form: cell by cell in edge order, each run of pieces
+    of cover >= i is one interval.
     """
 
     def __init__(self, system: BandSystem):
@@ -320,9 +327,9 @@ class ValenceStratification:
         bands = system.bands  # A+- has the domains and ranges of its bands
         self._pieces = []
         self._peaks = []
-        for cell, (ends, held, cover) in coverage(
+        for cell, (ends, held, cover) in sorted(coverage(
                 [b.domain for b in bands] + [b.range for b in bands],
-                [b.name for b in bands] * 2).items():
+                [b.name for b in bands] * 2).items()):
             self._pieces.append((cell, ends, cover))
             # cover[-1], after the last end, is 0 as before the first one
             self._peaks.extend((cell, x, len(h), len(set(h)))
@@ -343,9 +350,14 @@ class ValenceStratification:
 
     def _closure(self, i: int, points: list[tuple[str, Scalar]]) -> Subforest:
         """The pieces of cover >= i, closed, and the given points."""
-        spans = [(c, ends[k], ends[k + 1]) for c, ends, cover in self._pieces
-                 for k, n in enumerate(cover) if n >= i]
-        return Subforest.from_spans(self.forest, spans + [(c, x, x) for c, x in points])
+        intervals = {}
+        for c, ends, cover in self._pieces:
+            lo = [x for k, x in enumerate(ends) if cover[k] >= i > cover[k - 1]]
+            if lo:
+                intervals[c] = tuple(zip(lo, [x for k, x in enumerate(ends)
+                                              if cover[k - 1] >= i > cover[k]]))
+        return Subforest._canonical(self.forest, intervals,
+                                    frozenset(self.forest.cell_point(c, x) for c, x in points))
 
     def vol_ge(self, i: int) -> Scalar:
         return self.stratum_ge(i).volume()

@@ -3,12 +3,13 @@
 One induction step replaces the support K by the set K' of points lying in
 at least two band domains, and replaces each band a by its maximal
 restrictions between ordered pairs of components of K': the components
-of D = K' n a^-1(K' n range(a)).  K' is read off the system's valence
-stratification (`BandSystem.strata`, computed once per system), which
-also gives the vol(K^{>=3}) of each step record.  Halting (K stabilizes,
-band set unchanged up to relabeling) is decided by exact set equality;
-`judge` reports a non-halting trace with persistent triple overlap and
-shrinking band domains as Levitt evidence, never as proof.
+of D = K' n a^-1(K' n range(a)), each named by the components of K'
+holding its first marker and that marker's image.  K' is read off the
+system's valence stratification (`BandSystem.strata`, computed once per
+system), which also gives the vol(K^{>=3}) of each step record.  Halting
+(K stabilizes, band set unchanged up to relabeling) is decided by exact
+set equality; `judge` reports a non-halting trace with persistent triple
+overlap and shrinking band domains as Levitt evidence, never as proof.
 
 A run numbers its steps from the one it starts at, and can write each
 system to <checkpoint>/step-<i>.bands; this module alone knows that
@@ -48,23 +49,26 @@ def overlap_set(system: BandSystem) -> Subforest:
 
 
 def _locator(K: Subforest):
-    """meet(S), the set K n S, and component(S), the index in
+    """meet(S), the set K n S, and component(S, p), the index in
     `K.components()` of the component holding a nonempty connected subset
-    S of K.  A set that is one stored interval or lone point of K is met
-    and named by one dict read; any other is named by its first extremal
-    point, through the interval of K holding it."""
+    S of K and a point p of it.  A set that is one stored interval or lone
+    point of K is met and named by one dict read; any other is named by
+    the interval of K holding p, a piece's first marker or its image."""
     index = K.component_index()
 
     def piece(S: Subforest):
-        pieces = [*S.points, *((e, iv) for e, ivs in S.intervals.items() for iv in ivs)]
-        return pieces[0] if len(pieces) == 1 else None
+        if len(S.intervals) + len(S.points) != 1:
+            return None
+        for e, ivs in S.intervals.items():
+            return (e, ivs[0]) if len(ivs) == 1 else None
+        return next(iter(S.points))
 
     def meet(S: Subforest) -> Subforest:
         return S if piece(S) in index else K.intersect(S)
 
-    def component(S: Subforest) -> int:
+    def component(S: Subforest, p) -> int:
         key = piece(S)  # a connected S holding a lone point of K is that point
-        return index[key if key in index else K.interval_at(S.extremal_points()[0])]
+        return index[key if key in index else K.interval_at(p)]
 
     return meet, component
 
@@ -86,7 +90,7 @@ def rips_step(system: BandSystem) -> BandSystem:
     new_bands: list[PartialIsometry] = []
     for a in system.bands:
         D = meet(a.inverse().image_of(meet(a.range)))
-        pieces = sorted(((component(b.domain), component(b.range), b)
+        pieces = sorted(((*map(component, (b.domain, b.range), b.correspondence[0]), b)
                          for b in map(a.restrict, D.components())), key=lambda t: t[:2])
         new_bands += [PartialIsometry(f"{a.name}.{ci}_{cj}", b.domain, b.range,
                                       b.correspondence, _chart=b.chart)
@@ -168,8 +172,8 @@ def run(system: BandSystem, max_iter: int,
     <checkpoint>/step-<i>.bands in the standard text format; a checkpoint
     that cannot be written raises CheckpointError.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if max_iter < 1 or start < 0:
+        raise ValueError("max_iter must be >= 1 and start >= 0")
     records: list[StepRecord] = []
 
     def record(i: int, s: BandSystem):
@@ -278,9 +282,11 @@ def classify(system: BandSystem, max_iter: int,
     records of steps 0..start-1 are read back from the checkpoint files
     (a missing or invalid one raises CheckpointError before anything
     runs), and the trace is indexed from step 0, with `start + max_iter`
-    steps.
+    steps; `start` > 0 needs the checkpoint.
     """
     _threshold(diam_ratio_threshold)
+    if start > 0 and checkpoint is None:
+        raise ValueError("a run resumed at a later step needs its checkpoint")
     earlier = tuple(_record(i, _read_step(checkpoint, i)) for i in range(start))
     resumed = run(system, max_iter, checkpoint=checkpoint, start=start)
     return judge(RipsTrace(earlier + resumed.steps, start + max_iter),

@@ -20,7 +20,7 @@ from ripslab.forest import (
     Subforest,
     meetings,
 )
-from ripslab.isometry import BandSystem
+from ripslab.isometry import BandSystem, PartialIsometry, ValenceStratification
 from ripslab.scalar import NumberField, rational as Q, total
 from test_isometry import sample_points, zigzag
 from test_lamination import corpus, tripod as tripod_system
@@ -820,3 +820,33 @@ def test_component_index_numbers_each_piece_by_its_component_on_random_forests(d
     assert s.component_index() == want
     assert list(s.component_index().values()) == sorted(want.values())
     assert s.components() == comps
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_spans_are_kept_and_strata_built_in_canonical_form_on_random_forests(data):
+    """A set's spans are those of a fresh copy of it (its lone points are
+    listed in set order), and every read returns the same tuple.  Each stratum K^{>=i} and the overlap set,
+    which the sweep joins piece by piece, equal the brute-force oracles
+    and have exactly the intervals, keyed in the same order, and points
+    that `from_spans` gives for their spans: they are in canonical form.
+    The stratification reads only the bands' names and sets, so the
+    bands here are drawn sets, not isometries."""
+    host, pts = data.draw(random_forests())
+    sets, _ = data.draw(span_sets(host))
+    lone = data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    subs = [Subforest.from_spans(host, spans) for spans in sets]
+    subs[0] = subs[0].union(Subforest(host, {}, frozenset(lone)))
+    system = BandSystem(host, tuple(PartialIsometry(f"b{k}", s, subs[k - 1], ())
+                                    for k, s in enumerate(subs)))
+    strata = ValenceStratification(system)
+    made = [(strata.stratum_ge(i), oracles.brute_stratum_ge(system, i)) for i in (1, 2, 3)]
+    made.append((strata.overlap(), oracles.brute_overlap_set(system)))
+    for got, want in made:
+        assert got == want
+        again = Subforest.from_spans(host, got.spans())
+        assert (list(got.intervals.items()), got.points) == \
+            (list(again.intervals.items()), again.points)
+    for s in subs + [got for got, _ in made]:
+        assert sorted(s.spans()) == sorted(Subforest(host, s.intervals, s.points).spans())
+        assert type(s.spans()) is tuple and s.spans() is s.spans()

@@ -356,6 +356,42 @@ def test_step_meets_and_locates_only_bands_k1_does_not_carry_whole(monkeypatch):
     assert (carried, stepped) == (848, 960)
 
 
+def test_step_reads_spans_markers_and_piece_points_it_already_holds(monkeypatch):
+    """Over `classify(bk_itm, 30)` on a parsed system whose charts are read:
+    a set's spans are computed once, however often they are read (2,219
+    reads of 259 sets); `restrict` reads each marker's image off its clip,
+    with no `_map_point` call; and the step names a piece by its first
+    marker or that marker's image, so only `restrict` finds extremal
+    points (113 calls, one per real restriction)."""
+    system = corpus("bk_itm.bands")
+    for b in system.bands:
+        b.chart
+    made = collections.Counter()
+    spans, map_point, extremal = Subforest.spans, isometry._map_point, Subforest.extremal_points
+
+    def reading(self):
+        made["spans read"] += 1
+        made["spans computed"] += getattr(self, "_spans", None) is None
+        return spans(self)
+
+    def mapping(*args):
+        made["_map_point"] += 1
+        return map_point(*args)
+
+    def finding(self):
+        made["extremal_points"] += 1
+        return extremal(self)
+
+    monkeypatch.setattr(Subforest, "spans", reading)
+    monkeypatch.setattr(isometry, "_map_point", mapping)
+    monkeypatch.setattr(Subforest, "extremal_points", finding)
+    result = classify(system, 30)
+    assert str(result.verdict) == "LevittEvidence(30 iterations)"
+    assert made["spans read"] == 2219 and made["spans computed"] <= 259
+    assert made["_map_point"] == 0
+    assert made["extremal_points"] == 113
+
+
 # -- reducedness -----------------------------------------------------------
 
 def test_is_reduced_e_surf(e_surf):
@@ -537,6 +573,22 @@ def test_classify_rejects_bad_ratio(e_surf, monkeypatch):
     monkeypatch.setattr("ripslab.rips.run", None)
     with pytest.raises(ValueError):
         classify(e_surf, 5, Fraction(3, 2))
+
+
+def test_run_and_classify_reject_a_negative_start(e_surf, monkeypatch):
+    monkeypatch.setattr("ripslab.rips.rips_step", None)
+    with pytest.raises(ValueError):
+        run(e_surf, 5, start=-1)
+    with pytest.raises(ValueError):
+        classify(e_surf, 5, start=-2)
+
+
+def test_classify_resumed_without_checkpoint_is_rejected(e_surf, monkeypatch):
+    """A resumed run reads its earlier steps from its checkpoint, so one
+    with no checkpoint is rejected before anything runs."""
+    monkeypatch.setattr("ripslab.rips.run", None)
+    with pytest.raises(ValueError):
+        classify(e_surf, 5, start=2)
 
 
 def test_judge_reads_a_given_trace(e_trim):
