@@ -9,12 +9,12 @@ set equality -- the Rips halting test -- is representation equality.
 Components, membership, germs, the closed-span view that the charts of
 other modules read (`Subforest.spans`, `from_spans`) and the two sweeps
 over it, of covers (`coverage`) and of meeting pairs (`meetings`), are
-all derived from that form here.  Outside this
-module only the Rips step's locator (`rips._locator`), `whitehead._scan`
-and `fileformat.serialize_system` read it.  Arcs are read off one walk,
-`MetricForest.arc`, in pieces by arc length: points on an arc, germs,
-hulls and the marker charts of `isometry` all come from it, and no
-other module reads the pieces of `MetricForest.path`.
+all derived from that form here.  Outside this module only the Rips step's
+locator (`rips._locator`), `whitehead._scan` and `fileformat.serialize_system`
+read it.  Arcs are read off one walk, `MetricForest.arc`, as charts of
+`isometry` from arc length: points on an arc, germs, hulls and the marker
+charts all come from it, and no other module reads the pieces of
+`MetricForest.path`.
 
 Every order is decided by comparing two values, which reads their
 cached enclosures, never by building their difference to read its sign.
@@ -269,9 +269,9 @@ class MetricForest:
         return length, pieces
 
     def arc(self, p: Point, q: Point) -> list[tuple[Scalar, Scalar, str, bool, Scalar]]:
-        """The arc [p, q] by arc length s from p: pieces (s0, s1, edge,
-        flip, t), end to end from 0 to the distance, each putting s in
-        [s0, s1] at offset s + t of the edge, or at t - s if flip."""
+        """The arc [p, q] as a chart from arc length s from p: pieces (s0,
+        s1, edge, flip, t), end to end from 0 to the distance, each putting s
+        in [s0, s1] at offset s + t of the edge, or at t - s if flip."""
         out = []
         s = ZERO
         for e, f, ft in self.path(p, q)[1]:

@@ -2,19 +2,22 @@
 
 A partial isometry is stored, serialized and validated as a finite marker
 correspondence (domain point -> range point) that includes every extremal
-point of the domain.  It maps through its chart: pieces x -> x + t or
-x -> t - x, each from one edge into one edge; a set is mapped span by
-span (`Subforest.spans`).  Only a band built from its markers
-(`band_from_markers`) reads its chart off them: a restriction keeps its
-parent's chart, clipped, and an inverse inverts its forward chart.
-A band system couples a host forest with finitely many positively-labeled
-bands; inverses are derived, so the label set and its inverses never
-collide.  Its strata and what others derive from it are computed once.
+point of the domain.  It maps through its chart.  Bands, words and arcs
+share one chart layout, which only this module reads: per cell (an edge,
+or a vertex no edge meets), pieces (lo, hi, tcell, flip, t) sending
+[lo, hi] into tcell by x -> x + t, or by x -> t - x if flip.  A set is
+mapped span by span (`Subforest.spans`); a word carries the chart of its
+inverse, from its image back onto its basepoints.  Only a band built from
+its markers (`band_from_markers`) reads its chart off them, composing two
+arcs per marker: a restriction keeps its parent's chart, clipped, and an
+inverse inverts its forward chart.  A band system couples a host forest
+with finitely many positively-labeled bands; inverses are derived, so the
+label set and its inverses never collide.  Its strata and what others
+derive from it are computed once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -37,56 +40,66 @@ class ValidationError(IsometryError):
         self.violations = violations
 
 
-def identity_chart(s: Subforest) -> list:
-    """The chart of the empty word on s.  The chart of a word is a list of
-    pieces (cell, tcell, flip, t, lo, hi): an interval of the cell sent
-    onto [lo, hi] of tcell by x -> x + t, or by x -> t - x when flip is set."""
-    return [(c, c, False, ZERO, lo, hi) for c, lo, hi in s.spans()]
+def identity_chart(s: Subforest) -> dict[str, list]:
+    """The chart of the empty word on s."""
+    chart: dict[str, list] = {}
+    for c, lo, hi in s.spans():
+        chart.setdefault(c, []).append((lo, hi, c, False, ZERO))
+    return chart
 
 
-def extend_chart(chart: list, band: dict) -> list:
-    """The chart of a band (given by its chart) after a word chart: each
-    image is clipped against the band's domain on its cell and mapped on."""
-    out = []
-    for cell, tid, flip, t, lo, hi in chart:
-        for blo, bhi, nid, nflip, nt in band.get(tid, ()):
-            if blo <= hi and lo <= bhi:
-                a = lo if lo >= blo else blo
-                b = hi if hi <= bhi else bhi
-                out.append((cell, nid, not flip, nt - t, nt - b, nt - a) if nflip
-                           else (cell, nid, flip, t + nt, a + nt, b + nt))
+def extend_chart(chart: dict, band: dict) -> dict[str, list]:
+    """The chart of a word then a band (given by its chart): each piece is
+    clipped to the band's domain, sent forward, and mapped back through both."""
+    out: dict[str, list] = {}
+    for cell, pieces in chart.items():
+        onto = band.get(cell, ())
+        for lo, hi, c0, f0, t0 in pieces:
+            for blo, bhi, c, flip, t in onto:
+                if blo <= hi and lo <= bhi:
+                    a, b = lo if lo >= blo else blo, hi if hi <= bhi else bhi
+                    back = t0 + t if f0 != flip else t0 - t
+                    out.setdefault(c, []).append((t - b, t - a, c0, not f0, back) if flip
+                                                 else (a + t, b + t, c0, f0, back))
     return out
 
 
-def chart_spans(chart: list) -> list[tuple[str, Scalar, Scalar]]:
-    """The closed spans (cell, lo, hi) of a chart's domain, one per piece."""
-    return [(cell, t - hi, t - lo) if flip else (cell, lo - t, hi - t)
-            for cell, _, flip, t, lo, hi in chart]
+def chart_spans(chart: dict) -> list[tuple[str, Scalar, Scalar]]:
+    """The closed spans (cell, lo, hi) of a word's basepoints, one per piece."""
+    return [(c, t - hi, t - lo) if flip else (c, lo + t, hi + t)
+            for pieces in chart.values() for lo, hi, c, flip, t in pieces]
 
 
-def chart_domain(host: MetricForest, chart: list) -> Subforest:
+def chart_domain(host: MetricForest, chart: dict) -> Subforest:
     return Subforest.from_spans(host, chart_spans(chart))
 
 
+def drop_covered(host: MetricForest, chart: dict) -> dict[str, list]:
+    """The word chart without its point pieces inside an interval piece (a
+    band lists a vertex on every edge at it, so an image can reach one twice)."""
+    if all(p[0] != p[1] for pieces in chart.values() for p in pieces):
+        return chart
+    image = Subforest.from_spans(host, [(c, lo, hi) for c, pieces in chart.items()
+                                        for lo, hi, *_ in pieces if lo != hi])
+    return {c: kept for c, pieces in chart.items() if (kept := [
+        p for p in pieces if p[0] != p[1] or not image.contains(host.cell_point(c, p[0]))])}
+
+
 def _map_point(host: MetricForest, chart: dict, p: Point) -> Point | None:
-    hit = extend_chart([(c, c, False, ZERO, x, x) for c, x in host.addresses(p)], chart)
-    return host.cell_point(hit[0][1], hit[0][4]) if hit else None
+    hit = extend_chart({c: [(x, x, c, False, ZERO)] for c, x in host.addresses(p)}, chart)
+    return next((host.cell_point(c, pieces[0][0]) for c, pieces in hit.items()), None)
 
 
 def _marker_chart(band: "PartialIsometry") -> dict[str, list]:
-    """The interval pieces of a band's chart, from its markers: the arc
-    from the first marker to each other one read beside its image arc."""
+    """The interval pieces of a band's chart, from its markers: an arc is a
+    chart from arc length, so per marker the arc from the first marker is
+    composed with the arc between their images."""
     host, (m0, i0) = band.host, band.correspondence[0]
     chart: dict[str, list] = {}
     for m, i in band.correspondence[1:]:
-        for (s0, s1, e, df, dt), (r0, r1, c, rf, rt) in itertools.product(
-                host.arc(m0, m), host.arc(i0, i)):
-            a, b = max(s0, r0), min(s1, r1)
-            if a < b:
-                piece = ((dt - b, dt - a) if df else (a + dt, b + dt)) + (
-                    c, df != rf, rt + dt if df != rf else rt - dt)
-                if piece not in chart.setdefault(e, []):
-                    chart[e].append(piece)
+        for e, pieces in extend_chart({"": host.arc(i0, i)}, {"": host.arc(m0, m)}).items():
+            known = chart.setdefault(e, [])
+            known += [p for p in pieces if p[0] != p[1] and p not in known]
     return chart
 
 
@@ -147,11 +160,9 @@ class PartialIsometry:
 
     @property
     def chart(self) -> dict[str, list]:
-        """The map, per cell (an edge, or a vertex no edge meets), as domain
-        pieces (lo, hi, tcell, flip, t) sent into tcell by x -> x + t, or by
-        t - x if flip, cut where the image passes a vertex; each vertex and
-        lone point of the domain is listed, as lo = hi, on every edge at it
-        that no interval reaches.  Computed once, unless given."""
+        """The map as a chart on the domain, cut where the image passes a
+        vertex; each vertex and lone point of the domain is listed, as lo = hi,
+        on every edge at it that no interval reaches.  Computed once, unless given."""
         if self._chart is None:
             host, fwd = self.host, self._forward
             chart = _marker_chart(self) if fwd is None else _inverse_chart(fwd.chart)

@@ -3,11 +3,11 @@
 Leaves are coded by reduced words over band labels (inverses carry a
 trailing prime).  A dotted word is a pair of one-sided words read
 outward from a basepoint; its domain is the exact set of admissible
-basepoints.  A word's map is a chart of `isometry`, so reading one more
-band clips each piece's image against that band's chart, with no path
-search.  All enumeration is depth-limited and every result carries its
-depth: whether a finite word extends to a bi-infinite leaf is never
-decided here.
+basepoints.  A word carries a chart, read and extended only through
+`isometry`, so reading one more band clips the word's image against that
+band's chart, with no path search.  All enumeration is depth-limited and
+every result carries its depth: whether a finite word extends to a
+bi-infinite leaf is never decided here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .forest import MetricForest, Point, Subforest, meetings
-from .isometry import BandSystem, chart_domain, chart_spans, extend_chart, identity_chart
+from .isometry import (BandSystem, chart_domain, chart_spans, drop_covered, extend_chart,
+                       identity_chart)
 
 
 class LaminationError(Exception):
@@ -77,19 +78,7 @@ class LimitSetApprox:
     subforest: Subforest
 
 
-def _drop_covered(host: MetricForest, chart: list) -> list:
-    """The chart without its point pieces whose image an interval piece's
-    image covers (a band lists a vertex on every edge at it, so an image
-    can reach one twice); a chart is injective, so no domain point is lost."""
-    if all(p[4] != p[5] for p in chart):
-        return chart
-    image = Subforest.from_spans(host, [(tc, lo, hi) for _, tc, _, _, lo, hi in chart
-                                        if lo != hi])
-    return [p for p in chart if p[4] != p[5]
-            or not image.contains(host.cell_point(p[1], p[4]))]
-
-
-def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], list]]:
+def _walk(system: BandSystem, depth: int) -> Iterator[tuple[tuple[str, ...], dict]]:
     """Depth-first enumeration of admissible words with their charts, off
     the system's one word trie, made on the first read and grown by deeper
     ones.  A letter x is tried after y only if dom(x) meets range(y) = dom(y')."""
@@ -117,7 +106,7 @@ def _descend(host: MetricForest, follow: dict, node: list, depth: int) -> Iterat
     word, chart, letters, children = node
     if children is None:
         children = node[3] = [[word + (x,), nxt, follow[x], None] for x, band in letters
-                              if (nxt := _drop_covered(host, extend_chart(chart, band)))]
+                              if (nxt := drop_covered(host, extend_chart(chart, band)))]
     for child in children:
         yield child
         if len(child[0]) < depth:

@@ -197,7 +197,7 @@ def run(system: BandSystem, max_iter: int,
     return RipsTrace(tuple(records), max_iter)
 
 
-_STEP_FILE = re.compile(r"step-(\d+)\.bands")
+_STEP_FILE = re.compile(r"step-(0|[1-9][0-9]*)\.bands")  # the names `_step_path` writes
 
 
 def _step_path(checkpoint: str, i: int) -> str:

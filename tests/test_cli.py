@@ -141,6 +141,21 @@ def test_checkpoint_and_resume(tmp_path):
     assert (tmp_path / "ck" / "step-4.bands").exists()
 
 
+def test_resume_reads_only_step_files_that_run_writes(tmp_path):
+    """A stray step-007.bands or step-\u0663.bands (an Arabic-Indic 3) beside
+    a 2-step checkpoint names no step: the run resumes at step 2."""
+    ck = tmp_path / "ck"
+    assert run_cli("rips", "run", "--max-iter", "2", "--checkpoint", str(ck),
+                   corpus("e_trim.bands"))[0] == 0
+    for stray in ("step-007.bands", "step-\u0663.bands"):
+        (ck / stray).write_text("not a step\n")
+    assert rips.latest_checkpoint(str(ck))[0] == 2
+    code, text = run_cli("rips", "run", "--max-iter", "2", "--checkpoint", str(ck),
+                         "--resume", corpus("e_trim.bands"))
+    assert code == 0 and text.startswith("resumed: step 2\n")
+    assert "step 4:" in text
+
+
 # dom(a) = [0, 1/2] touches dom(a') = [1/2, 1] only at e0:1/2, so K' is empty
 TOUCH = ("tree\nvertex u\nvertex v\nedge e0 u v 1\n"
          "band a\nmap e0:0 -> e0:1/2\nmap e0:1/2 -> e0:1\n")

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ripslab import lamination
+from ripslab import isometry, lamination
 from ripslab.fileformat import parse_system, parse_system_text, serialize_system
 from ripslab.forest import Edge, MetricForest, Subforest
 from ripslab.isometry import BandSystem, PartialIsometry, band_from_markers, chart_domain
@@ -23,7 +23,7 @@ from ripslab.lamination import (
     word_domain,
 )
 from ripslab.rips import lineage, rips_step
-from ripslab.scalar import rational as Q
+from ripslab.scalar import Scalar, rational as Q
 from ripslab.whitehead import detect_pattern, wh_scan
 
 from hosts import is_point
@@ -440,13 +440,75 @@ def test_word_charts_carry_no_covered_point_pieces():
     points = 0
     for depth in (3, 5):
         for w, chart in _walk(s, depth):
-            cover = chart_domain(host, [p for p in chart if p[4] != p[5]])
-            pts = [host.cell_point(c, t - lo if f else lo - t)
-                   for c, _, f, t, lo, hi in chart if lo == hi]
+            cover = chart_domain(host, {c: [p for p in ps if p[0] != p[1]]
+                                        for c, ps in chart.items()})
+            pts = [host.cell_point(c, t - lo if f else lo + t)
+                   for ps in chart.values() for lo, hi, c, f, t in ps if lo == hi]
             assert not any(cover.contains(p) for p in pts), w
             points += len(pts)
     assert points
     check_walk(s, 5, brute=False)
+
+
+def check_word_maps(system, depth=3):
+    """Each word's chart maps every extremal point y of the word's image
+    back to a basepoint x, and the marker composition of the word's
+    letters, one at a time, sends x to y; the image is that composition's
+    range."""
+    host = system.forest
+    for w, chart in _walk(system, depth):
+        phi = None
+        for letter in w:
+            phi = oracles.reference_compose(phi, system.band(letter))
+        image = Subforest.from_spans(host, [(c, lo, hi) for c, ps in chart.items()
+                                            for lo, hi, *_ in ps])
+        assert image == phi.range, w
+        for y in image.extremal_points():
+            x = isometry._map_point(host, chart, y)
+            assert x is not None and oracles.marker_apply(phi, x) == y, (w, y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(interval_systems())
+def test_word_charts_map_each_image_back_to_its_basepoints(system):
+    check_word_maps(system)
+
+
+def test_word_charts_map_each_image_back_to_its_basepoints_on_the_tripod():
+    """The tripod's words flip, cross the vertex c and end in lone points."""
+    check_word_maps(tripod())
+
+
+@pytest.mark.parametrize("system", [step6, tripod])
+def test_extending_a_word_chart_makes_three_additions_per_piece(monkeypatch, system):
+    """extend_chart sends each clip forward through the band piece (two
+    additions) and composes the map back (one): on a walk to depth 4 the
+    Scalar + and - calls inside it are at most 3 per piece it makes."""
+    s = system()
+    made = {"ops": 0, "pieces": 0, "inside": False}
+
+    def counting(op):
+        def counted(a, b):
+            made["ops"] += made["inside"]
+            return op(a, b)
+        return counted
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Scalar, name, counting(getattr(Scalar, name)))
+    extend = lamination.extend_chart
+
+    def extending(chart, band):
+        made["inside"] = True
+        try:
+            out = extend(chart, band)
+        finally:
+            made["inside"] = False
+        made["pieces"] += sum(map(len, out.values()))
+        return out
+
+    monkeypatch.setattr(lamination, "extend_chart", extending)
+    assert admissible_words(s, 4) == oracles.reference_walk(s, 4)
+    assert made["pieces"] and made["ops"] <= 3 * made["pieces"], made
 
 
 def reparse(system):
