@@ -10,11 +10,12 @@ Components, membership, germs, the closed-span view that the charts of
 other modules read (`Subforest.spans`, `from_spans`) and the two sweeps
 over it, of covers (`coverage`) and of meeting pairs (`meetings`), are
 all derived from that form here.  Outside this module only the Rips step's
-locator (`rips._locator`), `whitehead._scan` and `fileformat.serialize_system`
-read it.  Arcs are read off one walk, `MetricForest.arc`, as charts of
-`isometry` from arc length: points on an arc, germs, hulls and the marker
-charts all come from it, and no other module reads the pieces of
-`MetricForest.path`.
+locator (`rips._locator`), `whitehead._scan`, `fileformat.serialize_system`
+and `isometry.ValenceStratification`, which builds its sets through
+`Subforest._canonical`, read it.  `MetricForest.arc` is the one walk of a
+tree: it climbs from both ends to where they meet and gives the arc as a
+chart of `isometry` from arc length, and distances, points on an arc,
+germs, hulls and the marker charts all come from it.
 
 Every order is decided by comparing two values, which reads their
 cached enclosures, never by building their difference to read its sign.
@@ -203,78 +204,50 @@ class MetricForest:
             return self._component[p.vertex]
         return self._component[self._edge[p.edge].u]
 
-    # -- distances and paths ----------------------------------------------
-
-    def _lca(self, u: str, v: str) -> str:
-        while self._depth[u] > self._depth[v]:
-            u = self._parent[u][0]
-        while self._depth[v] > self._depth[u]:
-            v = self._parent[v][0]
-        while u != v:
-            u = self._parent[u][0]
-            v = self._parent[v][0]
-        return u
-
-    def _vertex_path(self, u: str, v: str) -> list[tuple[str, Edge, str]]:
-        """Oriented edge steps (from_vertex, edge, to_vertex) from u to v."""
-        lca = self._lca(u, v)
-        up = []
-        cur = u
-        while cur != lca:
-            parent, e = self._parent[cur]
-            up.append((cur, e, parent))
-            cur = parent
-        down = []
-        cur = v
-        while cur != lca:
-            parent, e = self._parent[cur]
-            down.append((parent, e, cur))
-            cur = parent
-        return up + list(reversed(down))
+    # -- distances and arcs -----------------------------------------------
 
     def distance(self, p: Point, q: Point) -> Scalar:
-        return self.path(p, q)[0]
-
-    def _origin(self, p: Point) -> str:
-        return p.vertex if p.is_vertex else self._edge[p.edge].u
-
-    def path(self, p: Point, q: Point) -> tuple[Scalar, list[tuple[str, Scalar, Scalar]]]:
-        """Exact distance and traversal pieces (edge_id, from_off, to_off):
-        the vertex path between the origins of p's and q's cells, with a
-        first or last step along p's or q's own edge cut at that point.
-        Raises DifferentComponents when p and q lie in different trees."""
-        if self.component_of(p) != self.component_of(q):
-            raise DifferentComponents("points lie in different trees")
-        if (not p.is_vertex and not q.is_vertex and p.edge == q.edge):
-            return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
-        pieces: list[tuple[str, Scalar, Scalar]] = []
-        length = ZERO
-        for fv, e, _ in self._vertex_path(self._origin(p), self._origin(q)):
-            pieces.append((e.id, ZERO, e.length) if fv == e.u else (e.id, e.length, ZERO))
-            length = length + e.length
-        if not p.is_vertex:
-            if pieces and pieces[0][0] == p.edge:  # the arc leaves p's edge at its end v
-                pieces[0] = (p.edge, p.offset, pieces[0][2])
-                length = length - p.offset
-            else:
-                pieces.insert(0, (p.edge, p.offset, ZERO))
-                length = length + p.offset
-        if not q.is_vertex:
-            if pieces and pieces[-1][0] == q.edge:  # the arc enters q's edge at its end v
-                pieces[-1] = (q.edge, pieces[-1][1], q.offset)
-                length = length - q.offset
-            else:
-                pieces.append((q.edge, ZERO, q.offset))
-                length = length + q.offset
-        return length, pieces
+        arc = self.arc(p, q)
+        return arc[-1][1] if arc else ZERO
 
     def arc(self, p: Point, q: Point) -> list[tuple[Scalar, Scalar, str, bool, Scalar]]:
         """The arc [p, q] as a chart from arc length s from p: pieces (s0,
         s1, edge, flip, t), end to end from 0 to the distance, each putting s
-        in [s0, s1] at offset s + t of the edge, or at t - s if flip."""
+        in [s0, s1] at offset s + t of the edge, or at t - s if flip.  It is
+        the forest's one walk: up the parents from the origins of p's and
+        q's cells, deeper end first, until the two ends meet, with a first
+        or last step along p's or q's own edge cut at that point.  Raises
+        DifferentComponents when p and q lie in different trees."""
+        if self.component_of(p) != self.component_of(q):
+            raise DifferentComponents("points lie in different trees")
+        if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
+            return [(ZERO, abs(q.offset - p.offset), p.edge, q.offset < p.offset, p.offset)]
+        u = p.vertex if p.is_vertex else self._edge[p.edge].u
+        v = q.vertex if q.is_vertex else self._edge[q.edge].u
+        head, tail = [], []  # steps (edge, from, to) away from u, and into v
+        while u != v:
+            if self._depth[u] >= self._depth[v]:
+                w, e = self._parent[u]
+                head.append((e.id, ZERO, e.length) if u == e.u else (e.id, e.length, ZERO))
+                u = w
+            else:
+                w, e = self._parent[v]
+                tail.append((e.id, ZERO, e.length) if w == e.u else (e.id, e.length, ZERO))
+                v = w
+        steps = head + tail[::-1]
+        if not p.is_vertex:  # p's edge, to its end v if the walk leaves by it, else to u
+            if steps and steps[0][0] == p.edge:
+                steps[0] = (p.edge, p.offset, steps[0][2])
+            else:
+                steps.insert(0, (p.edge, p.offset, ZERO))
+        if not q.is_vertex:  # q's edge, from its end v if the walk enters by it, else from u
+            if steps and steps[-1][0] == q.edge:
+                steps[-1] = (q.edge, steps[-1][1], q.offset)
+            else:
+                steps.append((q.edge, ZERO, q.offset))
         out = []
         s = ZERO
-        for e, f, ft in self.path(p, q)[1]:
+        for e, f, ft in steps:
             flip = ft < f
             s1 = s + (f - ft if flip else ft - f)
             out.append((s, s1, e, flip, f + s if flip else f - s))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .forest import MetricForest, Point, Subforest, coverage
+from .forest import DifferentComponents, MetricForest, Point, Subforest, coverage
 from .scalar import ZERO, NumberField, Scalar
 
 
@@ -217,7 +217,7 @@ class PartialIsometry:
                 try:
                     dd = host.distance(mi, mj)
                     dr = host.distance(ii, ij)
-                except Exception:
+                except DifferentComponents:
                     bad.append(f"band {self.label}: markers span components")
                     continue
                 if dd != dr:

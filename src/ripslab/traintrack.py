@@ -94,20 +94,16 @@ class RoseMap:
         return free_reduce("".join(self.image_of_letter(c) for c in word))
 
     def iterate(self, power: int) -> "RoseMap":
+        """f^power by its generator images alone, with no inverse section."""
         if power < 1:
             raise ValueError("power must be >= 1")
         images = dict(self.images)
-        inverses = dict(self.inverse_images) if self.inverse_images else None
         for k in range(2, power + 1):
             for g in self.generators:
                 images[g] = self.apply(images[g])
                 if not images[g]:
                     raise VanishingIterate(f"f^{k}({g}) reduces to the identity")
-            if inverses is not None:
-                step = RoseMap(self.generators, dict(inverses))
-                inverses = {g: step.apply(self.inverse_images[g])
-                            for g in self.generators}
-        return RoseMap(self.generators, images, inverses)
+        return RoseMap(self.generators, images)
 
 
 def parse_map(text: str) -> RoseMap:
@@ -369,11 +365,6 @@ def transition(m: RoseMap) -> TransitionData:
 
 # --- direction dynamics ----------------------------------------------------
 
-def df(m: RoseMap, d: str) -> str:
-    """Image direction: first letter of the image of the edge-end d."""
-    return m.image_of_letter(d)[0]
-
-
 @dataclass(frozen=True)
 class DirectionMap:
     table: dict[str, str]
@@ -382,8 +373,9 @@ class DirectionMap:
 
 
 def direction_dynamics(m: RoseMap) -> DirectionMap:
+    """The table of Df on the 2n directions, its cycles and fixed directions."""
     dirs = m.directions()
-    table = {d: df(m, d) for d in dirs}
+    table = {d: m.image_of_letter(d)[0] for d in dirs}
     # Directions eventually land on cycles; report the cycles as orbits.
     orbits = []
     seen = set()
@@ -486,11 +478,12 @@ def check_train_track(m: RoseMap):
     collected from f^k(e) for k <= 2n.  Returns (True, None) or
     (False, (turn, iteration)).
     """
+    table = direction_dynamics(m).table
     for pair in sorted(taken_turns(m, 2 * m.rank),
                        key=lambda p: tuple(sorted(p))):
         d1, d2 = sorted(pair)
         for j in range(1, 2 * m.rank + 1):
-            d1, d2 = df(m, d1), df(m, d2)
+            d1, d2 = table[d1], table[d2]
             if d1 == d2:
                 return False, (tuple(sorted(pair)), j)
     return True, None
@@ -515,11 +508,12 @@ class WhGraph:
 
 def stable_whitehead_graph(m: RoseMap, iterate_budget: int) -> WhGraph:
     """Graph on fixed directions whose edges are the taken fixed turns."""
-    if not is_rotationless(m):
+    dm = direction_dynamics(m)
+    if any(period > 1 for _, period in dm.orbits):
         raise NotRotationless("apply rotationless_power first")
     if iterate_budget < 1:
         raise ValueError("iterate_budget must be >= 1")
-    fixed = set(direction_dynamics(m).fixed)
+    fixed = set(dm.fixed)
     edges = sorted(tuple(sorted(t)) for t in taken_turns(m, iterate_budget)
                    if t <= fixed)
     return WhGraph(tuple(sorted(fixed)), tuple(edges))

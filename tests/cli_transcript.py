@@ -47,6 +47,8 @@ WALKS = (("words",), ("limitset",), ("pattern",), ("k33",), ("wh", "scan"))
 # the top row of each system's `wh scan --depth 3`
 TOP_ROWS = (("corpus/e_surf.bands", "u", "e0:+"), ("corpus/e_trim.bands", "u", "e0:+"),
             ("corpus/bk_itm.bands", "e0:-L + 1", "e0:+"))
+# a host with a branch point c, a band across it, an isolated vertex and lone points
+TRIPOD = "data/tripod.bands"
 
 BAD = ("corpus/bad_fields.bands", "corpus/bad_marker.bands", "corpus/bad_syntax.bands")
 # every action that loads a .bands file
@@ -69,6 +71,12 @@ COMMANDS = (
             for walk in WALKS for depth in map(str, range(1, 9)))
     + tuple(("wh", "at", "--depth", "3", "--point", point, "--direction", d, path)
             for path, point, d in TOP_ROWS)
+    + tuple(argv + (TRIPOD,)
+            for argv in (("validate",), ("strata",), ("rips", "step"),
+                         ("rips", "run", "--max-iter", "12"),
+                         ("rips", "classify", "--max-iter", "12")))
+    + tuple(walk + ("--depth", depth, TRIPOD) for walk in WALKS for depth in map(str, range(1, 5)))
+    + (("wh", "at", "--depth", "3", "--point", "c", "--direction", "e2:-", TRIPOD),)
     + tuple(argv + (path,) for argv in LOADERS for path in BAD)
     + (("corpus", "list"), ("corpus", "show", "bk_itm.oracle"))
     + USAGE_ERRORS)

@@ -258,9 +258,10 @@ def brute_vertex_path(host, u, v):
 
 
 def reference_path(host, p, q):
-    """(distance, pieces) of the arc from p to q, as `MetricForest._path`
-    gives them: the shortest of the routes through an exit vertex of p's
-    cell and one of q's, each vertex-to-vertex leg summed edge by edge."""
+    """(distance, pieces (edge, from, to)) of the arc from p to q: the steps
+    that the chart of `MetricForest.arc` runs along.  It takes the shortest
+    of the routes through an exit vertex of p's cell and one of q's, each
+    vertex-to-vertex leg summed edge by edge."""
     if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
         return abs(q.offset - p.offset), [(p.edge, p.offset, q.offset)]
 

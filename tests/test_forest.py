@@ -417,13 +417,20 @@ def test_crowded_points_come_out_in_exact_order(base):
 
 # -- arcs against the best-of-four search -------------------------------------
 
+def arc_steps(arc):
+    """The steps (edge, from, to) that the pieces of an arc's chart run along."""
+    return [(e, t - s0, t - s1) if flip else (e, s0 + t, s1 + t) for s0, s1, e, flip, t in arc]
+
+
 def check_paths(host, points):
-    """(distance, pieces) of the arc between every two points of one tree
-    agree with the oracle's search over the exit vertices of both cells."""
+    """The distance and the steps of the arc between every two points of
+    one tree agree with the oracle's search over the exit vertices of both
+    cells."""
     for p in points:
         for q in points:
             if host.component_of(p) == host.component_of(q):
-                assert host.path(p, q) == oracles.reference_path(host, p, q), (p, q)
+                got = host.distance(p, q), arc_steps(host.arc(p, q))
+                assert got == oracles.reference_path(host, p, q), (p, q)
 
 
 def test_path_matches_oracle_on_tripod_and_zigzag_hosts():
@@ -461,14 +468,15 @@ def test_path_matches_oracle_on_random_forests(forest):
     check_paths(*forest)
 
 
-# -- arcs, hulls and points on arcs against the walks over `path` they replace -
+# -- arcs, hulls and points on arcs against walks over the oracle's arc -------
 
 def reference_segment(host, p, q):
-    """The arc [p, q] as a subforest, one interval per `path` piece."""
+    """The arc [p, q] as a subforest, one interval per piece of the
+    oracle's arc."""
     if p == q:
         return Subforest(host, {}, frozenset([p]))
     intervals = {}
-    for eid, f, t in host.path(p, q)[1]:
+    for eid, f, t in oracles.reference_path(host, p, q)[1]:
         intervals.setdefault(eid, []).append((f, t) if t > f else (t, f))
     return Subforest(host, intervals)
 
@@ -484,8 +492,8 @@ def reference_hull(host, points):
 
 def reference_point_at(host, p, q, dist):
     """The point at distance dist from p on [p, q], by a running sum of
-    the `path` pieces' lengths."""
-    total, pieces = host.path(p, q)
+    the lengths of the oracle's arc pieces."""
+    total, pieces = oracles.reference_path(host, p, q)
     if dist.sign() < 0 or dist > total:
         raise ForestError("distance outside the arc")
     acc = Q(0)

@@ -143,6 +143,30 @@ def test_validate_reports_a_domain_with_a_branch_point_in_another_tree():
         "band p': surjectivity violation (marker images do not span the range)"]
 
 
+def test_validate_reports_markers_in_two_trees():
+    """A band built directly on a host of two trees, with markers in both,
+    is reported as spanning components."""
+    host = MetricForest(["u", "v", "x", "y"],
+                        [Edge("e0", "u", "v", Q(1)), Edge("e1", "x", "y", Q(1))])
+    u, x = host.vertex_point("u"), host.vertex_point("x")
+    bad = PartialIsometry("s", host.whole(), host.whole(), ((u, u), (x, x)))
+    assert bad.validate() == ["band s: markers span components"]
+
+
+def test_validate_lets_other_errors_of_distance_propagate(line3, monkeypatch):
+    """Only DifferentComponents reads as markers in two trees: any other
+    error raised while measuring the markers is the program's, and
+    propagates instead of being reported as a violation of the band."""
+    band = shift(line3, "a", 0, 2, 1)
+
+    def fail(p, q):
+        raise RuntimeError("distance failed")
+
+    monkeypatch.setattr(line3, "distance", fail)
+    with pytest.raises(RuntimeError, match="distance failed"):
+        band.validate()
+
+
 def test_arc_band_rejects_unequal_lengths(line3):
     with pytest.raises(ValidationError):
         band_from_markers(line3, "x", ((line3.point("e0", 0), line3.point("e0", 1)),

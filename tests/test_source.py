@@ -1,6 +1,7 @@
 """Checks over the source of `src/ripslab`, read as syntax trees: every
 public module-level name has a reader in the program or the benchmark,
-sympy is imported in one place, and only `forest` reads path pieces."""
+sympy is imported in one place, and one walk climbs the rooted trees of a
+forest."""
 
 import ast
 import pathlib
@@ -68,12 +69,24 @@ def test_sympy_is_imported_in_one_place():
     assert [f for f, _ in sites] == ["scalar.py"], sites
 
 
-def test_only_forest_reads_path_pieces():
-    """`MetricForest.path`'s piece layout stays inside `forest`: every
-    other module reads an arc through `MetricForest.arc`."""
-    calls = [(f, node.lineno) for f, tree in _trees(SRC).items() if f != "forest.py"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "path"
-             and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "os")]
-    assert calls == []
+def _readers(tree, attrs):
+    """Qualified names of the functions and classes whose code names any
+    of the attributes attrs."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    return set(visit(tree, ""))
+
+
+def test_one_walk_climbs_the_rooted_trees():
+    """`MetricForest.arc` is the forest's one walk: besides
+    `_index_components`, which roots each tree, no code in src/ reads a
+    vertex's `_parent` or `_depth`."""
+    readers = {(f, where) for f, tree in _trees(SRC).items()
+               for where in _readers(tree, {"_parent", "_depth"})}
+    assert readers == {("forest.py", "MetricForest.arc"),
+                       ("forest.py", "MetricForest._index_components")}

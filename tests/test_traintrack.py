@@ -17,7 +17,6 @@ from ripslab.traintrack import (
     RoseMap,
     UnknownGenerator,
     check_train_track,
-    df,
     direction_dynamics,
     is_rotationless,
     load_map,
@@ -218,17 +217,12 @@ def test_iterate_direction_table(trib):
     """Df of f^p is the p-th functional iterate of Df."""
     p, m3 = rotationless_power(trib)
     table = direction_dynamics(trib).table
+    table3 = direction_dynamics(m3).table
     for d in trib.directions():
         cur = d
         for _ in range(p):
             cur = table[cur]
-        assert df(m3, d) == cur
-
-
-def test_iterate_inverse_data(trib):
-    _, m3 = rotationless_power(trib)
-    assert m3.inverse_images is not None
-    assert verify_automorphism(m3)[0]
+        assert table3[d] == cur
 
 
 def test_check_train_track_good(trib, fib):
@@ -243,8 +237,9 @@ def test_check_train_track_failure_witness():
     assert turn in [tuple(sorted(t)) for t in
                     __import__("oracles").brute_taken_turns(BAD_TT.images, 4)]
     d1, d2 = turn
+    table = direction_dynamics(BAD_TT).table
     for _ in range(j):
-        d1, d2 = df(BAD_TT, d1), df(BAD_TT, d2)
+        d1, d2 = table[d1], table[d2]
     assert d1 == d2
 
 
