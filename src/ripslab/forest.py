@@ -517,21 +517,17 @@ class Subforest:
         keyed.sort(key=_START)
         return {piece: n for n, (_, g) in enumerate(keyed) for piece in g}
 
-    def end_counts(self) -> dict[Point, int]:
-        """Number of interval ends at each point, that is the number of
-        germs into the set there (stored intervals are disjoint)."""
+    def extremal_points(self) -> list[Point]:
+        """Points with at most one germ into the set (leaves of each
+        component, plus isolated points), in point_key order.  A germ is
+        an interval end there, as stored intervals are disjoint."""
         counts: dict[Point, int] = {}
         for eid, ivs in self.intervals.items():
             for lo, hi in ivs:
                 for off in (lo, hi):
                     p = self.host.point(eid, off)
                     counts[p] = counts.get(p, 0) + 1
-        return counts
-
-    def extremal_points(self) -> list[Point]:
-        """Points with at most one germ into the set (leaves of each
-        component, plus isolated points), in point_key order."""
-        out = [p for p, n in self.end_counts().items() if n == 1]
+        out = [p for p, n in counts.items() if n == 1]
         out.extend(self.points)
         return sorted(out, key=point_key)
 

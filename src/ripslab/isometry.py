@@ -202,7 +202,11 @@ class PartialIsometry:
         return PartialIsometry(self.name, nd, image, corr, self.inverted, _chart=chart)
 
     def validate(self) -> list[str]:
-        """All invariant violations, empty when the band is well formed."""
+        """All invariant violations, empty when the band is well formed.
+        Markers that keep every distance and span the domain, their images
+        the range, extend to one isometry of these hulls, as a finite
+        subtree is fixed by the distances of its extremal points (Dress
+        1984), so each branch point of the domain has one image."""
         host = self.host
         bad: list[str] = []
         corr = self.correspondence
@@ -235,27 +239,7 @@ class PartialIsometry:
                  "surjectivity violation (marker images do not span the range)")):
             if len(s.components()) != 1 or not pts.issuperset(s.extremal_points()):
                 bad.append(f"band {self.label}: {what}")
-        if bad:
-            return bad
-        # consistency on branch points of the domain, now the markers' hull
-        branch = [p for p, n in self.domain.end_counts().items() if n >= 3]
-        for b in branch:
-            images = set()
-            for i, (mi, ii) in enumerate(corr):
-                for mj, ij in corr[i + 1:]:
-                    dib = host.distance(mi, b)
-                    dbj = host.distance(b, mj)
-                    if dib + dbj == host.distance(mi, mj):
-                        images.add(host.point_at(ii, ij, dib))
-            if len(images) > 1:
-                bad.append(f"band {self.label}: inconsistent images at branch "
-                           f"point {b!r}")
         return bad
-
-    def canonical_key(self):
-        """Identity of the underlying map, independent of labeling."""
-        ext = self.domain.extremal_points()
-        return (self.domain, tuple((p, self.apply(p)) for p in ext))
 
     def __repr__(self) -> str:
         return f"PartialIsometry({self.label}: {self.domain!r} -> {self.range!r})"

@@ -6,10 +6,11 @@ restrictions between ordered pairs of components of K': the components
 of D = K' n a^-1(K' n range(a)), each named by the components of K'
 holding its first marker and that marker's image.  K' is read off the
 system's valence stratification (`BandSystem.strata`, computed once per
-system), which also gives the vol(K^{>=3}) of each step record.  Halting
-(K stabilizes, band set unchanged up to relabeling) is decided by exact
-set equality; `judge` reports a non-halting trace with persistent triple
-overlap and shrinking band domains as Levitt evidence, never as proof.
+system), which also gives the vol(K^{>=3}) of each step record.  It halts
+when K' = K, by exact set equality, as then every band is carried whole
+(Gaboriau-Levitt-Paulin 1994; `same_system`); `judge` reports a
+non-halting trace with persistent triple overlap and shrinking band
+domains as Levitt evidence, never as proof.
 
 A run numbers its steps from the one it starts at, and can write each
 system to <checkpoint>/step-<i>.bands; this module alone knows that
@@ -107,11 +108,10 @@ def lineage(label: str) -> str:
 
 
 def same_system(s: BandSystem, t: BandSystem) -> bool:
-    """Exact equality of supports and of band sets up to relabeling."""
-    if s.support != t.support:
-        return False
-    return ({b.canonical_key() for b in s.bands}
-            == {b.canonical_key() for b in t.bands})
+    """Whether t = rips_step(s) is the valid system s up to relabeling:
+    iff K' = K, as then D = K n a^-1(K n range(a)) = dom(a), one subtree,
+    and `rips_step` carries each band a whole."""
+    return s.support == t.support
 
 
 def is_reduced(system: BandSystem):
@@ -243,7 +243,6 @@ class SurfaceType:
 class LevittEvidence:
     iterations: int
     diameter_trace: tuple[Scalar, ...]
-    vol_ge3_trace: tuple[Scalar, ...]
 
     def __str__(self) -> str:
         return f"LevittEvidence({self.iterations} iterations)"
@@ -315,10 +314,8 @@ def judge(trace: RipsTrace,
     if d0.sign() == 0:
         return done(Inconclusive("no halt, initial max domain diameter is 0"))
     if dn < d0 * rational(ratio):
-        return done(LevittEvidence(
-            trace.steps[-1].index,
-            tuple(r.max_diameter for r in trace.steps),
-            tuple(r.vol_ge3 for r in trace.steps)))
+        return done(LevittEvidence(trace.steps[-1].index,
+                                   tuple(r.max_diameter for r in trace.steps)))
     return done(Inconclusive(
         f"no halt, and final max domain diameter did not drop below "
         f"{ratio} of the initial"))

@@ -345,6 +345,10 @@ def _pf_eigenvector(adj, field: NumberField) -> tuple[Scalar, ...]:
 
 
 def transition(m: RoseMap) -> TransitionData:
+    """The transition matrix M, its primitivity exponent, and lambda with
+    its eigenvector v.  M v = lambda v holds exactly, so it is not tested:
+    v is a scaled column of adj(lambda I - M), and
+    (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0."""
     mat = transition_matrix(m)
     k = _primitivity_exponent(mat)
     if k is None:
@@ -352,15 +356,8 @@ def transition(m: RoseMap) -> TransitionData:
         raise NotPrimitive(f"transition matrix not primitive ({kind})", block)
     charpoly, adj = _charpoly(mat)
     field = _pf_field(charpoly, max(map(sum, mat)))
-    vec = _pf_eigenvector(adj, field)
-    lam = field.gen
-    for i in range(len(mat)):
-        resid = sum((mat[i][j] * vec[j] for j in range(len(mat))),
-                    field.zero()) - lam * vec[i]
-        if not resid.is_zero():
-            raise TrainTrackError("nonzero eigenvector residual")
     return TransitionData(tuple(tuple(row) for row in mat), k, field,
-                          lam, vec)
+                          field.gen, _pf_eigenvector(adj, field))
 
 
 # --- direction dynamics ----------------------------------------------------

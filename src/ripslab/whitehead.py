@@ -252,20 +252,15 @@ class PatternCertificate:
 
 
 def _point_on_side(system: BandSystem, leaf: LeafWord, a: Point,
-                   d: Direction, num: int, den: int) -> Optional[Point]:
-    """A point of leaf's domain strictly inside the direction d from a,
-    at num/den of the way to the far end of a's domain component."""
+                   d: Direction, num: int, den: int) -> Point:
+    """The point num/den of the way from a to the first extremal point of
+    a's component of leaf's domain that lies beyond a in d.  For an edge
+    at (a, d) there is one: that compact subtree extends from a into d."""
     forest = system.forest
-    for comp in leaf.domain.components():
-        if not comp.contains(a) or not comp.extends_in(d):
-            continue
-        for q in comp.extremal_points():
-            if q == a:
-                continue
-            if forest.direction_towards(a, q) == d:
-                dist = forest.distance(a, q)
-                return forest.point_at(a, q, dist * num / den)
-    return None
+    comp = next(c for c in leaf.domain.components() if c.contains(a))
+    q = next(q for q in comp.extremal_points()
+             if q != a and forest.direction_towards(a, q) == d)
+    return forest.point_at(a, q, forest.distance(a, q) * num / den)
 
 
 def detect_pattern(system: BandSystem, depth: int):
@@ -284,12 +279,8 @@ def detect_pattern(system: BandSystem, depth: int):
                     continue
                 b = _point_on_side(system, l1, x, d, 1, 2)
                 c = _point_on_side(system, l2, x, d, 1, 3)
-                if b is None or c is None:
-                    continue
-                if b == c:
+                if b == c:  # then c at 1/4 of the way is nearer a than b
                     c = _point_on_side(system, l2, x, d, 1, 4)
-                    if c is None or b == c:
-                        continue
                 cert = PatternCertificate(x, d, l1, l2, len(ends),
                                           b, l1, c, l2, depth)
                 if not cert.validate():

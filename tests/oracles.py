@@ -8,9 +8,15 @@ over per-band preimages (the fast path composes affine charts forward);
 word lists come from exhaustive generation with no pruning.  The
 marker-isometry word walk that the charts replaced is kept as
 `reference_walk`.  The Rips step keeps its per-(C_i, C_j) definition
-(`reference_rips_step`), and forest arcs the best-of-four search over the
-exit vertices of both cells (`reference_path`), with its own depth-first
-vertex paths.
+(`reference_rips_step`), and its halting test the comparison of band sets
+up to relabeling (`reference_same_system`); a band's validation keeps the
+pass that images each branch point through every pair of markers whose arc
+crosses it (`brute_branch_images`), and the T±-pattern search the loop
+over every component and extremal point of a leaf's domain for a point
+beyond the basepoint (`reference_point_on_side`): checks that the library
+drops as theorems settle them.  Forest arcs keep the best-of-four search
+over the exit vertices of both cells (`reference_path`), with its own
+depth-first vertex paths.
 Rose-map dynamics use naive substitution on letter strings.  Subforest
 intersection, the valence strata and the Rips overlap set keep their
 pairwise or subset-wise, point-probing forms here, and subforest components
@@ -451,6 +457,25 @@ def marker_apply(band, p):
     raise OutOfDomain(f"markers of {band.label} do not span {p!r}")
 
 
+def brute_branch_images(band):
+    """Each branch point of the domain, a vertex with three or more germs
+    into it, beside its images read off every pair of markers whose arc
+    passes through it: the point at its distance from the first marker on
+    the arc between the two images."""
+    host, corr, out = band.host, band.correspondence, {}
+    for v in host.vertices:
+        b = host.vertex_point(v)
+        if not band.domain.contains(b) or len(reference_germ_directions(band.domain, b)) < 3:
+            continue
+        out[b] = set()
+        for i, (mi, ii) in enumerate(corr):
+            for mj, ij in corr[i + 1:]:
+                dib = host.distance(mi, b)
+                if dib + host.distance(b, mj) == host.distance(mi, mj):
+                    out[b].add(host.point_at(ii, ij, dib))
+    return out
+
+
 def marker_image_of(band, s):
     """The image of a subtree s of the domain: the hull of the marker images
     of its extremal points."""
@@ -507,6 +532,20 @@ def reference_rips_step(system):
                     bands.append(replace(marker_restrict(a, dom),
                                          name=f"{a.name}.{i}_{j}"))
     return BandSystem(system.forest, tuple(bands), support=K, field=system.field)
+
+
+def reference_band_key(band):
+    """A band's map apart from its label: its domain, and each extremal
+    point of the domain beside its image through the markers."""
+    return band.domain, tuple((p, marker_apply(band, p))
+                              for p in band.domain.extremal_points())
+
+
+def reference_same_system(s, t):
+    """Equal supports, and equal band sets up to relabeling
+    (`reference_band_key`)."""
+    return (s.support == t.support and {reference_band_key(b) for b in s.bands}
+            == {reference_band_key(b) for b in t.bands})
 
 
 def reference_compose(phi, a):
@@ -643,11 +682,26 @@ def brute_wh_scan(system, depth, dotted=None):
     return rows
 
 
+def reference_point_on_side(system, leaf, a, d, num, den):
+    """A point of leaf's domain strictly inside the direction d from a, at
+    num/den of the way to the first extremal point beyond a in d of the
+    first component holding a and extending into d; None if there is none."""
+    forest = system.forest
+    for comp in reference_components(leaf.domain):
+        if not comp.contains(a) or not reference_extends_in(comp, d):
+            continue
+        for q in comp.extremal_points():
+            if q != a and forest.direction_towards(a, q) == d:
+                return forest.point_at(a, q, forest.distance(a, q) * num / den)
+    return None
+
+
 def reference_detect_pattern(system, depth):
     """detect_pattern as the walk over the wh_scan rows with >= 2 edges,
-    building each row's graph with directional_whitehead."""
-    from ripslab.whitehead import (NotFound, PatternCertificate, _point_on_side,
-                                   directional_whitehead, wh_scan)
+    building each row's graph with directional_whitehead, and each witness
+    with `reference_point_on_side`."""
+    from ripslab.whitehead import (NotFound, PatternCertificate, directional_whitehead,
+                                   wh_scan)
 
     for x, d, count in wh_scan(system, depth):
         if count < 2:
@@ -660,12 +714,12 @@ def reference_detect_pattern(system, depth):
                         g.class_of(l2.left), g.class_of(l2.right)}
                 if len(ends) < 3:
                     continue
-                b = _point_on_side(system, l1, x, d, 1, 2)
-                c = _point_on_side(system, l2, x, d, 1, 3)
+                b = reference_point_on_side(system, l1, x, d, 1, 2)
+                c = reference_point_on_side(system, l2, x, d, 1, 3)
                 if b is None or c is None:
                     continue
                 if b == c:
-                    c = _point_on_side(system, l2, x, d, 1, 4)
+                    c = reference_point_on_side(system, l2, x, d, 1, 4)
                     if c is None or b == c:
                         continue
                 cert = PatternCertificate(x, d, l1, l2, len(ends),

@@ -294,6 +294,43 @@ def test_parsed_input_errors_exit_2(tmp_path, capsys, text):
         assert ": line " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (TREE + "support\ninterval e0 0 1/2\nband a\nmap e0:0 -> e0:1/2\n"
+     "map e0:1/4 -> e0:3/4\n", "band a: range leaves the support"),
+    (TREE + "band a\nmap e0: -> e0:1/2\n", "line 6: empty scalar expression"),
+    ("tree\nvertex u\nvertex v\nedge e0 u v (1\n" + BAND,
+     "line 4: unbalanced parenthesis"),
+    (BAND, "missing tree section"),
+    (TREE + "support\ninterval e0 0\n" + BAND,
+     "line 6: expected: interval <edge> <lo> <hi>"),
+    (TREE + "support\ninterval e9 0 1\n" + BAND, "line 6: unknown edge 'e9'"),
+    (TREE + "support\nsegment e0 0 1\n" + BAND,
+     "line 6: unexpected 'segment' in support section"),
+    (TREE + "band a\n", "line 5: band a has no map lines"),
+    ("field 2*L^2 - 1 in (0, 1)\n" + TREE + BAND,
+     "line 1: bad field: defining polynomial must be monic"),
+    ("field 2 in (0, 1)\n" + TREE + BAND,
+     "line 1: bad field: defining polynomial must be nonconstant"),
+    ("tree\nvertex u\nvertex u\nedge e0 u v 1\n" + BAND, "duplicate vertex id"),
+    ("tree\nvertex u\nvertex v\nedge e0 u u 1\n" + BAND, "edge e0 is a loop"),
+    (TREE + "edge e1 v u 1\n" + BAND, "forest contains a cycle"),
+    ("tree\nvertex u\nvertex v\nedge e0 u v 0\n" + BAND,
+     "edge e0 must have positive length"),
+    ("tree\nvertex u\nvertex v\nedge u u v 1\n" + BAND,
+     "edge id collides with vertex id"),
+], ids=["range-leaves-support", "empty-scalar", "unbalanced-parenthesis",
+        "missing-tree", "interval-fields", "support-unknown-edge",
+        "support-segment", "no-map-lines", "field-not-monic", "field-constant",
+        "duplicate-vertex", "loop", "cycle", "zero-length", "edge-is-vertex"])
+def test_validate_input_mistakes_exit_2(tmp_path, capsys, text, message):
+    """Each mistake in a .bands file is an input error, reported on one
+    stderr line naming the file."""
+    path = tmp_path / "bad.bands"
+    path.write_text(text)
+    assert run_cli("validate", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+
 def test_resume_from_checkpoint_repeating_a_label_is_input_error(tmp_path):
     bands = corpus("e_trim.bands")
     ck = tmp_path / "ck"
@@ -334,6 +371,27 @@ def test_resume_from_undecodable_checkpoint_is_input_error(tmp_path, capsys,
     assert run_cli("rips", "classify", "--resume",
                    "--checkpoint", str(ck), bands) == (2, "")
     assert str(ck / f"step-{step}.bands") in capsys.readouterr().err
+
+
+def test_resume_from_an_empty_checkpoint_starts_at_step_0(tmp_path):
+    """A checkpoint directory with no step file holds nothing to resume:
+    the run starts at step 0 and prints no resumed line."""
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    bands = corpus("e_trim.bands")
+    assert rips.latest_checkpoint(str(ck)) is None
+    code, text = run_cli("rips", "run", "--max-iter", "2", "--checkpoint", str(ck),
+                         "--resume", bands)
+    assert (code, text) == (0, run_cli("rips", "run", "--max-iter", "2", bands)[1])
+    assert text.startswith("step 0:")
+    assert sorted(p.name for p in ck.iterdir()) == [f"step-{i}.bands" for i in range(3)]
+
+
+def test_classify_without_diameter_drop_is_inconclusive():
+    code, text = run_cli("rips", "classify", "--max-iter", "1", corpus("bk_itm.bands"))
+    assert code == 0
+    assert text == ("verdict: Inconclusive\nreason: no halt, and final max domain"
+                    " diameter did not drop below 1/2 of the initial\n")
 
 
 def test_resume_requires_checkpoint():
@@ -410,6 +468,16 @@ def test_wh_at_bad_point():
     assert code == 2
 
 
+@pytest.mark.parametrize("point, direction, message", [
+    ("e0:3/2", "e0", "bad direction 'e0'; expected edge:+ or edge:-"),
+    ("e0:1", "e1:+", "e1:+ is not a direction at P(e0:1)"),
+], ids=["malformed", "not-at-point"])
+def test_wh_at_bad_direction(capsys, point, direction, message):
+    assert run_cli("wh", "at", corpus("e_surf.bands"), "--point", point,
+                   "--direction", direction) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_pattern_reports():
     code, text = run_cli("pattern", corpus("e_surf.bands"), "--depth", "3")
     assert code == 0 and "not found (depth 3)" in text
@@ -457,6 +525,14 @@ def test_tt_swg_matches_oracle():
     _, edges = brute_stable_whitehead(m3.images, 6)
     for u, v in edges:
         assert f"edge: {u} {v}" in text
+
+
+def test_tt_check_warns_of_a_reduced_image(tmp_path):
+    path = tmp_path / "unreduced.map"
+    path.write_text("map a -> abcC; b -> ac; c -> a\n")
+    code, text = run_cli("tt", "check", str(path))
+    assert code == 0
+    assert text == "warning: map image of a reduced: abcC -> ab\ntrain-track: yes\n"
 
 
 def test_tt_pf_integer_eigenvalue(tmp_path):

@@ -133,8 +133,8 @@ def test_validate_surjectivity_violation(line3):
 def test_validate_reports_a_domain_with_a_branch_point_in_another_tree():
     """A domain that is not the markers' hull, here the whole tripod host
     with its branch point c, while the markers sit at the lone vertex z,
-    is reported as a violation: the branch-point check, which measures
-    from the markers to c, is not reached."""
+    is reported as unspanned, and its range likewise: the markers keep
+    their one distance, 0, so only the spanning checks see the tree."""
     host = tripod().forest
     a, z = host.vertex_point("a"), host.vertex_point("z")
     bad = PartialIsometry("p", host.whole(), host.whole(), ((z, a), (z, a)), True)
@@ -165,6 +165,64 @@ def test_validate_lets_other_errors_of_distance_propagate(line3, monkeypatch):
     monkeypatch.setattr(line3, "distance", fail)
     with pytest.raises(RuntimeError, match="distance failed"):
         band.validate()
+
+
+@st.composite
+def joined_tree_bands(draw):
+    """A band between two copies of one drawn tree, each refined at its
+    own drawn marks and glued to the other at a drawn vertex: 3 to 6
+    points of the tree, on a grid of eighths, in one copy sent to the same
+    points in the other.  The tree's first three edges leave v0, and the
+    first three points lie on them away from v0, so v0 is a branch point
+    of the domain."""
+    n = draw(st.integers(3, 6))
+    edges = []
+    for k in range(1, n + 1):
+        other = f"v{0 if k <= 3 else draw(st.integers(0, k - 1))}"
+        ends = (other, f"v{k}") if draw(st.booleans()) else (f"v{k}", other)
+        edges.append(Edge(f"e{k}", *ends, Q(draw(st.integers(1, 4)), 2)))
+    tree = MetricForest([f"v{k}" for k in range(n + 1)], edges)
+
+    def at(e, lo, hi):
+        return tree.point(e.id, e.length * Q(draw(st.integers(lo, hi)), 8))
+
+    def copy():
+        return refine(tree, [at(e, 1, 7) for e in edges if draw(st.booleans())])
+
+    (one, first), (two, second) = copy(), copy()
+    glue = draw(st.sampled_from(list(two.vertices)))
+    name = {v: v + "b" for v in two.vertices}
+    name[glue] = draw(st.sampled_from(list(one.vertices)))
+    host = MetricForest(list(one.vertices) + [name[v] for v in two.vertices if v != glue],
+                        list(one.edges) + [Edge(e.id + "b", name[e.u], name[e.v], e.length)
+                                           for e in two.edges])
+
+    def moved(p):
+        q = second.point(p)
+        return Point(vertex=name[q.vertex]) if q.is_vertex else host.point(q.edge + "b", q.offset)
+
+    points = [at(e, *((1, 8) if e.u == "v0" else (0, 7))) for e in edges[:3]]
+    points += [at(draw(st.sampled_from(edges)), 0, 8) for _ in range(draw(st.integers(0, 3)))]
+    corr = [(first.point(p), moved(p)) for p in dict.fromkeys(points)]
+    if draw(st.booleans()):
+        corr = [(q, p) for p, q in corr]
+    return band_from_markers(host, "a", corr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(joined_tree_bands())
+def test_branch_points_have_one_image_on_joined_trees(band):
+    """Markers that keep every distance and span the hulls image each
+    branch point of the domain once, as the band does: the pass that
+    validation dropped finds nothing.  Moving one image toward another
+    breaks their distance, which validate reports."""
+    images = oracles.brute_branch_images(band)
+    assert images and all(got == {band.apply(b)} for b, got in images.items())
+    host, corr = band.host, list(band.correspondence)
+    (m, i), (_, j) = corr[:2]
+    corr[0] = (m, host.point_at(i, j, host.distance(i, j) / 2))
+    assert any("distance violation" in v for v in
+               PartialIsometry(band.name, band.domain, band.range, tuple(corr)).validate())
 
 
 def test_arc_band_rejects_unequal_lengths(line3):

@@ -15,6 +15,8 @@ from ripslab.forest import Edge, MetricForest, Subforest
 from ripslab.isometry import BandSystem, PartialIsometry, band_from_markers
 from ripslab.rips import (
     Inconclusive,
+    RipsTrace,
+    StepRecord,
     SurfaceType,
     ValenceStratification,
     classify,
@@ -138,8 +140,40 @@ def test_step_e_trim_twice(e_trim):
 def test_step_e_surf_halts(e_surf):
     s1 = rips_step(e_surf)
     assert s1.support == e_surf.forest.whole()
-    assert ({b.canonical_key() for b in s1.bands}
-            == {b.canonical_key() for b in e_surf.bands})
+    assert ({oracles.reference_band_key(b) for b in s1.bands}
+            == {oracles.reference_band_key(b) for b in e_surf.bands})
+
+
+def check_halting(system, steps=12):
+    """same_system against the oracle's comparison of supports and band
+    sets at every step of a run, up to `steps` steps or the halt; the
+    answers seen."""
+    seen = set()
+    for _ in range(steps):
+        got = rips_step(system)
+        halted = same_system(system, got)
+        assert halted == oracles.reference_same_system(system, got)
+        seen.add(halted)
+        if halted:
+            break
+        system = got
+    return seen
+
+
+def test_same_system_matches_reference_along_runs():
+    """K' = K decides the halt: it agrees with the comparison of band sets
+    up to relabeling at every step, on the corpus, their zigzag hosts, the
+    tripod and step6, both where the run halts and where it does not."""
+    systems = [tripod(), step6()]
+    for name in ("e_surf.bands", "e_trim.bands", "bk_itm.bands"):
+        systems += [corpus(name), zigzag(corpus(name))]
+    assert set().union(*map(check_halting, systems)) == {False, True}
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_systems())
+def test_same_system_matches_reference_fuzz(system):
+    check_halting(system)
 
 
 def test_overlap_keeps_distinct_band_point_touch():
@@ -563,6 +597,16 @@ def test_classify_inconclusive_on_budget():
                             shift(host, "b", 0, Q(3, 10), Q(6, 10))))
     c = classify(sys, 1, Fraction(1, 2))
     assert isinstance(c.verdict, Inconclusive)
+
+
+def test_judge_reports_a_zero_initial_diameter(e_trim):
+    """A trace with triple overlap throughout, no halt and domains of
+    diameter 0 from the start is inconclusive; verdicts print as their
+    constructors."""
+    steps = tuple(StepRecord(i, e_trim, Q(1), Q(1), Q(0), 2, False) for i in range(2))
+    assert str(judge(RipsTrace(steps, 1)).verdict) == (
+        "Inconclusive(no halt, initial max domain diameter is 0)")
+    assert str(classify(e_trim, 50).verdict) == "SurfaceType(5)"
 
 
 def test_classify_rejects_bad_ratio(e_surf, monkeypatch):

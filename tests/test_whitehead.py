@@ -22,7 +22,7 @@ from ripslab.whitehead import (
 )
 
 from oracles import (brute_check_complete_bipartite_33, brute_dotted, brute_wh_scan,
-                     pruned_brute_sides, reference_detect_pattern)
+                     pruned_brute_sides, reference_detect_pattern, reference_point_on_side)
 from test_lamination import step6, tripod
 
 
@@ -137,6 +137,26 @@ def test_detect_pattern_matches_reference(name, depth):
     walk with a directional_whitehead graph per row."""
     s = corpus(name)
     assert detect_pattern(s, depth) == reference_detect_pattern(s, depth)
+
+
+@pytest.mark.parametrize("name", ["bk_itm.bands", "step6", "tripod"])
+def test_point_on_side_exists_for_every_edge(name):
+    """At every row with two or more edges, depths 2-6, each edge's domain
+    has the point detect_pattern asks for, inside the row's direction, as
+    the oracle's search over every component and extremal point finds it."""
+    system = {"step6": step6, "tripod": tripod}.get(name, lambda: corpus(name))()
+    forest, rows = system.forest, 0
+    for depth in range(2, 7):
+        for x, d, edges in whitehead._scan(system, depth):
+            if len(edges) < 2:
+                break
+            rows += 1
+            for leaf in edges:
+                for den in (2, 3, 4):
+                    p = whitehead._point_on_side(system, leaf, x, d, 1, den)
+                    assert p == reference_point_on_side(system, leaf, x, d, 1, den)
+                    assert leaf.domain.contains(p) and forest.direction_towards(x, p) == d
+    assert rows
 
 
 def test_wh_scan_sorted_descending(e_surf):
