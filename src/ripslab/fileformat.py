@@ -17,11 +17,15 @@ with no lines, it is empty) and one ``band`` section per band::
     map e0:0 -> e0:1/2
     map e0:1/2 -> e0:1
 
-Scalars are exact: plain rationals (``3/10``) or polynomials in the field
-generator ``L`` (``1 - L - L^2``); decimals never appear.  A band is
-given purely by its marker correspondence; its domain and range are the
-convex hulls of the markers and of their images, and every parsed band
-must pass the isometry validator.
+Scalars are exact, in the grammar expr = [+|-] term {(+|-) term}, term =
+factor {* factor}, factor = p | p/q | L | L^k | (expr): a plain rational
+(``3/10``) or a polynomial in the field generator ``L`` (``1 - L - L^2``);
+decimals never appear.  Each is evaluated with `scalar`'s arithmetic in
+the file's field, or in Q; the ``field`` line's polynomial is evaluated
+in Q[L] before its field exists, and its bounds are rational scalars.  A
+band is given purely by its marker correspondence; its domain and range
+are the convex hulls of the markers and of their images, and every parsed
+band must pass the isometry validator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Optional
 
 from .forest import Edge, ForestError, MetricForest, Point, Subforest, point_key
 from .isometry import BandSystem, ValidationError, band_from_markers
-from .scalar import FieldMismatch, NumberField, Scalar, ScalarError, poly_str, rational
+from .scalar import (ZERO, FieldMismatch, NumberField, Scalar, ScalarError,
+                     monomial, poly_str, rational)
 
 
 class BandsSyntaxError(Exception):
@@ -57,37 +62,6 @@ PARSE_ERRORS = (UnicodeDecodeError, BandsSyntaxError, ValidationError,
 # ---------------------------------------------------------------------------
 # scalar expressions
 
-Poly = tuple  # tuple[Fraction, ...], ascending, no trailing zeros
-
-
-def _trim(c: list) -> Poly:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([x + b[i] if i < len(b) else x for i, x in enumerate(a)])
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|L|\^|\*|\+|-|\(|\))")
 
 
@@ -103,33 +77,29 @@ def _tokenize(text: str, line: int) -> list[str]:
     return out
 
 
-def _parse_poly(text: str, line: int, gen: bool) -> Poly:
-    """Parse a sum of terms c, c*L^k, L^k into ascending coefficients.
-
-    The generator L is rejected unless `gen` is set.  The parsers below
-    read the tokens off the end of one reversed list, the cursor."""
-    toks = _tokenize(text, line)[::-1]
-    if not toks:
+def _evaluate(text: str, line: int, field: Optional[NumberField],
+              gen: bool) -> Scalar:
+    """The value of a scalar expression in the field, or in Q with no
+    field.  The generator L is rejected unless `gen` is set; with `gen` and
+    no field, L is the formal `monomial` of a field line.  The parsers
+    below read the tokens off the end of one reversed list, the cursor,
+    whose bottom entry None marks the end: each parser that takes it
+    raises at once, so none reads past it."""
+    toks = [None] + _tokenize(text, line)[::-1]
+    if len(toks) == 1:
         raise BandsSyntaxError(line, "empty scalar expression")
-    value = _parse_expr(toks, line, gen)
-    if toks:
+    value = _parse_expr(toks, line, field, gen)
+    if len(toks) > 1:
         raise BandsSyntaxError(line, f"trailing tokens in {text!r}")
     return value
 
 
-def _peek(toks: list[str]) -> Optional[str]:
-    return toks[-1] if toks else None
-
-
-def _take(toks: list[str]) -> Optional[str]:
-    return toks.pop() if toks else None
-
-
-def _parse_factor(toks: list[str], line: int, gen: bool) -> Poly:
-    t = _take(toks)
+def _parse_factor(toks: list, line: int, field: Optional[NumberField],
+                  gen: bool) -> Scalar:
+    t = toks.pop()
     if t == "(":
-        v = _parse_expr(toks, line, gen)
-        if _take(toks) != ")":
+        v = _parse_expr(toks, line, field, gen)
+        if toks.pop() != ")":
             raise BandsSyntaxError(line, "unbalanced parenthesis")
         return v
     if t == "L":
@@ -137,48 +107,45 @@ def _parse_factor(toks: list[str], line: int, gen: bool) -> Poly:
             raise BandsSyntaxError(
                 line, "generator L used without a field declaration")
         k = "1"
-        if _peek(toks) == "^":
-            _take(toks)
-            k = _take(toks)
+        if toks[-1] == "^":
+            toks.pop()
+            k = toks.pop()
             if k is None or not k.isdigit():
                 raise BandsSyntaxError(line, "bad exponent")
-        return (Fraction(0),) * int(k) + (Fraction(1),)
+        return monomial(field, int(k))
     if t is None or t in "+-*^)":
         raise BandsSyntaxError(line, f"unexpected token {t!r}")
     try:
-        return _trim([Fraction(t)])
+        q = Fraction(t)
     except ZeroDivisionError:
         raise BandsSyntaxError(line, f"zero denominator in {t!r}") from None
+    return rational(q) if field is None else field.rational(q)
 
 
-def _parse_term(toks: list[str], line: int, gen: bool) -> Poly:
-    v = _parse_factor(toks, line, gen)
-    while _peek(toks) == "*":
-        _take(toks)
-        v = _pmul(v, _parse_factor(toks, line, gen))
+def _parse_term(toks: list, line: int, field: Optional[NumberField],
+                gen: bool) -> Scalar:
+    v = _parse_factor(toks, line, field, gen)
+    while toks[-1] == "*":
+        toks.pop()
+        v = v * _parse_factor(toks, line, field, gen)
     return v
 
 
-def _parse_expr(toks: list[str], line: int, gen: bool) -> Poly:
-    neg = False
-    if _peek(toks) in ("+", "-"):
-        neg = _take(toks) == "-"
-    v = _parse_term(toks, line, gen)
-    if neg:
-        v = _pneg(v)
-    while _peek(toks) in ("+", "-"):
-        op = _take(toks)
-        w = _parse_term(toks, line, gen)
-        v = _padd(v, _pneg(w) if op == "-" else w)
+def _parse_expr(toks: list, line: int, field: Optional[NumberField],
+                gen: bool) -> Scalar:
+    """A sum of terms, the first with an optional sign, added to zero."""
+    v, op = ZERO, toks.pop() if toks[-1] in ("+", "-") else "+"
+    while op:
+        w = _parse_term(toks, line, field, gen)
+        v = v - w if op == "-" else v + w
+        op = toks.pop() if toks[-1] in ("+", "-") else None
     return v
 
 
 def parse_scalar(text: str, field: Optional[NumberField], line: int = 0) -> Scalar:
-    """Parse a sum of terms c, c*L^k, L^k into an exact Scalar."""
-    coeffs = _parse_poly(text, line, field is not None)
-    if field is not None:
-        return field.element(coeffs)
-    return rational(coeffs[0] if coeffs else 0)
+    """Parse a scalar expression into an exact Scalar of the field, or a
+    rational with no field."""
+    return _evaluate(text, line, field, field is not None)
 
 
 def scalar_str(x: Scalar) -> str:
@@ -321,7 +288,7 @@ def parse_system_text(text: str) -> BandSystem:
 
     system = BandSystem(forest, tuple(bands), support=support, field=field)
     # band_from_markers validated each band as it built it
-    problems = [v for b in bands for v in system.leaving_support(b)]
+    problems = system.leaving_support()
     if problems:
         raise ValidationError(problems)
     return system
@@ -329,10 +296,13 @@ def parse_system_text(text: str) -> BandSystem:
 
 def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
-    poly = _parse_poly(poly_text, no, gen=True)
+    """The field of a field line: its polynomial is read in Q[L], with L
+    the formal `monomial`, and its bounds as rational scalars."""
+    poly = _evaluate(poly_text, no, None, gen=True).coeffs
+    lo, hi = (parse_scalar(x, None, no).as_fraction() for x in (lo_text, hi_text))
     try:
-        return NumberField(poly, Fraction(lo_text), Fraction(hi_text))
-    except (ValueError, ZeroDivisionError, ScalarError) as exc:
+        return NumberField(poly, lo, hi)
+    except ScalarError as exc:
         raise BandsSyntaxError(no, f"bad field: {exc}") from None
 
 

@@ -277,11 +277,12 @@ class BandSystem:
         raise IsometryError(f"no band labeled {label!r}")
 
     def validate(self) -> list[str]:
-        return [v for b in self.bands for v in b.validate() + self.leaving_support(b)]
+        return [v for b in self.bands for v in b.validate()] + self.leaving_support()
 
-    def leaving_support(self, b: PartialIsometry) -> list[str]:
-        """The violations of a band whose domain or range leaves the support."""
-        return [f"band {b.label}: {side} leaves the support"
+    def leaving_support(self) -> list[str]:
+        """The violations of the bands whose domain or range leaves the
+        support."""
+        return [f"band {b.label}: {side} leaves the support" for b in self.bands
                 for side, s in (("domain", b.domain), ("range", b.range))
                 if not s.issubset(self.support)]
 

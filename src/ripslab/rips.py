@@ -28,7 +28,7 @@ from typing import Optional
 from .fileformat import PARSE_ERRORS, parse_system, save_system
 from .forest import Subforest
 from .isometry import ValenceStratification  # noqa: F401  (re-exported)
-from .isometry import BandSystem, PartialIsometry
+from .isometry import BandSystem, PartialIsometry, ValidationError
 from .scalar import Scalar, rational
 
 
@@ -170,10 +170,15 @@ def run(system: BandSystem, max_iter: int,
     The records are numbered from `start`, the step a resumed run picks up
     at.  With `checkpoint` set, every computed system is written to
     <checkpoint>/step-<i>.bands in the standard text format; a checkpoint
-    that cannot be written raises CheckpointError.
+    that cannot be written raises CheckpointError.  A band that leaves the
+    support raises ValidationError before any step is recorded, as the
+    halt test K' = K carries every band whole only when each lies in K.
     """
     if max_iter < 1 or start < 0:
         raise ValueError("max_iter must be >= 1 and start >= 0")
+    problems = system.leaving_support()
+    if problems:
+        raise ValidationError(problems)
     records: list[StepRecord] = []
 
     def record(i: int, s: BandSystem):

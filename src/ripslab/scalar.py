@@ -336,7 +336,8 @@ class NumberField:
         return self.element((0, 1))
 
     def rational(self, value) -> "Scalar":
-        return self.element((Fraction(value),))
+        """The rational value, an int or a Fraction, as an element."""
+        return _canon(self, [value.numerator], value.denominator)
 
     def zero(self) -> "Scalar":
         return self.element(())
@@ -754,6 +755,13 @@ def _remover(table: dict):
         if table.get(ref.key) is ref:
             del table[ref.key]
     return remove
+
+
+def monomial(field: NumberField | None, k: int) -> Scalar:
+    """lambda^k; with no field, the formal L^k with which the parser reads
+    a field line's polynomial in Q[L]: such a value only adds, subtracts
+    and multiplies, has no order and no division, and never leaves it."""
+    return _reduce(field, [0] * k + [1], 1)
 
 
 def rational(numerator, denominator=1) -> Scalar:

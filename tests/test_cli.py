@@ -318,10 +318,17 @@ def test_parsed_input_errors_exit_2(tmp_path, capsys, text):
      "edge e0 must have positive length"),
     ("tree\nvertex u\nvertex v\nedge u u v 1\n" + BAND,
      "edge id collides with vertex id"),
+    ("field L^2 - 2 in (1.4, 3/2)\n" + TREE + BAND,
+     "line 1: bad scalar expression '1.4'"),
+    ("field L^2 - 2 in (14e-1, 3/2)\n" + TREE + BAND,
+     "line 1: bad scalar expression '14e-1'"),
+    ("field L^2 - 2 in (1/0, 3/2)\n" + TREE + BAND,
+     "line 1: zero denominator in '1/0'"),
 ], ids=["range-leaves-support", "empty-scalar", "unbalanced-parenthesis",
         "missing-tree", "interval-fields", "support-unknown-edge",
         "support-segment", "no-map-lines", "field-not-monic", "field-constant",
-        "duplicate-vertex", "loop", "cycle", "zero-length", "edge-is-vertex"])
+        "duplicate-vertex", "loop", "cycle", "zero-length", "edge-is-vertex",
+        "field-bound-decimal", "field-bound-exponent", "field-bound-zero-denominator"])
 def test_validate_input_mistakes_exit_2(tmp_path, capsys, text, message):
     """Each mistake in a .bands file is an input error, reported on one
     stderr line naming the file."""

@@ -3,10 +3,12 @@ import importlib.resources as resources
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
+import oracles
 from hosts import summary
 from ripslab import fileformat
 from ripslab.cli import _parse_direction
@@ -69,6 +71,101 @@ def test_scalar_str_round_trip():
     for x in (Q(0), Q(-7, 3), f.gen, 1 - f.gen, f.element([1, -2, 3]),
               f.element([0, 0, -1])):
         assert parse_scalar(scalar_str(x), f) == x
+
+
+# An expression tree is a number (p, q), a power ("L", k), a negation
+# ("-", t), a binary node (op, s, t) or parentheses ("()", t).  Its text
+# has the parentheses that the grammar needs and those drawn; its values
+# are a Fraction and a polynomial in L over Fraction, by the oracles'
+# dense arithmetic.
+
+def _expressions(with_gen):
+    number = st.tuples(st.integers(0, 50), st.integers(1, 20))
+    leaf = st.one_of(number, st.tuples(st.just("L"), st.integers(0, 6))) if with_gen else number
+    return st.recursive(leaf, lambda t: st.one_of(
+        st.tuples(st.just("-"), t),
+        st.tuples(st.sampled_from("+-*"), t, t),
+        st.tuples(st.just("()"), t)), max_leaves=10)
+
+
+def _text(tree, level=1):
+    """The text of a tree where the grammar needs a sum (level 1), a
+    product (2) or a factor (3); a negation only starts a sum."""
+    head = tree[0]
+    if head == "()":
+        return "(" + _text(tree[1]) + ")"
+    if head == "L":
+        return "L" if tree[1] == 1 else f"L^{tree[1]}"
+    if isinstance(head, int):
+        return str(head) if tree[1] == 1 else f"{head}/{tree[1]}"
+    if len(tree) == 2:  # negation
+        text, own = "-" + _text(tree[1], 2), 1
+    elif head == "*":
+        text, own = _text(tree[1], 2) + "*" + _text(tree[2], 3), 2
+    else:
+        text, own = _text(tree[1], 1) + f" {head} " + _text(tree[2], 2), 1
+    return text if own >= level else "(" + text + ")"
+
+
+def _fraction(tree):
+    head = tree[0]
+    if head == "()":
+        return _fraction(tree[1])
+    if isinstance(head, int):
+        return Fraction(head, tree[1])
+    if len(tree) == 2:
+        return -_fraction(tree[1])
+    a, b = _fraction(tree[1]), _fraction(tree[2])
+    return a + b if head == "+" else a - b if head == "-" else a * b
+
+
+def _reference(tree):
+    head = tree[0]
+    if head == "()":
+        return _reference(tree[1])
+    if head == "L":
+        return oracles._poly([0] * tree[1] + [1])
+    if isinstance(head, int):
+        return oracles._poly([Fraction(head, tree[1])])
+    if len(tree) == 2:
+        return oracles._pneg(_reference(tree[1]))
+    op = {"+": oracles._padd, "-": oracles._psub, "*": oracles._pmul}[head]
+    return op(_reference(tree[1]), _reference(tree[2]))
+
+
+BK_ITM = NumberField([-1, 1, 1, 1], 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions(with_gen=True))
+def test_parse_scalar_matches_dense_polynomials_in_the_bk_itm_field(tree):
+    """In the bk_itm field a parsed expression is its value in Q[L]
+    reduced modulo the minimal polynomial; read on a field line, before
+    the field exists, it is that value in Q[L] unreduced."""
+    text = _text(tree)
+    note(text)
+    value = _reference(tree)
+    x = parse_scalar(text, BK_ITM)
+    assert x.field is BK_ITM
+    assert x.coeffs == oracles._pdivmod(value, BK_ITM.minpoly)[1]
+    assert fileformat._evaluate(text, 0, None, gen=True).coeffs == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions(with_gen=False))
+def test_parse_scalar_matches_fractions_with_no_field(tree):
+    text = _text(tree)
+    note(text)
+    x = parse_scalar(text, None)
+    assert x.field is None
+    assert x == Q(_fraction(tree))
+
+
+def test_field_line_reads_its_polynomial_in_any_form():
+    """bk_itm's minimal polynomial written as a product defines the
+    corpus field."""
+    text = "field (L + 1)*(L^2 + 1) - 2 in (0, 1)\n" + LINE
+    assert parse_system_text(text).field == parse_system(corpus("bk_itm.bands")).field
 
 
 @st.composite

@@ -490,6 +490,23 @@ def test_run_empty_system():
     assert trace.final.support.is_empty
 
 
+def test_run_and_classify_reject_a_band_leaving_the_support(tmp_path, monkeypatch):
+    """K' = K carries every band whole only when each band lies in K, so a
+    system whose band leaves its support is rejected before step `start`
+    is recorded or written, not reported halted."""
+    host = line(3)
+    system = BandSystem(host, (shift(host, "a", 0, 2, 1), shift(host, "b", 1, 2, 0)),
+                        support=seg(host, 1, 2))
+    monkeypatch.setattr("ripslab.rips.rips_step", None)
+    message = "band a: domain leaves the support; band a: range leaves the support"
+    with pytest.raises(isometry.ValidationError) as exc:
+        run(system, 5, checkpoint=str(tmp_path))
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(isometry.ValidationError, match=message):
+        classify(system, 5)
+
+
 def test_run_stratifies_each_system_once(monkeypatch):
     """Step i's record and the overlap set of step i + 1 read the same
     stratification, so a run makes one per record."""

@@ -1,7 +1,7 @@
 """Checks over the source of `src/ripslab`, read as syntax trees: every
 public module-level name has a reader in the program or the benchmark,
-sympy is imported in one place, and one walk climbs the rooted trees of a
-forest."""
+sympy is imported in one place, only `scalar` calls the `Scalar`
+constructor, and one walk climbs the rooted trees of a forest."""
 
 import ast
 import pathlib
@@ -67,6 +67,16 @@ def test_sympy_is_imported_in_one_place():
              and any(a.name.split(".")[0] == "sympy" for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"]
     assert [f for f, _ in sites] == ["scalar.py"], sites
+
+
+def test_only_scalar_calls_the_scalar_constructor():
+    """`Scalar(...)` takes its input in canonical form and does not
+    normalize it, so every other module builds values through `rational`,
+    a field's methods and arithmetic."""
+    callers = {f for f, tree in _trees(SRC).items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and "Scalar" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"scalar.py"}
 
 
 def _readers(tree, attrs):
