@@ -316,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    sys.set_int_max_str_digits(0)  # every report prints exact values
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

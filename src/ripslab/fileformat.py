@@ -22,7 +22,7 @@ factor {* factor}, factor = p | p/q | L | L^k | (expr): a plain rational
 (``3/10``) or a polynomial in the field generator ``L`` (``1 - L - L^2``);
 decimals never appear.  Each is evaluated with `scalar`'s arithmetic in
 the file's field, or in Q; the ``field`` line's polynomial is evaluated
-in Q[L] before its field exists, and its bounds are rational scalars.  A
+in Q[L] before its field exists, and so are its rational bounds.  A
 band is given purely by its marker correspondence; its domain and range
 are the convex hulls of the markers and of their images, and every parsed
 band must pass the isometry validator.
@@ -296,12 +296,13 @@ def parse_system_text(text: str) -> BandSystem:
 
 def _parse_field(poly_text: str, lo_text: str, hi_text: str,
                  no: int) -> NumberField:
-    """The field of a field line: its polynomial is read in Q[L], with L
-    the formal `monomial`, and its bounds as rational scalars."""
-    poly = _evaluate(poly_text, no, None, gen=True).coeffs
-    lo, hi = (parse_scalar(x, None, no).as_fraction() for x in (lo_text, hi_text))
+    """The field of a field line: its polynomial and its bounds are read
+    in Q[L], with L the formal `monomial`, and the bounds must be rational."""
+    poly, lo, hi = (_evaluate(x, no, None, gen=True) for x in (poly_text, lo_text, hi_text))
+    if len(lo.num) > 1 or len(hi.num) > 1:
+        raise BandsSyntaxError(no, "the bounds of a field line must be rational")
     try:
-        return NumberField(poly, lo, hi)
+        return NumberField(poly.coeffs, lo.as_fraction(), hi.as_fraction())
     except ScalarError as exc:
         raise BandsSyntaxError(no, f"bad field: {exc}") from None
 

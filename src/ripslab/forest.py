@@ -569,9 +569,9 @@ class Subforest:
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subforest)
-                and self.intervals == other.intervals
-                and self.points == other.points)
+        return self is other or (isinstance(other, Subforest)
+                                 and self.intervals == other.intervals
+                                 and self.points == other.points)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -594,17 +594,21 @@ def coverage(sets: Sequence[Subforest], keys: Sequence
              ) -> dict[str, tuple[list[Scalar], list[list], list[int]]]:
     """One sorted sweep over the closed spans (`Subforest.spans`) of the
     sets on each cell.  Per cell: the distinct span ends in ascending
-    order; the keys of the sets holding each end, in the order of the
-    sets; and the number of sets covering the open piece after each end
-    (0 after the last one).  A set lists a vertex it holds on every edge
-    at it, so every cell through a vertex sees all the sets holding it."""
+    order; the keys of the sets holding each end, in the order of the sets;
+    and the number of sets covering the open piece after each end (0 after
+    the last one).  A set lists a vertex it holds on every edge at it, so
+    every cell through a vertex sees all the sets holding it.  Ends are
+    sorted by their cached enclosures, each adjacent pair then checked by
+    the exact `<`; a failed check sorts exactly."""
     rows: dict[str, list] = {}
     for s, key in zip(sets, keys):
         for cell, lo, hi in s.spans():
             rows.setdefault(cell, []).append((lo, hi, key))
     out = {}
     for cell, row in rows.items():
-        ends = sorted({x for lo, hi, _ in row for x in (lo, hi)})
+        ends = sorted({x for lo, hi, _ in row for x in (lo, hi)}, key=Scalar.enclosure)
+        if not all(map(operator.lt, ends, ends[1:])):
+            ends = sorted(ends)
         index = {x: k for k, x in enumerate(ends)}
         held: list[list] = [[] for _ in ends]
         cover = [0] * len(ends)

@@ -18,7 +18,7 @@ derive from it are computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -131,7 +131,7 @@ def _clip(host: MetricForest, chart: dict, s: Subforest) -> tuple[dict, Subfores
     return out, Subforest.from_spans(host, image), ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PartialIsometry:
     """An isometry from one compact subtree of the host onto another."""
 
@@ -143,6 +143,16 @@ class PartialIsometry:
     # fields, so that `dataclasses.replace` keeps the chart and its source
     _chart: dict | None = field(default=None, compare=False, repr=False)
     _forward: PartialIsometry | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, name, domain, range, correspondence, inverted=False, _chart=None, _forward=None):
+        # the slot descriptors' setters, bound below, skip the frozen guard
+        _set_name(self, name)
+        _set_domain(self, domain)
+        _set_range(self, range)
+        _set_correspondence(self, correspondence)
+        _set_inverted(self, inverted)
+        _set_chart(self, _chart)
+        _set_forward(self, _forward)
 
     @property
     def label(self) -> str:
@@ -171,7 +181,7 @@ class PartialIsometry:
                     q = _map_point(host, chart, host.cell_point(cell, x))
                     c, z = host.addresses(q or self.correspondence[0][1])[0]
                     chart.setdefault(cell, []).append((x, x, c, False, z - x))
-            object.__setattr__(self, "_chart", chart)
+            _set_chart(self, chart)
         return self._chart
 
     def apply(self, p: Point) -> Point:
@@ -243,6 +253,10 @@ class PartialIsometry:
 
     def __repr__(self) -> str:
         return f"PartialIsometry({self.label}: {self.domain!r} -> {self.range!r})"
+
+
+(_set_name, _set_domain, _set_range, _set_correspondence, _set_inverted, _set_chart,
+ _set_forward) = (PartialIsometry.__dict__[f.name].__set__ for f in fields(PartialIsometry))
 
 
 @dataclass(frozen=True)

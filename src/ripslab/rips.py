@@ -2,15 +2,15 @@
 
 One induction step replaces the support K by the set K' of points lying in
 at least two band domains, and replaces each band a by its maximal
-restrictions between ordered pairs of components of K': the components
-of D = K' n a^-1(K' n range(a)), each named by the components of K'
-holding its first marker and that marker's image.  K' is read off the
-system's valence stratification (`BandSystem.strata`, computed once per
-system), which also gives the vol(K^{>=3}) of each step record.  It halts
-when K' = K, by exact set equality, as then every band is carried whole
-(Gaboriau-Levitt-Paulin 1994; `same_system`); `judge` reports a
-non-halting trace with persistent triple overlap and shrinking band
-domains as Levitt evidence, never as proof.
+restrictions between ordered pairs of components of K': the components of
+D = K' n a^-1(K' n range(a)), each named by the components of K' holding
+its first marker and that marker's image; a band with D = dom(a) is renamed
+from the locator, with no restriction.  K' is read off the valence
+stratification (`BandSystem.strata`), which also gives the vol(K^{>=3}) of
+each step record.  It halts when K' = K, an exact set equality, as then
+every band is carried whole (Gaboriau-Levitt-Paulin 1994; `same_system`);
+`judge` reports a non-halting trace with persistent triple overlap and
+shrinking band domains as Levitt evidence, never as proof.
 
 A run numbers its steps from the one it starts at, and can write each
 system to <checkpoint>/step-<i>.bands; this module alone knows that
@@ -50,11 +50,11 @@ def overlap_set(system: BandSystem) -> Subforest:
 
 
 def _locator(K: Subforest):
-    """meet(S), the set K n S, and component(S, p), the index in
-    `K.components()` of the component holding a nonempty connected subset
-    S of K and a point p of it.  A set that is one stored interval or lone
-    point of K is met and named by one dict read; any other is named by
-    the interval of K holding p, a piece's first marker or its image."""
+    """meet(S), K n S and the index in `K.components()` of its component
+    or None, and component(S, p), that index for a nonempty connected
+    subset S of K and a point p of it.  A stored interval or lone point of
+    K is met and named by one dict read; any other set is named by the
+    interval of K holding p, a piece's first marker or its image."""
     index = K.component_index()
 
     def piece(S: Subforest):
@@ -64,12 +64,13 @@ def _locator(K: Subforest):
             return (e, ivs[0]) if len(ivs) == 1 else None
         return next(iter(S.points))
 
-    def meet(S: Subforest) -> Subforest:
-        return S if piece(S) in index else K.intersect(S)
+    def meet(S: Subforest) -> tuple[Subforest, int | None]:
+        n = index.get(piece(S))
+        return (S, n) if n is not None else (K.intersect(S), None)
 
     def component(S: Subforest, p) -> int:
-        key = piece(S)  # a connected S holding a lone point of K is that point
-        return index[key if key in index else K.interval_at(p)]
+        n = index.get(piece(S))  # a connected S holding a lone point of K is that point
+        return n if n is not None else index[K.interval_at(p)]
 
     return meet, component
 
@@ -90,9 +91,16 @@ def rips_step(system: BandSystem) -> BandSystem:
     meet, component = _locator(K)
     new_bands: list[PartialIsometry] = []
     for a in system.bands:
-        D = meet(a.inverse().image_of(meet(a.range)))
-        pieces = sorted(((*map(component, (b.domain, b.range), b.correspondence[0]), b)
-                         for b in map(a.restrict, D.components())), key=lambda t: t[:2])
+        back = a.inverse().image_of
+        R, cj = meet(a.range)
+        D, ci = meet(back(R))
+        if D == a.domain:  # carried whole: renamed, with no restriction
+            m, i = a.correspondence[0]
+            pieces = [(component(D, m) if ci is None else ci,
+                       component(a.range, i) if cj is None else cj, a)]
+        else:
+            pieces = sorted(((*map(component, (b.domain, b.range), b.correspondence[0]), b)
+                             for b in map(a.restrict, D.components())), key=lambda t: t[:2])
         new_bands += [PartialIsometry(f"{a.name}.{ci}_{cj}", b.domain, b.range,
                                       b.correspondence, _chart=b.chart)
                       for ci, cj, b in pieces]

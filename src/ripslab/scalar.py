@@ -16,22 +16,22 @@ a constant.  The sign
 of any other element is exact: refining the isolating interval ends with
 bounds of one sign.  No decision is taken on a float.
 
-Each field interns its elements that are not rational: while a value is
-alive, every computation that yields it returns that one object, so its
-enclosure (a rigorous float interval) is computed once and then read by
-every order test, which returns at once when two cached enclosures are
-disjoint.  The table is a plain dict of weak references, read inline, so
-it keeps no value alive; one callback per field drops the entry of a value
-that dies, and it holds the table but not the field, so reference counting
-alone frees a dropped field.  There is one table per field, so equal fields
-built apart share nothing; rationals are not interned.  Because a field
-element is shared by every holder and keys its table, instances refuse
-assignment; the constructor sets the slots through their descriptors.
-Equality and hashing stay by value.  An enclosure cached before
-a refinement may still decide, as refinement only shrinks the isolating
-interval that its bounds came from; one that does not decide is recomputed
-at the current interval, and where that does not decide either, the exact
-sign of the difference does.
+Every scalar is interned by one rule (`_intern`): while a value is alive,
+every computation that yields it returns that one object, so its enclosure
+(a rigorous float interval) is computed once and then read by every order
+test, which returns at once when two cached enclosures are disjoint.  Each
+field keeps a table of its elements, and one module-level table those with
+no field: a plain dict of weak references, so it keeps no value alive,
+whose callback (`_remover`) drops the entry of a value that dies; a field's
+holds its table but not the field, so reference counting alone frees a
+dropped field, and equal fields built apart share nothing.  Because a value
+is shared by every holder and keys its table, instances refuse assignment;
+the constructor sets the slots through their descriptors.  Equality and
+hashing stay by value.  An enclosure cached before a refinement may still
+decide, as refinement only shrinks the isolating interval that its bounds
+came from; one that does not decide is recomputed at the current interval,
+and where that does not decide either, the exact sign of the difference
+does.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 class ScalarError(Exception):
@@ -273,11 +273,8 @@ class NumberField:
         self._rev = 0           # bumped on refine; invalidates cached bounds
         self._fp = None         # cached (prec, lo_int, hi_int) dyadic bounds
         # (num, den) -> a weak reference to the one live Scalar of that
-        # value; the table holds no value alive, and its removal callback
-        # holds the table but not the field, so reference counting alone
-        # frees the field and its values
-        self._scalars: dict = {}
-        self._unintern = _remover(self._scalars)
+        # value, and the callback that drops it, which holds no field
+        self._table = _remover()
         if check_irreducible and not self._is_irreducible():
             raise NotIrreducible("defining polynomial is reducible over Q")
 
@@ -372,8 +369,8 @@ class Scalar:
     ``len(num) <= 1`` in any field, and scalars of compatible fields are
     equal iff their (num, den) are.  `coeffs` derives the ``Fraction``
     coefficients.  All operations are pure; instances are immutable, and
-    a field element that is not rational is the one live instance of its
-    value in its field.
+    each is the one live instance of its value in its field, or with no
+    field.
     """
 
     __slots__ = ("field", "num", "den", "_hash", "_enc", "_encrev", "__weakref__")
@@ -388,8 +385,8 @@ class Scalar:
         _set_encrev(self, None)
 
     def __setattr__(self, *a):
-        # a field element is shared by every holder and keys its field's
-        # table, so a mutation would corrupt them all
+        # a value is shared by every holder and keys its intern table, so
+        # a mutation would corrupt them all
         raise AttributeError("Scalar is immutable")
 
     @property
@@ -466,7 +463,7 @@ class Scalar:
         f = self._field(b)
         an, bn = self.num, b.num
         if not an or not bn:
-            return Scalar(f, ())
+            return _intern(f, (), 1)
         out = [0] * (len(an) + len(bn) - 1)
         for i, x in enumerate(an):
             for j, y in enumerate(bn):
@@ -545,13 +542,17 @@ class Scalar:
     def _enclose(self) -> tuple[tuple[float, float], int | None]:
         """A new enclosure and the revision it is computed at (None if it
         holds for good): for a rational, the correctly rounded quotient
-        widened by one ulp; for a field element, `_fixed` divided by `den`
-        once and widened outward."""
+        widened by one ulp (from the largest float to infinity where it
+        overflows); for a field element, `_fixed` divided by `den` once
+        and widened outward."""
         num, f = self.num, self.field
         if not num:
             return (0.0, 0.0), None
         if len(num) == 1 or f is None:
-            x = num[0] / self.den  # int division rounds correctly
+            try:
+                x = num[0] / self.den  # int division rounds correctly
+            except OverflowError:  # an infinity, whose neighbour is the largest float
+                x = math.inf if num[0] > 0 else -math.inf
             return (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)), None
         prec, vlo, vhi = self._fixed()
         return (_dyadic_float(vlo // self.den, prec, False),
@@ -595,10 +596,10 @@ class Scalar:
         return self._hash
 
     def _compare(self, other: ScalarLike) -> int:
-        """Sign of self - other: equal representations first, then the
-        enclosures, then the exact sign of the difference."""
+        """Sign of self - other: identity first, then the enclosures, then
+        the exact sign of the difference."""
         b = other if isinstance(other, Scalar) else rational(other)
-        if self.field is b.field and self.num == b.num and self.den == b.den:
+        if b is self:
             return 0
         alo, ahi = self.enclosure()
         blo, bhi = b.enclosure()
@@ -700,8 +701,6 @@ def _canon(field: NumberField | None, num: list, den: int) -> Scalar:
     if g != 1:
         num = [x // g for x in num]
         den //= g
-    if field is None:
-        return Scalar(None, tuple(num), den)
     return _intern(field, tuple(num), den)
 
 
@@ -716,19 +715,17 @@ def _reduce(field: NumberField | None, num: list, den: int) -> Scalar:
 
 
 def _intern(field: NumberField | None, num: tuple, den: int) -> Scalar:
-    """The Scalar num/den: for a field element that is not rational, the
-    one live instance of that value in its field's table."""
-    if field is None or len(num) < 2:
-        return Scalar(field, num, den)
+    """The Scalar num/den, the one live instance of that value in its
+    field's table, or with no field in the module's."""
+    table, drop = _FREE if field is None else field._table
     key = (num, den)
-    table = field._scalars
     ref = table.get(key)
     if ref is not None:
         s = ref()
         if s is not None:
             return s
     s = Scalar(field, num, den)
-    table[key] = weakref.KeyedRef(s, field._unintern, key)
+    table[key] = weakref.KeyedRef(s, drop, key)
     return s
 
 
@@ -748,13 +745,18 @@ def total(plus: Iterable[Scalar], minus: Iterable[Scalar] = ()) -> Scalar:
     return _canon(fields.pop() if fields else None, num, den)
 
 
-def _remover(table: dict):
-    """The weak-reference callback that drops a dead value's entry from an
-    intern table, unless its key already names a newer value."""
+def _remover() -> tuple[dict, Callable]:
+    """A new intern table and the weak-reference callback that drops a
+    dead value's entry from it, unless its key already names a newer value."""
+    table: dict = {}
+
     def remove(ref: weakref.KeyedRef) -> None:
         if table.get(ref.key) is ref:
             del table[ref.key]
-    return remove
+    return table, remove
+
+
+_FREE = _remover()  # the intern table of the values with no field
 
 
 def monomial(field: NumberField | None, k: int) -> Scalar:
@@ -767,9 +769,9 @@ def monomial(field: NumberField | None, k: int) -> Scalar:
 def rational(numerator, denominator=1) -> Scalar:
     """A rational-mode scalar."""
     if type(numerator) is int and denominator == 1:
-        return Scalar(None, (numerator,) if numerator else ())
+        return _intern(None, (numerator,) if numerator else (), 1)
     q = Fraction(numerator, denominator)
-    return Scalar(None, (q.numerator,) if q else (), q.denominator)
+    return _intern(None, (q.numerator,) if q else (), q.denominator)
 
 
 ZERO = rational(0)

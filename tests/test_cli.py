@@ -55,6 +55,22 @@ def test_validate_malformed_is_input_error(tmp_path):
         assert run_cli("validate", str(path))[0] == 2, text
 
 
+@pytest.mark.parametrize("field, length, volume", [
+    ("", "1" + "0" * 400, 10**400),
+    ("field L^2 - 2 in (1, 2)\n", "L^40000", 2**20000),
+], ids=["rational", "field"])
+def test_validate_scalars_beyond_floats(tmp_path, field, length, volume):
+    """A length too large for a float is still ordered exactly (its
+    enclosure runs from the largest float to infinity) and printed in
+    full, past the interpreter's default limit on digits."""
+    path = tmp_path / "big.bands"
+    path.write_text(field + f"tree\nvertex u\nvertex v\nedge e0 u v {length}\n"
+                    "band a\nmap e0:0 -> e0:1\n")
+    code, text = run_cli("validate", str(path))
+    assert code == 0 and "valid: yes" in text
+    assert f"volume: {volume}\n" in text
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that closes the pipe after one line ends the run with
     141 (128 + SIGPIPE) and nothing on stderr."""
@@ -324,11 +340,14 @@ def test_parsed_input_errors_exit_2(tmp_path, capsys, text):
      "line 1: bad scalar expression '14e-1'"),
     ("field L^2 - 2 in (1/0, 3/2)\n" + TREE + BAND,
      "line 1: zero denominator in '1/0'"),
+    ("field L^2 - 2 in (L, 2)\n" + TREE + BAND,
+     "line 1: the bounds of a field line must be rational"),
 ], ids=["range-leaves-support", "empty-scalar", "unbalanced-parenthesis",
         "missing-tree", "interval-fields", "support-unknown-edge",
         "support-segment", "no-map-lines", "field-not-monic", "field-constant",
         "duplicate-vertex", "loop", "cycle", "zero-length", "edge-is-vertex",
-        "field-bound-decimal", "field-bound-exponent", "field-bound-zero-denominator"])
+        "field-bound-decimal", "field-bound-exponent", "field-bound-zero-denominator",
+        "field-bound-generator"])
 def test_validate_input_mistakes_exit_2(tmp_path, capsys, text, message):
     """Each mistake in a .bands file is an input error, reported on one
     stderr line naming the file."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hosts import is_point, refine
 import oracles
+from ripslab import forest
 from ripslab.fileformat import parse_system_text, scalar_str, serialize_system
 from ripslab.forest import (
     DifferentComponents,
@@ -386,10 +387,12 @@ def test_intersect_isolated_points_match_oracle(tripod):
 # -- exact order of points closer than any decimal rounding --------------------
 
 @pytest.mark.parametrize("base", [Q(1, 2), L], ids=["Q", "bk"])
-def test_crowded_points_come_out_in_exact_order(base):
+def test_crowded_points_come_out_in_exact_order(base, monkeypatch):
     """Ten cells within 10^-14 of each other on e0: isolated points at odd
     k and short intervals at even k, from x_k = base + k * 10^-15.  Every
-    ordering path must list them by exact offset."""
+    ordering path must list them by exact offset.  The strata's sweep
+    (`coverage`) is given band domains whose ends are 10^-20 apart, where
+    the cached enclosures overlap, so its exact fallback must run."""
     host = interval_forest(1)
     eps = Q(1, 10**15)
     xs = [base + eps * k for k in range(10)]
@@ -413,6 +416,27 @@ def test_crowded_points_come_out_in_exact_order(base):
     lines = [ln for ln in text.splitlines() if ln.startswith("point ")]
     assert lines == [f"point e0:{scalar_str(x)}" for x in xs[1::2]]
     assert parse_system_text(text).support == union
+
+    tiny = Q(1, 10**20)
+    far = Subforest(host, {"e0": [(Q(0), Q(1, 8))]})
+    system = BandSystem(host, tuple(
+        PartialIsometry(f"b{k}", Subforest(host, {"e0": [(base + tiny * k,
+                                                          base + tiny * (k + 3))]}), far, ())
+        for k in (3, 8, 0, 5, 9, 1, 6, 2, 7, 4)))
+    proposed, exact = [], []
+
+    def sorting(xs, **how):
+        out = sorted(xs, **how)
+        (proposed if how else exact).append(out)
+        return out
+
+    monkeypatch.setattr(forest, "sorted", sorting, raising=False)
+    strata = system.strata
+    monkeypatch.undo()
+    ends = [Q(0), Q(1, 8)] + [base + tiny * k for k in range(13)]
+    assert ends in exact and ends not in proposed
+    for i in (1, 2, 3):
+        assert strata.stratum_ge(i) == oracles.brute_stratum_ge(system, i)
 
 
 # -- arcs against the best-of-four search -------------------------------------

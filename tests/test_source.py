@@ -1,6 +1,6 @@
 """Checks over the source of `src/ripslab`, read as syntax trees: every
 public module-level name has a reader in the program or the benchmark,
-sympy is imported in one place, only `scalar` calls the `Scalar`
+sympy is imported in one place, only `scalar._intern` calls the `Scalar`
 constructor, and one walk climbs the rooted trees of a forest."""
 
 import ast
@@ -69,14 +69,22 @@ def test_sympy_is_imported_in_one_place():
     assert [f for f, _ in sites] == ["scalar.py"], sites
 
 
+def _constructions(tree):
+    """The calls of `Scalar(...)` in a syntax tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "Scalar" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def test_only_scalar_calls_the_scalar_constructor():
     """`Scalar(...)` takes its input in canonical form and does not
-    normalize it, so every other module builds values through `rational`,
-    a field's methods and arithmetic."""
-    callers = {f for f, tree in _trees(SRC).items() for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and "Scalar" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert callers == {"scalar.py"}
+    normalize it, and every value is interned, so `scalar._intern` is its
+    one caller: every other function builds values through `rational`, a
+    field's methods and arithmetic."""
+    trees = _trees(SRC)
+    intern = next(node for node in trees["scalar.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_intern")
+    everywhere = [call for tree in trees.values() for call in _constructions(tree)]
+    assert len(everywhere) == len(_constructions(intern)) == 1
 
 
 def _readers(tree, attrs):
