@@ -813,8 +813,12 @@ def brute_stable_whitehead(images, budget):
 def sympy_pf_field(mat):
     """Number field of the largest real eigenvalue, by sympy: the
     characteristic polynomial is factored over Z, the factor whose real
-    roots include the overall largest one becomes the minimal polynomial,
-    and its isolating interval comes from sympy's root isolation."""
+    roots include the overall largest one, by sympy's exact comparison of
+    the factors' largest roots, becomes the minimal polynomial, and its
+    isolating interval comes from sympy's root isolation.  Isolating
+    intervals of distinct factors may overlap, so they cannot rank the
+    factors: x^2 - 3x + 1 and x^2 - 2x - 2 both isolate their largest root
+    in [2, 3]."""
     import sympy
 
     x = sympy.symbols("x")
@@ -824,12 +828,14 @@ def sympy_pf_field(mat):
         poly = sympy.Poly(factor, x)
         if poly.LC() < 0:
             poly = sympy.Poly(-factor, x)
-        for (lo, hi), _k in poly.intervals():
-            if best is None or hi > best[1]:
-                best = (Fraction(lo.p, lo.q), Fraction(hi.p, hi.q), poly)
+        roots = poly.real_roots()
+        if roots and (best is None or bool(roots[-1] > best[0])):
+            best = (roots[-1], poly)
     if best is None:
         raise TrainTrackError("no real eigenvalue")
-    lo, hi, poly = best
+    poly = best[1]
+    (lo, hi), _k = max(poly.intervals(), key=lambda iv: iv[0][1])
+    lo, hi = Fraction(lo.p, lo.q), Fraction(hi.p, hi.q)
     if lo == hi:  # a rational root: its linear factor has no other root
         lo, hi = lo - 1, hi + 1
     coeffs = [Fraction(c.p, c.q) for c in reversed(poly.all_coeffs())]

@@ -1,7 +1,7 @@
 import importlib.resources as resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ripslab.scalar import count_roots
 from ripslab.traintrack import (
@@ -354,6 +354,7 @@ def _outcome(f, *args):
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(4))
+@example([[0, 0, 0, 2], [0, 2, 1, 0], [0, 1, 1, 0], [1, 0, 0, 2]])  # two factors' roots in [2, 3]
 def test_pf_field_and_eigenvector_match_sympy(mat):
     """The minimal polynomial, an interval isolating the same root, and the
     eigenvector's (num, den) entries, or the same refusal, as sympy's path;
